@@ -5,45 +5,44 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import io as mbio
-from .core import classic_em, hard_labels, majority_vote_init
 from .harness import emit_report, run_sweep, spec_from_dict
-from .learn import LearnerConfig, fit
-from .methods import MbemConfig, one_hot, run_hard_baseline, run_mbem, \
-    weighted_soft_labels
+from .learn import LearnerConfig
+from .methods import METHODS, MbemConfig, config_from, train_method
 from .seeding import RngSeed
 from .simulate import WorkerSkillModel, assign_workers, corrupt_labels, \
     make_synthetic_dataset, sample_worker_pool
 from .theory import beta_eps_closed_form, bound_factor, optimal_redundancy
 
-TRAIN_METHODS = ("mv", "em", "weighted-mv", "weighted-em", "mbem",
-                 "oracle-weighted-em", "oracle-correct")
+LEARNER_KINDS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_mlp"}
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learner", choices=["logistic", "mlp"], default="logistic")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=0,
-                   help="0 means full batch")
-    p.add_argument("--hidden-units", type=int, default=32)
-    p.add_argument("--init-scale", type=float, default=0.01)
+    p.add_argument("--learner", dest="learner_kind", choices=LEARNER_KINDS)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--l2", dest="l2_penalty", type=float)
+    p.add_argument("--batch-size", type=int, help="0 means full batch")
+    p.add_argument("--hidden-units", type=int)
+    p.add_argument("--init-scale", type=float)
 
 
-def _learner_config(args) -> LearnerConfig:
-    kind = ("multinomial_logistic" if args.learner == "logistic"
-            else "one_hidden_layer_mlp")
-    return LearnerConfig(learner_kind=kind, l2_penalty=args.l2,
-                         learning_rate=args.learning_rate, epochs=args.epochs,
-                         batch_size=args.batch_size,
-                         hidden_units=args.hidden_units,
-                         init_scale=args.init_scale)
+def _config(args) -> MbemConfig:
+    """MbemConfig from the config flags given on the command line."""
+    given = dict(vars(args))
+    if "learner_kind" in given:
+        given["learner_kind"] = LEARNER_KINDS[given["learner_kind"]]
+
+    def pick(cls):
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    return config_from(MbemConfig, pick(MbemConfig),
+                       learner=config_from(LearnerConfig, pick(LearnerConfig)))
 
 
 def cmd_simulate(args) -> int:
@@ -71,51 +70,22 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     features = mbio.read_features(args.features)
     ann = mbio.read_annotations(args.annotations)
-    seed = RngSeed(args.seed)
-    cfg = MbemConfig(rounds=args.rounds, prior_mode=args.prior,
-                     smoothing=args.smoothing, learner=_learner_config(args))
+    truth = mbio.read_truth(args.truth) if args.truth else None
+    oracle = (mbio.read_confusions(args.worker_confusions)
+              if args.worker_confusions else None)
+    try:
+        result = train_method(args.method, features, ann, _config(args),
+                              RngSeed(args.seed), truth=truth,
+                              oracle_confusions=oracle)
+    except ValueError as exc:
+        raise SystemExit(f"mbem train --method {args.method}: {exc}")
 
-    soft = None
-    confusions = None
-    method = args.method
-    if method == "mbem":
-        result = run_mbem(features, ann, cfg, seed)
-        model, soft, confusions = result.model, result.soft, result.confusions
-    elif method in ("weighted-mv", "weighted-em", "oracle-weighted-em"):
-        oracle = None
-        if method == "oracle-weighted-em":
-            if not args.worker_confusions:
-                raise SystemExit("--worker-confusions is required for "
-                                 "oracle-weighted-em")
-            oracle = mbio.read_confusions(args.worker_confusions)
-        if method == "weighted-em":
-            soft, confusions, _ = classic_em(ann)
-        else:
-            soft = weighted_soft_labels(ann, method.replace("-", "_"),
-                                        oracle_confusions=oracle)
-        model = fit(features, soft, cfg.learner, seed.child("fit"))
-    elif method in ("mv", "em"):
-        if method == "em":
-            soft, confusions, _ = classic_em(ann)
-        else:
-            soft = majority_vote_init(ann)
-        targets = one_hot(hard_labels(soft), ann.K)
-        model = fit(features, targets, cfg.learner, seed.child("fit"))
-    elif method == "oracle-correct":
-        if not args.truth:
-            raise SystemExit("--truth is required for oracle-correct")
-        truth = mbio.read_truth(args.truth)
-        model = run_hard_baseline(features, ann, "oracle_correct", cfg, seed,
-                                  truth=truth)
-    else:
-        raise SystemExit(f"unknown method {method}")
-
-    mbio.save_model(out, model)
-    if soft is not None:
-        mbio.write_soft_labels(out / "posteriors.csv", soft)
-    if confusions is not None:
-        mbio.write_confusions(out / "confusions.csv", confusions)
-    print(f"trained {method} model -> {out}", file=sys.stderr)
+    mbio.save_model(out, result.model)
+    if result.soft is not None:
+        mbio.write_soft_labels(out / "posteriors.csv", result.soft)
+    if result.confusions is not None:
+        mbio.write_confusions(out / "confusions.csv", result.confusions)
+    print(f"trained {args.method} model -> {out}", file=sys.stderr)
     return 0
 
 
@@ -182,17 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", help="train one method on an annotation file")
+    # A config flag stores under its field name, and only when given, so
+    # the MbemConfig and LearnerConfig dataclasses hold every default.
+    p = sub.add_parser("train", help="train one method on an annotation file",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--annotations", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--method", choices=TRAIN_METHODS, required=True)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--prior", choices=["uniform", "estimated"],
-                   default="uniform")
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--truth", help="truth CSV (oracle-correct)")
-    p.add_argument("--worker-confusions",
-                   help="true confusion CSV (oracle-weighted-em)")
+    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--prior", dest="prior_mode", choices=["uniform", "estimated"])
+    p.add_argument("--smoothing", type=float)
+    p.add_argument("--truth", default=None, help="truth CSV")
+    p.add_argument("--worker-confusions", default=None, help="true confusion CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     _add_learner_flags(p)
@@ -208,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="fixed-budget redundancy sweep")
     p.add_argument("--config", required=True,
-                   help="YAML or JSON sweep spec (see README)")
+                   help="YAML or JSON sweep spec (keys: harness.spec_from_dict)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)

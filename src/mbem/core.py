@@ -26,7 +26,6 @@ __all__ = [
     "clamp_confusions",
     "check_confusions",
     "check_prior",
-    "check_soft_labels",
     "majority_vote_init",
     "posterior",
     "estimate_confusions_and_prior",
@@ -142,15 +141,6 @@ def check_prior(prior: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarray:
     if prior.min() < -tol or abs(prior.sum() - 1.0) > tol:
         raise ValueError("class prior must be a probability vector")
     return prior
-
-
-def check_soft_labels(soft: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarray:
-    soft = np.asarray(soft, dtype=np.float64)
-    if soft.ndim != 2:
-        raise ValueError("soft labels must be an (n, K) matrix")
-    if soft.min() < -tol or np.abs(soft.sum(axis=1) - 1.0).max() > tol:
-        raise ValueError("soft label rows must be probability vectors")
-    return soft
 
 
 def clamp_confusions(confusions: np.ndarray, clamp: float = 1e-6) -> np.ndarray:

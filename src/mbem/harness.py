@@ -1,39 +1,40 @@
 """Fixed-budget experiment runner.
 
 Given a total annotation budget N, each redundancy level r trains on
-floor(N / r) examples carrying r labels each. Within one replicate seed,
-the test set and worker pool are shared across every method and
-redundancy level so comparisons are paired; training data is synthesized
-fresh per redundancy level. Every (method, r, seed) cell derives its
-randomness from substreams keyed by those coordinates, so results do not
-depend on execution order or the number of worker processes, and a
-failed cell is recorded without aborting the rest.
+floor(N / r) examples carrying r labels each. The sweep runs one unit
+per (r, seed), which builds that pair's data once and trains every
+method on it; the test set and worker pool are also shared across the
+redundancy levels of a seed. The data draws from substreams keyed by
+(r, seed), and training from substreams keyed by (method, r, seed), so
+results do not depend on execution order or the number of worker
+processes. A failed cell is recorded without aborting the rest, and a
+row of timing.csv covers that method's training and evaluation only.
 
 Instead of synthesizing data, a sweep can run against pre-collected
-annotation/feature/truth files; each cell then subsamples floor(N / r)
+annotation/feature/truth files; each unit then reads the five files
+once, checks that their shapes agree, and subsamples floor(N / r)
 examples and r of their annotations.
 """
 
 from __future__ import annotations
 
+import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import io as mbio
 from .core import AnnotationSet
-from .learn import LearnerConfig, zero_one_risk, fit
-from .methods import MbemConfig, one_hot, run_hard_baseline, run_mbem, \
-    run_weighted_baseline
+from .learn import LearnerConfig, zero_one_risk
+from .methods import METHODS, MbemConfig, config_from, train_method
 from .seeding import RngSeed
 from .simulate import WorkerSkillModel, assign_workers, corrupt_labels, \
     make_synthetic_dataset, sample_worker_pool, subsample_redundancy
 
 __all__ = [
-    "METHODS",
     "SweepSpec",
     "CellRecord",
     "CellAggregate",
@@ -45,8 +46,7 @@ __all__ = [
     "spec_from_dict",
 ]
 
-METHODS = ("mv", "em", "weighted-mv", "weighted-em", "mbem",
-           "oracle-weighted-em", "oracle-correct", "truth")
+SWEEP_COLUMNS = ["method", "r", "n_train", "seed", "test_risk", "train_risk", "error"]
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,15 @@ def _restrict(ann: AnnotationSet, keep: np.ndarray) -> AnnotationSet:
                          labels=ann.labels[mask])
 
 
+def _same(what: str, file_a, a: int, file_b, b: int) -> None:
+    """Raise, naming both files, unless their counts a and b agree."""
+    if a != b:
+        raise ValueError(f"{what} disagree: {file_a} has {a}, "
+                         f"{file_b} has {b}")
+
+
 def _cell_data(spec: SweepSpec, r: int, seed: int):
-    """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) cell."""
+    """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit."""
     n_train = spec.budget // r
     root = RngSeed(seed)
     if spec.file_mode:
@@ -132,6 +139,14 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
         y_all = mbio.read_truth(spec.truth_file)
         X_test = mbio.read_features(spec.test_features_file)
         y_test = mbio.read_truth(spec.test_truth_file)
+        _same("example counts", spec.features_file, len(X_all),
+              spec.truth_file, len(y_all))
+        _same("example counts", spec.features_file, len(X_all),
+              spec.annotations_file, ann_all.n)
+        _same("example counts", spec.test_features_file, len(X_test),
+              spec.test_truth_file, len(y_test))
+        _same("feature dimensions", spec.features_file, X_all.shape[1],
+              spec.test_features_file, X_test.shape[1])
         if n_train > ann_all.n:
             raise ValueError(f"annotation file has only {ann_all.n} examples, "
                              f"cell needs {n_train}")
@@ -152,65 +167,56 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
     return X, y, ann, conf_true, X_test, y_test
 
 
-def _train_method(method: str, X, y, ann, conf_true, cfg: MbemConfig, seed):
-    if method == "truth":
-        return fit(X, one_hot(y, ann.K), cfg.learner, seed.child("fit"))
-    if method in ("mv", "em"):
-        return run_hard_baseline(X, ann, method, cfg, seed)
-    if method == "oracle-correct":
-        return run_hard_baseline(X, ann, "oracle_correct", cfg, seed, truth=y)
-    if method in ("weighted-mv", "weighted-em"):
-        return run_weighted_baseline(X, ann, method.replace("-", "_"), cfg, seed)
-    if method == "oracle-weighted-em":
-        if conf_true is None:
-            raise ValueError("oracle-weighted-em needs the true confusion "
-                             "matrices; unavailable in file mode")
-        return run_weighted_baseline(X, ann, "oracle_weighted_em", cfg, seed,
-                                     oracle_confusions=conf_true)
-    if method == "mbem":
-        return run_mbem(X, ann, cfg, seed).model
-    raise ValueError(f"unknown method {method!r}")
+def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
+    return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
+                      test_risk=float("nan"), train_risk=float("nan"),
+                      wall_time=wall_time,
+                      error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_cell(spec: SweepSpec, method: str, r: int, seed: int) -> CellRecord:
-    n_train = spec.budget // r
+def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
+              data) -> CellRecord:
+    """Train and evaluate one method on its unit's data. Bad data and a
+    diverging learner (ValueError, RuntimeError) give an error record."""
+    X, y, ann, conf_true, X_test, y_test = data
     start = time.perf_counter()
     try:
-        X, y, ann, conf_true, X_test, y_test = _cell_data(spec, r, seed)
         cell_seed = RngSeed(seed).child("method", method, r)
-        model = _train_method(method, X, y, ann, conf_true, spec.mbem, cell_seed)
-        record = CellRecord(method=method, r=r, n_train=n_train, seed=seed,
-                            test_risk=zero_one_risk(model, X_test, y_test),
-                            train_risk=zero_one_risk(model, X, y),
-                            wall_time=time.perf_counter() - start)
-    except Exception as exc:
-        record = CellRecord(method=method, r=r, n_train=n_train, seed=seed,
-                            test_risk=float("nan"), train_risk=float("nan"),
-                            wall_time=time.perf_counter() - start,
-                            error=f"{type(exc).__name__}: {exc}")
-    return record
+        model = train_method(method, X, ann, spec.mbem, cell_seed, truth=y,
+                             oracle_confusions=conf_true).model
+        return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
+                          test_risk=zero_one_risk(model, X_test, y_test),
+                          train_risk=zero_one_risk(model, X, y),
+                          wall_time=time.perf_counter() - start)
+    except (ValueError, RuntimeError) as exc:
+        return _failed(spec, method, r, seed, exc, time.perf_counter() - start)
 
 
-def _run_cell_star(args):
-    return _run_cell(*args)
+def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
+    """One record per method of spec, in spec order, all on one dataset."""
+    try:
+        data = _cell_data(spec, r, seed)
+    except (ValueError, RuntimeError) as exc:
+        return [_failed(spec, method, r, seed, exc, 0.0)
+                for method in spec.methods]
+    return [_run_cell(spec, method, r, seed, data) for method in spec.methods]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run every (method, r, seed) cell and aggregate over seeds.
 
-    Cells execute in worker processes when jobs > 1; the record order
-    (and therefore the emitted files) is fixed by the spec, not by
-    completion order.
+    Each (r, seed) unit runs in a worker process when jobs > 1; the
+    record order (method, then r, then seed, and therefore the emitted
+    files) is fixed by the spec, not by completion order.
     """
-    cells = [(spec, method, r, seed)
-             for method in spec.methods
-             for r in spec.redundancies
-             for seed in spec.seeds]
+    rs = [r for r in spec.redundancies for _ in spec.seeds]
+    seeds = [seed for _ in spec.redundancies for seed in spec.seeds]
     if jobs <= 1:
-        records = [_run_cell(*cell) for cell in cells]
+        units = [_run_unit(spec, r, seed) for r, seed in zip(rs, seeds)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_cell_star, cells, chunksize=1))
+            units = list(pool.map(_run_unit, [spec] * len(rs), rs, seeds))
+    records = [unit[i] for i in range(len(spec.methods)) for unit in units]
     return SweepResult(records=records,
                        aggregates=aggregate(records, strict=False))
 
@@ -255,7 +261,7 @@ def emit_report(result: SweepResult, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "sweep.csv", "w") as fh:
-        fh.write("method,r,n_train,seed,test_risk,train_risk,error\n")
+        fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for rec in result.records:
             err = rec.error.replace(",", ";").replace("\n", " ") if rec.error else ""
             fh.write(f"{rec.method},{rec.r},{rec.n_train},{rec.seed},"
@@ -287,41 +293,44 @@ def emit_report(result: SweepResult, out_dir) -> None:
 
 def read_sweep_csv(path) -> list[CellRecord]:
     """Parse sweep.csv back into records (wall times are not stored there)."""
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        assert header[:4] == ["method", "r", "n_train", "seed"]
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            records.append(CellRecord(
-                method=parts[0], r=int(parts[1]), n_train=int(parts[2]),
-                seed=int(parts[3]), test_risk=float(parts[4]),
-                train_risk=float(parts[5]), wall_time=0.0,
-                error=parts[6] or None))
-    return records
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header != SWEEP_COLUMNS:
+            raise ValueError(f"{path}: header {header} is not {SWEEP_COLUMNS}")
+        return [CellRecord(method, int(r), int(n_train), int(seed),
+                           float(test_risk), float(train_risk), 0.0,
+                           error or None)
+                for method, r, n_train, seed, test_risk, train_risk, error
+                in rows]
 
 
 def spec_from_dict(cfg: dict) -> SweepSpec:
-    """Build a SweepSpec from a parsed config mapping (see README for keys)."""
-    cfg = dict(cfg)
+    """Build a SweepSpec from a parsed config mapping.
+
+    Required keys: budget, redundancies, methods (from methods.METHODS),
+    seeds. Optional keys: classes (2), m (100), n_test (4000),
+    feature_dim (2 * classes), margin (6.0), worker_model {kind
+    ("hammer_spammer"), gamma (0.2)}; rounds, prior and smoothing for
+    MbemConfig and learner {kind, l2_penalty, learning_rate, epochs,
+    batch_size, hidden_units, init_scale} for LearnerConfig, coerced to
+    the fields' types and defaulting to the dataclass defaults; and for
+    file mode annotations_file, features_file, truth_file,
+    test_features_file and test_truth_file.
+    """
     skill_cfg = cfg.get("worker_model", {})
     skill = WorkerSkillModel(kind=skill_cfg.get("kind", "hammer_spammer"),
                              gamma=float(skill_cfg.get("gamma", 0.2)),
                              K=int(cfg.get("classes", 2)))
-    learner_cfg = cfg.get("learner", {})
-    learner = LearnerConfig(
-        learner_kind=learner_cfg.get("kind", "multinomial_logistic"),
-        l2_penalty=float(learner_cfg.get("l2_penalty", 1e-4)),
-        learning_rate=float(learner_cfg.get("learning_rate", 0.1)),
-        epochs=int(learner_cfg.get("epochs", 300)),
-        batch_size=int(learner_cfg.get("batch_size", 0)),
-        hidden_units=int(learner_cfg.get("hidden_units", 32)),
-        init_scale=float(learner_cfg.get("init_scale", 0.01)),
-    )
-    mbem_cfg = MbemConfig(rounds=int(cfg.get("rounds", 2)),
-                          prior_mode=cfg.get("prior", "uniform"),
-                          smoothing=float(cfg.get("smoothing", 1.0)),
-                          learner=learner)
+    learner = dict(cfg.get("learner", {}))
+    if "kind" in learner:
+        learner["learner_kind"] = learner.pop("kind")
+    mbem = {key: cfg[key] for key in ("rounds", "prior", "smoothing")
+            if key in cfg}
+    if "prior" in mbem:
+        mbem["prior_mode"] = mbem.pop("prior")
+    mbem_cfg = config_from(MbemConfig, mbem,
+                           learner=config_from(LearnerConfig, learner))
     return SweepSpec(
         budget=int(cfg["budget"]),
         redundancies=tuple(int(r) for r in cfg["redundancies"]),

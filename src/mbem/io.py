@@ -2,10 +2,11 @@
 
 Annotation file: header ``example_id,worker_id,label``, 0-based integers.
 Truth file: ``example_id,label``. Soft labels: ``example_id,p0,...,pK-1``
-with 12 significant digits. Confusion matrices travel in long format
-``worker_id,k,s,prob``. Model checkpoints are a parameter CSV (one value
-per line, full precision) plus a JSON sidecar with
-``kind, K, d, hidden_units``.
+with 12 significant digits. The readers of truth, soft label and feature
+files require example_id to hold each of 0..n-1 exactly once. Confusion
+matrices travel in long format ``worker_id,k,s,prob``. Model checkpoints
+are a parameter CSV (one value per line, full precision) plus a JSON
+sidecar with ``kind, K, d, hidden_units``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def _id_order(path, ids: np.ndarray) -> np.ndarray:
+    """Row order by example_id; ValueError unless the ids are 0..n-1,
+    each once."""
+    order = np.argsort(ids)
+    if not np.array_equal(ids[order], np.arange(ids.size)):
+        raise ValueError(f"{path}: example_id must hold each of "
+                         f"0..{ids.size - 1} exactly once")
+    return order
+
+
 def write_annotations(path, ann: AnnotationSet) -> None:
     rows = zip(ann.example_ids.tolist(), ann.worker_ids.tolist(),
                ann.labels.tolist())
@@ -61,9 +72,7 @@ def write_truth(path, truth: np.ndarray) -> None:
 
 def read_truth(path) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-    truth = np.zeros(data.shape[0], dtype=np.int64)
-    truth[data[:, 0]] = data[:, 1]
-    return truth
+    return data[_id_order(path, data[:, 0]), 1]
 
 
 def write_soft_labels(path, soft: np.ndarray) -> None:
@@ -75,8 +84,7 @@ def write_soft_labels(path, soft: np.ndarray) -> None:
 
 def read_soft_labels(path) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(data[:, 0])
-    return data[order, 1:]
+    return data[_id_order(path, data[:, 0]), 1:]
 
 
 def write_confusions(path, confusions: np.ndarray) -> None:
@@ -107,8 +115,7 @@ def write_features(path, features: np.ndarray) -> None:
 
 def read_features(path) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(data[:, 0])
-    return data[order, 1:]
+    return data[_id_order(path, data[:, 0]), 1:]
 
 
 def save_model(out_dir, model: TrainedModel) -> None:

@@ -16,7 +16,8 @@ confusion matrices or the true labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -33,8 +34,12 @@ from .learn import LearnerConfig, TrainedModel, fit, predict_proba
 from .seeding import as_seed
 
 __all__ = [
+    "METHODS",
     "MbemConfig",
+    "MethodResult",
     "MbemResult",
+    "config_from",
+    "train_method",
     "run_mbem",
     "weighted_soft_labels",
     "run_weighted_baseline",
@@ -43,8 +48,9 @@ __all__ = [
     "one_hot",
 ]
 
-WEIGHTED_MODES = ("weighted_mv", "weighted_em", "oracle_weighted_em")
-HARD_MODES = ("mv", "em", "oracle_correct")
+HARD_METHODS = ("mv", "em", "oracle-correct", "truth")
+WEIGHTED_METHODS = ("weighted-mv", "weighted-em", "oracle-weighted-em")
+METHODS = HARD_METHODS + WEIGHTED_METHODS + ("mbem",)
 
 
 @dataclass(frozen=True)
@@ -63,12 +69,29 @@ class MbemConfig:
             raise ValueError("smoothing must be nonnegative")
 
 
+def config_from(cls, values: Mapping, **given):
+    """A MbemConfig or LearnerConfig from the field values given, coerced
+    to the fields' types; omitted fields keep their defaults."""
+    # Each field with a plain default takes that default's type.
+    types = {f.name: type(f.default) for f in fields(cls)
+             if f.default is not MISSING}
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} field(s) {unknown}")
+    return cls(**{k: types[k](v) for k, v in values.items()}, **given)
+
+
 @dataclass(eq=False)
-class MbemResult:
+class MethodResult:
+    """A model, with its label posterior and confusions if it has them."""
     model: TrainedModel
-    confusions: np.ndarray
+    soft: np.ndarray | None
+    confusions: np.ndarray | None
+
+
+@dataclass(eq=False)
+class MbemResult(MethodResult):
     prior: np.ndarray
-    soft: np.ndarray
     per_round_train_risk: list[float]
 
 
@@ -119,48 +142,48 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
                       per_round_train_risk=risks)
 
 
+def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
+                     oracle_confusions: np.ndarray | None = None):
+    """(soft, confusions or None) by majority vote, classic EM or the
+    true confusion matrices; method must be one of modes."""
+    if method not in modes:
+        raise ValueError(f"mode must be one of {modes}, got {method!r}")
+    if method in ("mv", "weighted-mv"):
+        return majority_vote_init(ann), None
+    if method in ("em", "weighted-em"):
+        return classic_em(ann)[:2]
+    if oracle_confusions is None:
+        raise ValueError(f"{method} requires the true confusion matrices")
+    return posterior(ann, oracle_confusions, uniform_prior(ann.K)), None
+
+
 def weighted_soft_labels(ann: AnnotationSet, mode: str,
-                         oracle_confusions: np.ndarray | None = None,
-                         prior: np.ndarray | None = None) -> np.ndarray:
+                         oracle_confusions: np.ndarray | None = None) -> np.ndarray:
     """Soft labels for the posterior-weighted baselines.
 
-    weighted_mv uses the raw label frequencies; weighted_em the final
-    posterior of classic EM; oracle_weighted_em the posterior under the
-    true confusion matrices (uniform prior unless one is given).
+    weighted-mv uses the raw label frequencies; weighted-em the final
+    posterior of classic EM; oracle-weighted-em the posterior under the
+    true confusion matrices with a uniform prior.
     """
-    if mode == "weighted_mv":
-        return majority_vote_init(ann)
-    if mode == "weighted_em":
-        soft, _, _ = classic_em(ann)
-        return soft
-    if mode == "oracle_weighted_em":
-        if oracle_confusions is None:
-            raise ValueError("oracle_weighted_em requires the true confusion matrices")
-        if prior is None:
-            prior = uniform_prior(ann.K)
-        return posterior(ann, oracle_confusions, prior)
-    raise ValueError(f"mode must be one of {WEIGHTED_MODES}, got {mode!r}")
+    return _label_posterior(ann, mode, WEIGHTED_METHODS, oracle_confusions)[0]
 
 
 def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                           cfg: MbemConfig, seed, *,
-                          oracle_confusions: np.ndarray | None = None) -> TrainedModel:
+                          oracle_confusions: np.ndarray | None = None) -> MethodResult:
     """One posterior-weighted fit; weights per weighted_soft_labels.
 
     The fit draws from substream seed.child("fit")."""
-    soft = weighted_soft_labels(ann, mode, oracle_confusions=oracle_confusions)
-    return fit(features, soft, cfg.learner, as_seed(seed).child("fit"))
+    soft, conf = _label_posterior(ann, mode, WEIGHTED_METHODS,
+                                  oracle_confusions)
+    model = fit(features, soft, cfg.learner, as_seed(seed).child("fit"))
+    return MethodResult(model=model, soft=soft, confusions=conf)
 
 
 def aggregate_hard_labels(ann: AnnotationSet, mode: str) -> np.ndarray:
     """Hard label per example by majority vote or classic EM (argmax,
     ties toward the lowest class)."""
-    if mode == "mv":
-        return hard_labels(majority_vote_init(ann))
-    if mode == "em":
-        soft, _, _ = classic_em(ann)
-        return hard_labels(soft)
-    raise ValueError(f"mode must be 'mv' or 'em', got {mode!r}")
+    return hard_labels(_label_posterior(ann, mode, ("mv", "em"))[0])
 
 
 def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
@@ -174,25 +197,45 @@ def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
 
 def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                       cfg: MbemConfig, seed, *,
-                      truth: np.ndarray | None = None) -> TrainedModel:
+                      truth: np.ndarray | None = None) -> MethodResult:
     """Aggregate-then-train baselines.
 
     mv/em aggregate the annotations to one label per example and train
-    on the resulting one-hot targets. oracle_correct trains on the true
-    labels, restricted to examples where at least one annotation matches
-    the truth; it requires truth and fails if no example survives.
+    on the resulting one-hot targets. truth trains on the true labels;
+    oracle-correct does too, restricted to examples where at least one
+    annotation matches the truth, and fails if no example survives.
+    Both require truth.
     """
-    seed = as_seed(seed)
-    if mode in ("mv", "em"):
-        targets = one_hot(aggregate_hard_labels(ann, mode), ann.K)
-        return fit(features, targets, cfg.learner, seed.child("fit"))
-    if mode == "oracle_correct":
+    X = np.asarray(features, dtype=np.float64)
+    soft = conf = None
+    if mode in ("oracle-correct", "truth"):
         if truth is None:
-            raise ValueError("oracle_correct requires the true labels")
-        truth = np.asarray(truth, dtype=np.int64)
-        hit = correctly_labeled_mask(ann, truth)
-        if not hit.any():
-            raise ValueError("no example has a correct annotation; nothing to train on")
-        X = np.asarray(features, dtype=np.float64)[hit]
-        return fit(X, one_hot(truth[hit], ann.K), cfg.learner, seed.child("fit"))
-    raise ValueError(f"mode must be one of {HARD_MODES}, got {mode!r}")
+            raise ValueError(f"{mode} requires the true labels")
+        labels = np.asarray(truth, dtype=np.int64)
+        if mode == "oracle-correct":
+            hit = correctly_labeled_mask(ann, labels)
+            if not hit.any():
+                raise ValueError("no example has a correct annotation; "
+                                 "nothing to train on")
+            X, labels = X[hit], labels[hit]
+    else:
+        soft, conf = _label_posterior(ann, mode, HARD_METHODS)
+        labels = hard_labels(soft)
+    model = fit(X, one_hot(labels, ann.K), cfg.learner,
+                as_seed(seed).child("fit"))
+    return MethodResult(model=model, soft=soft, confusions=conf)
+
+
+def train_method(method: str, features: np.ndarray, ann: AnnotationSet,
+                 cfg: MbemConfig, seed, *, truth: np.ndarray | None = None,
+                 oracle_confusions: np.ndarray | None = None) -> MethodResult:
+    """Train one of METHODS for the CLI or the sweep harness; a method
+    that needs truth or oracle_confusions raises ValueError without it."""
+    if method in HARD_METHODS:
+        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth)
+    if method in WEIGHTED_METHODS:
+        return run_weighted_baseline(features, ann, method, cfg, seed,
+                                     oracle_confusions=oracle_confusions)
+    if method == "mbem":
+        return run_mbem(features, ann, cfg, seed)
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

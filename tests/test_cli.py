@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 import yaml
 
 from mbem import io as mbio
-from mbem.cli import main
+from mbem.cli import build_parser, main
 from mbem.harness import read_sweep_csv
+from mbem.methods import METHODS
 
 
 @pytest.fixture
@@ -65,6 +67,14 @@ def test_train_oracle_methods(simulated, tmp_path):
     assert code == 0
     assert (out / "model_params.csv").exists()
 
+    out = tmp_path / "truth"
+    code = main(["train", "--annotations", str(simulated / "annotations.csv"),
+                 "--features", str(simulated / "features.csv"),
+                 "--method", "truth", "--truth", str(simulated / "truth.csv"),
+                 "--seed", "1", "--epochs", "60", "--out-dir", str(out)])
+    assert code == 0
+    assert (out / "model_params.csv").exists()
+
     out = tmp_path / "oweighted"
     code = main(["train", "--annotations", str(simulated / "annotations.csv"),
                  "--features", str(simulated / "features.csv"),
@@ -82,8 +92,20 @@ def test_train_oracle_flags_required(simulated, tmp_path):
     with pytest.raises(SystemExit):
         main(["train", "--annotations", str(simulated / "annotations.csv"),
               "--features", str(simulated / "features.csv"),
+              "--method", "truth", "--out-dir", str(tmp_path / "t")])
+    with pytest.raises(SystemExit):
+        main(["train", "--annotations", str(simulated / "annotations.csv"),
+              "--features", str(simulated / "features.csv"),
               "--method", "oracle-weighted-em",
               "--out-dir", str(tmp_path / "y")])
+
+
+def test_train_method_choices_are_the_method_names():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    method = next(action for action in sub.choices["train"]._actions
+                  if action.dest == "method")
+    assert tuple(method.choices) == METHODS
 
 
 def test_bound_table(capsys):

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mbem import io as mbio
 from mbem.core import AnnotationSet
+from mbem.harness import read_sweep_csv
 from mbem.learn import LearnerConfig, fit, predict_proba
 from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
@@ -65,3 +69,21 @@ def test_model_checkpoint_round_trip(tmp_path):
             (model.K, model.d, model.hidden_units)
         assert_array_equal(loaded.parameters, model.parameters)
         assert_array_equal(predict_proba(loaded, X), predict_proba(model, X))
+
+
+@pytest.mark.parametrize("reader", [mbio.read_truth, mbio.read_features,
+                                    mbio.read_soft_labels])
+@pytest.mark.parametrize("ids", [[0, 0], [0, 2]], ids=["duplicate", "gap"])
+def test_readers_reject_malformed_example_ids(tmp_path, reader, ids):
+    path = tmp_path / "table.csv"
+    path.write_text("example_id,v\n" + "".join(f"{i},1\n" for i in ids))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        reader(path)
+
+
+def test_read_sweep_csv_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_text("method,r,seed,n_train,test_risk,train_risk,error\n"
+                    "mv,1,0,100,0.1,0.1,\n")
+    with pytest.raises(ValueError, match="header"):
+        read_sweep_csv(path)

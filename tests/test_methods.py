@@ -132,7 +132,7 @@ class TestWeightedBaselines:
     def test_weighted_mv_at_r1_is_raw_onehot_training(self):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=1, seed=20)
         seed = RngSeed(21)
-        model = run_weighted_baseline(X, ann, "weighted_mv", CFG, seed)
+        model = run_weighted_baseline(X, ann, "weighted-mv", CFG, seed).model
         raw = one_hot(ann.labels[np.argsort(ann.example_ids)], 3)
         reference = fit(X, raw, CFG.learner, seed.child("fit"))
         assert_array_equal(model.parameters, reference.parameters)
@@ -141,8 +141,8 @@ class TestWeightedBaselines:
         X, y, ann, conf = make_cell(n=300, K=2, d=4, m=4, gamma=1.0, r=2,
                                     seed=22)
         seed = RngSeed(23)
-        model = run_weighted_baseline(X, ann, "oracle_weighted_em", CFG, seed,
-                                      oracle_confusions=conf)
+        model = run_weighted_baseline(X, ann, "oracle-weighted-em", CFG, seed,
+                                      oracle_confusions=conf).model
         reference = fit(X, one_hot(y, 2), CFG.learner, seed.child("fit"))
         # the 1e-6 confusion clamp perturbs the targets, not the argmax
         assert_allclose(model.parameters, reference.parameters, atol=1e-3)
@@ -152,14 +152,14 @@ class TestWeightedBaselines:
 
     def test_weighted_em_uses_classic_em_posterior_bitwise(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.3, r=3, seed=25)
-        soft = weighted_soft_labels(ann, "weighted_em")
+        soft = weighted_soft_labels(ann, "weighted-em")
         reference, _, _ = classic_em(ann)
         assert_array_equal(soft, reference)
 
     def test_oracle_mode_requires_confusions(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=26)
         with pytest.raises(ValueError, match="true confusion"):
-            run_weighted_baseline(X, ann, "oracle_weighted_em", CFG, seed=27)
+            run_weighted_baseline(X, ann, "oracle-weighted-em", CFG, seed=27)
 
     def test_unknown_mode_rejected(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=28)
@@ -173,8 +173,8 @@ class TestHardBaselines:
         seed = RngSeed(31)
         reference = fit(X, one_hot(y, 3), CFG.learner, seed.child("fit"))
         for mode, kwargs in (("mv", {}), ("em", {}),
-                             ("oracle_correct", {"truth": y})):
-            model = run_hard_baseline(X, ann, mode, CFG, seed, **kwargs)
+                             ("oracle-correct", {"truth": y})):
+            model = run_hard_baseline(X, ann, mode, CFG, seed, **kwargs).model
             assert_array_equal(model.parameters, reference.parameters)
 
     def test_all_spammers_keep_about_half_binary(self):
@@ -188,11 +188,11 @@ class TestHardBaselines:
     def test_oracle_correct_requires_truth_and_survivors(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=33)
         with pytest.raises(ValueError, match="true labels"):
-            run_hard_baseline(X, ann, "oracle_correct", CFG, seed=34)
+            run_hard_baseline(X, ann, "oracle-correct", CFG, seed=34)
         wrong = 1 - ann.labels  # every annotation disagrees with this "truth"
         ann_wrong_truth = wrong[np.argsort(ann.example_ids)]
         with pytest.raises(ValueError, match="no example"):
-            run_hard_baseline(X, ann, "oracle_correct", CFG, seed=35,
+            run_hard_baseline(X, ann, "oracle-correct", CFG, seed=35,
                               truth=ann_wrong_truth)
 
     def test_majority_vote_beats_lone_spammer(self):
