@@ -7,96 +7,9 @@ the aggregation core (majority vote, label posteriors, confusion MLE,
 classic EM), a synthetic crowdsourcing simulator, posterior-weighted
 learners, every standard baseline, the worker-quality functionals behind
 the redundancy-vs-budget bound, and a fixed-budget experiment harness.
+
+Import names from their submodules (for example
+``from mbem.methods import run_mbem``); the package re-exports none.
 """
 
-from .core import (
-    AnnotationSet,
-    clamp_confusions,
-    classic_em,
-    estimate_confusions_and_prior,
-    hard_labels,
-    majority_vote_init,
-    posterior,
-    uniform_prior,
-)
-from .harness import SweepSpec, SweepResult, aggregate, emit_report, run_sweep
-from .learn import (
-    LearnerConfig,
-    TrainedModel,
-    fit,
-    gradient_check,
-    predict_proba,
-    weighted_loss,
-    zero_one_risk,
-)
-from .methods import (
-    MbemConfig,
-    MbemResult,
-    run_hard_baseline,
-    run_mbem,
-    run_weighted_baseline,
-)
-from .seeding import RngSeed
-from .simulate import (
-    WorkerSkillModel,
-    assign_workers,
-    corrupt_labels,
-    make_synthetic_dataset,
-    sample_worker_pool,
-    subsample_redundancy,
-)
-from .theory import (
-    TheoryParams,
-    alpha_general,
-    beta_eps_closed_form,
-    beta_general_binary,
-    bound_factor,
-    confusion_error_bound,
-    optimal_redundancy,
-    sample_size_condition,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnnotationSet",
-    "LearnerConfig",
-    "MbemConfig",
-    "MbemResult",
-    "RngSeed",
-    "SweepResult",
-    "SweepSpec",
-    "TheoryParams",
-    "TrainedModel",
-    "WorkerSkillModel",
-    "aggregate",
-    "alpha_general",
-    "assign_workers",
-    "beta_eps_closed_form",
-    "beta_general_binary",
-    "bound_factor",
-    "clamp_confusions",
-    "classic_em",
-    "confusion_error_bound",
-    "corrupt_labels",
-    "emit_report",
-    "estimate_confusions_and_prior",
-    "fit",
-    "gradient_check",
-    "hard_labels",
-    "majority_vote_init",
-    "make_synthetic_dataset",
-    "optimal_redundancy",
-    "posterior",
-    "predict_proba",
-    "run_hard_baseline",
-    "run_mbem",
-    "run_sweep",
-    "run_weighted_baseline",
-    "sample_size_condition",
-    "sample_worker_pool",
-    "subsample_redundancy",
-    "uniform_prior",
-    "weighted_loss",
-    "zero_one_risk",
-]

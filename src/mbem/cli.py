@@ -11,12 +11,13 @@ from pathlib import Path
 import yaml
 
 from . import io as mbio
+from .core import PRIOR_MODES
 from .harness import emit_report, run_sweep, spec_from_dict
 from .learn import LearnerConfig
 from .methods import METHODS, MbemConfig, config_from, train_method
 from .seeding import RngSeed
-from .simulate import WorkerSkillModel, assign_workers, corrupt_labels, \
-    make_synthetic_dataset, sample_worker_pool
+from .simulate import SKILL_KINDS, WorkerSkillModel, assign_workers, \
+    corrupt_labels, make_synthetic_dataset, sample_worker_pool
 from .theory import beta_eps_closed_form, bound_factor, optimal_redundancy
 
 LEARNER_KINDS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_mlp"}
@@ -142,9 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--feature-dim", type=int, default=4)
     p.add_argument("--margin", type=float, default=6.0)
-    p.add_argument("--skill", choices=["hammer_spammer",
-                                       "classwise_hammer_spammer"],
-                   default="hammer_spammer")
+    p.add_argument("--skill", choices=SKILL_KINDS, default="hammer_spammer")
     p.add_argument("--gamma", type=float, default=0.2)
     p.add_argument("--m", type=int, default=20)
     p.add_argument("--r", type=int, default=1)
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--rounds", type=int)
-    p.add_argument("--prior", dest="prior_mode", choices=["uniform", "estimated"])
+    p.add_argument("--prior", dest="prior_mode", choices=PRIOR_MODES)
     p.add_argument("--smoothing", type=float)
     p.add_argument("--truth", default=None, help="truth CSV")
     p.add_argument("--worker-confusions", default=None, help="true confusion CSV")

@@ -6,7 +6,8 @@ class is k. This module holds the label-side machinery shared by every
 aggregation method: majority-vote initialization, the label posterior
 given confusion estimates, the maximum-likelihood confusion/prior
 estimator against a set of hard labels, and the classic (model-free)
-EM aggregator built from those two updates.
+EM aggregator built from those two updates. dawid_skene_update chains
+the two, and both classic_em and MBEM's relabel step run through it.
 
 All operations are pure functions of their inputs and safe to call
 concurrently. Confusion matrices for m workers travel as one (m, K, K)
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-9
+PRIOR_MODES = ("uniform", "estimated")
 
 _EMPTY_ROW_MESSAGE = (
     "confusion estimate with smoothing=0 has worker classes with no "
@@ -251,30 +253,42 @@ def hard_labels(soft: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(soft), axis=1)
 
 
+# Deliberately left out of __all__: the benchmark tracer
+# (perfbench/spans.py) wraps every __all__ function, and a wrapped update
+# would stand between classic_em and its posterior calls, which is how
+# the tracer counts EM iterations.
+def dawid_skene_update(ann: AnnotationSet, t: np.ndarray, smoothing: float,
+                       prior_mode: str):
+    """One Dawid-Skene update against hard labels t: estimate confusions
+    and prior, then recompute the label posterior. Returns (posterior,
+    confusions, prior); prior_mode "uniform" replaces the estimated
+    prior by the uniform one."""
+    conf, q_hat = estimate_confusions_and_prior(ann, t, smoothing=smoothing)
+    prior = uniform_prior(ann.K) if prior_mode == "uniform" else q_hat
+    return posterior(ann, conf, prior), conf, prior
+
+
 def classic_em(ann: AnnotationSet, max_iters: int = 100, tol: float = 1e-8,
                smoothing: float = 0.0, prior_mode: str = "uniform"):
     """Model-free Dawid-Skene EM over the annotations alone.
 
-    Starts from the majority vote, then alternates the confusion/prior
-    estimate on the current argmax labels with the posterior update,
-    stopping when the max absolute posterior change drops below tol or
-    after max_iters rounds. Returns (soft_labels, confusions, prior)
-    from the final round.
+    Starts from the majority vote, then repeats dawid_skene_update on
+    the current argmax labels, stopping when the max absolute posterior
+    change drops below tol or after max_iters rounds. Returns
+    (soft_labels, confusions, prior) from the final round.
 
     With one label per example this degenerates as expected: every
     worker's visited confusion rows come out exactly diagonal, i.e. the
     procedure believes all workers are perfect.
     """
-    if prior_mode not in ("uniform", "estimated"):
+    if prior_mode not in PRIOR_MODES:
         raise ValueError(f"unknown prior_mode {prior_mode!r}")
     soft = majority_vote_init(ann)
     conf = np.tile(np.eye(ann.K), (ann.m, 1, 1))
     prior = uniform_prior(ann.K)
     for _ in range(max_iters):
-        t = hard_labels(soft)
-        conf, q_hat = estimate_confusions_and_prior(ann, t, smoothing=smoothing)
-        prior = uniform_prior(ann.K) if prior_mode == "uniform" else q_hat
-        new_soft = posterior(ann, conf, prior)
+        new_soft, conf, prior = dawid_skene_update(ann, hard_labels(soft),
+                                                   smoothing, prior_mode)
         delta = np.abs(new_soft - soft).max()
         soft = new_soft
         if delta < tol:

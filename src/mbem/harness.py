@@ -259,36 +259,32 @@ def emit_report(result: SweepResult, out_dir) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS,
+               ([rec.method, rec.r, rec.n_train, rec.seed, repr(rec.test_risk),
+                 repr(rec.train_risk), rec.error or ""]
+                for rec in result.records))
+    _write_csv(out / "timing.csv", ["method", "r", "seed", "wall_time_seconds"],
+               ([rec.method, rec.r, rec.seed, f"{rec.wall_time:.6f}"]
+                for rec in result.records))
 
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for rec in result.records:
-            err = rec.error.replace(",", ";").replace("\n", " ") if rec.error else ""
-            fh.write(f"{rec.method},{rec.r},{rec.n_train},{rec.seed},"
-                     f"{rec.test_risk!r},{rec.train_risk!r},{err}\n")
+    aggs = sorted(result.aggregates.items())
+    _write_csv(out / "aggregate.csv", ["method", "r", "mean", "stderr", "n_seeds"],
+               ([method, r, repr(agg.mean),
+                 "" if agg.stderr is None else repr(agg.stderr), agg.n_seeds]
+                for (method, r), agg in aggs))
+    for method in sorted({method for (method, _), _ in aggs}):
+        _write_csv(out / f"plotdata_{method}.csv", ["r", "mean", "stderr"],
+                   ([r, f"{agg.mean:.6g}",
+                     "" if agg.stderr is None else f"{agg.stderr:.6g}"]
+                    for (meth, r), agg in aggs if meth == method))
 
-    with open(out / "timing.csv", "w") as fh:
-        fh.write("method,r,seed,wall_time_seconds\n")
-        for rec in result.records:
-            fh.write(f"{rec.method},{rec.r},{rec.seed},{rec.wall_time:.6f}\n")
 
-    keys = sorted(result.aggregates)
-    with open(out / "aggregate.csv", "w") as fh:
-        fh.write("method,r,mean,stderr,n_seeds\n")
-        for method, r in keys:
-            agg = result.aggregates[(method, r)]
-            se = "" if agg.stderr is None else repr(agg.stderr)
-            fh.write(f"{method},{r},{agg.mean!r},{se},{agg.n_seeds}\n")
-
-    for method in sorted({k[0] for k in keys}):
-        with open(out / f"plotdata_{method}.csv", "w") as fh:
-            fh.write("r,mean,stderr\n")
-            for meth, r in keys:
-                if meth != method:
-                    continue
-                agg = result.aggregates[(meth, r)]
-                se = "" if agg.stderr is None else f"{agg.stderr:.6g}"
-                fh.write(f"{r},{agg.mean:.6g},{se}\n")
+def _write_csv(path, header, rows) -> None:
+    """The report files end lines in LF (io's data files keep csv's CRLF)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_sweep_csv(path) -> list[CellRecord]:

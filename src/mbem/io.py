@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AnnotationSet
+from .core import AnnotationSet, check_confusions
 from .learn import TrainedModel
 
 __all__ = [
@@ -78,7 +78,8 @@ def read_truth(path) -> np.ndarray:
 def write_soft_labels(path, soft: np.ndarray) -> None:
     soft = np.asarray(soft, dtype=np.float64)
     header = ["example_id"] + [f"p{k}" for k in range(soft.shape[1])]
-    rows = ([i] + [f"{v:.12g}" for v in row] for i, row in enumerate(soft))
+    rows = ([i] + [f"{v:.12g}" for v in row]
+            for i, row in enumerate(soft.tolist()))
     _write_rows(path, header, rows)
 
 
@@ -97,19 +98,34 @@ def write_confusions(path, confusions: np.ndarray) -> None:
 
 
 def read_confusions(path) -> np.ndarray:
+    """An (m, K, K) row-stochastic stack; ValueError, naming the file,
+    unless each (worker_id, k, s) below (m, K, K) appears exactly once
+    and every row sums to 1."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    m = int(data[:, 0].max()) + 1
-    K = int(data[:, 1].max()) + 1
-    conf = np.zeros((m, K, K))
-    conf[data[:, 0].astype(int), data[:, 1].astype(int),
-         data[:, 2].astype(int)] = data[:, 3]
-    return conf
+    index = data[:, :3].astype(np.int64)
+    if index.min() < 0:
+        raise ValueError(f"{path}: negative worker_id, k or s")
+    m, K = int(index[:, 0].max()) + 1, int(index[:, 1:].max()) + 1
+    seen = np.zeros((m, K, K), dtype=np.int64)
+    np.add.at(seen, tuple(index.T), 1)
+    if (seen != 1).any():
+        a, k, s = np.argwhere(seen != 1)[0]
+        raise ValueError(f"{path}: entry (worker_id={a}, k={k}, s={s}) "
+                         f"appears {seen[a, k, s]} times, not once")
+    conf = np.empty((m, K, K))
+    conf[tuple(index.T)] = data[:, 3]
+    try:
+        return check_confusions(conf)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_features(path, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=np.float64)
     header = ["example_id"] + [f"x{j}" for j in range(features.shape[1])]
-    rows = ([i] + [f"{v:.17g}" for v in row] for i, row in enumerate(features))
+    # Python floats format faster than numpy scalars, to the same text.
+    rows = ([i] + [f"{v:.17g}" for v in row]
+            for i, row in enumerate(features.tolist()))
     _write_rows(path, header, rows)
 
 

@@ -100,17 +100,13 @@ def _forward(params, X, kind, K, H):
 
 def _objective(params, X, soft, cfg, K):
     probs, _ = _forward(params, X, cfg.learner_kind, K, cfg.hidden_units)
-    ce = -(soft * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=1).mean()
-    return ce + 0.5 * cfg.l2_penalty * float(params @ params)
+    return weighted_loss(probs, soft) + 0.5 * cfg.l2_penalty * float(params @ params)
 
 
-def _objective_and_grad(params, X, soft, cfg, K):
+def _gradient(params, X, soft, cfg, K):
     n, d = X.shape
     kind, H = cfg.learner_kind, cfg.hidden_units
     probs, hidden = _forward(params, X, kind, K, H)
-    ce = -(soft * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=1).mean()
-    loss = ce + 0.5 * cfg.l2_penalty * float(params @ params)
-
     G = (probs - soft) / n
     if kind == "multinomial_logistic":
         grad = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
@@ -122,7 +118,7 @@ def _objective_and_grad(params, X, soft, cfg, K):
         grad = np.concatenate([(Gh.T @ X).ravel(), Gh.sum(axis=0),
                                gW2.ravel(), gb2])
     grad += cfg.l2_penalty * params
-    return loss, grad
+    return grad
 
 
 def _init_params(cfg, d, K, rng):
@@ -130,14 +126,15 @@ def _init_params(cfg, d, K, rng):
 
 
 def weighted_loss(predicted_probs: np.ndarray, weights: np.ndarray) -> float:
-    """Cross-entropy of one prediction against a soft label row:
+    """Cross-entropy of predictions against soft labels: per row
     sum_k weights[k] * (-log predicted_probs[k]), with probabilities
-    floored at 1e-12 before the log."""
+    floored at 1e-12 before the log, averaged over the rows of (n, K)
+    arrays. This is the training objective without its l2 term."""
     p = np.maximum(np.asarray(predicted_probs, dtype=np.float64), PROB_FLOOR)
     w = np.asarray(weights, dtype=np.float64)
     if p.shape != w.shape:
-        raise ValueError("prediction and weight vectors must have equal length")
-    return float(-(w * np.log(p)).sum())
+        raise ValueError("predictions and weights must have the same shape")
+    return float(-(w * np.log(p)).sum(axis=-1).mean())
 
 
 def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
@@ -150,7 +147,7 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
     record_loss is set, the full objective at the start of every epoch
     (plus the final value) is stored on the returned model.
 
-    Raises RuntimeError if the objective turns non-finite mid-training.
+    Raises RuntimeError if the gradient turns non-finite mid-training.
     """
     X = np.asarray(features, dtype=np.float64)
     S = np.asarray(soft, dtype=np.float64)
@@ -163,31 +160,24 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
     shuffle_rng = seed.child("shuffle").generator()
 
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
-    full_batch = batch == n
     history = [] if record_loss else None
 
     for epoch in range(cfg.epochs):
         if record_loss:
             history.append(_objective(params, X, S, cfg, K))
-        if full_batch:
-            loss, grad = _objective_and_grad(params, X, S, cfg, K)
-            if not np.isfinite(loss):
+        if batch == n:
+            batches = (slice(None),)   # a view of X: no copy, no shuffle draw
+        else:
+            order = shuffle_rng.permutation(n)
+            batches = (order[start:start + batch] for start in range(0, n, batch))
+        for idx in batches:
+            grad = _gradient(params, X[idx], S[idx], cfg, K)
+            if not np.isfinite(grad).all():
                 raise RuntimeError(
-                    f"non-finite training loss at epoch {epoch}; "
+                    f"non-finite training gradient at epoch {epoch}; "
                     "reduce the learning rate or feature scale"
                 )
             params = params - cfg.learning_rate * grad
-        else:
-            order = shuffle_rng.permutation(n)
-            for start in range(0, n, batch):
-                idx = order[start:start + batch]
-                loss, grad = _objective_and_grad(params, X[idx], S[idx], cfg, K)
-                if not np.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite training loss at epoch {epoch}; "
-                        "reduce the learning rate or feature scale"
-                    )
-                params = params - cfg.learning_rate * grad
     if record_loss:
         history.append(_objective(params, X, S, cfg, K))
 
@@ -239,7 +229,7 @@ def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
     params = _init_params(cfg, d, K, rng) + 0.1 * rng.standard_normal(
         param_count(cfg, d, K))
 
-    _, analytic = _objective_and_grad(params, X, S, cfg, K)
+    analytic = _gradient(params, X, S, cfg, K)
     numeric = np.empty_like(analytic)
     for i in range(params.size):
         step = np.zeros_like(params)

@@ -22,15 +22,16 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .core import (
+    PRIOR_MODES,
     AnnotationSet,
     classic_em,
-    estimate_confusions_and_prior,
+    dawid_skene_update,
     hard_labels,
     majority_vote_init,
     posterior,
     uniform_prior,
 )
-from .learn import LearnerConfig, TrainedModel, fit, predict_proba
+from .learn import LearnerConfig, TrainedModel, fit, predict_proba, weighted_loss
 from .seeding import as_seed
 
 __all__ = [
@@ -56,14 +57,14 @@ METHODS = HARD_METHODS + WEIGHTED_METHODS + ("mbem",)
 @dataclass(frozen=True)
 class MbemConfig:
     rounds: int = 2
-    prior_mode: str = "uniform"     # "uniform" or "estimated"
+    prior_mode: str = "uniform"     # one of core.PRIOR_MODES
     smoothing: float = 1.0
     learner: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-        if self.prior_mode not in ("uniform", "estimated"):
+        if self.prior_mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
         if self.smoothing < 0:
             raise ValueError("smoothing must be nonnegative")
@@ -102,11 +103,6 @@ def one_hot(labels: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _mean_weighted_loss(model, features, soft):
-    probs = np.maximum(predict_proba(model, features), 1e-12)
-    return float(-(soft * np.log(probs)).sum(axis=1).mean())
-
-
 def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
              seed) -> MbemResult:
     """Alternate posterior-weighted training with model-based confusion
@@ -117,27 +113,23 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
     soft labels, using substream seed.child("round", t); (2) takes the
     model's argmax predictions on the training examples as provisional
     truth; (3) re-estimates all confusion matrices and the class prior
-    against them; (4) recomputes the label posterior. Artifacts of the
-    final round are returned, together with each round's mean weighted
-    training loss.
+    against them and recomputes the label posterior, in one
+    core.dawid_skene_update. Artifacts of the final round are returned,
+    together with each round's weighted_loss of the model on the soft
+    labels it was trained on.
     """
     seed = as_seed(seed)
     soft = majority_vote_init(ann)
-    conf = None
-    prior = uniform_prior(ann.K)
     risks = []
-    model = None
     for t in range(cfg.rounds):
         try:
             model = fit(features, soft, cfg.learner, seed.child("round", t))
         except Exception as exc:
             raise RuntimeError(f"learner failed in round {t}: {exc}") from exc
-        risks.append(_mean_weighted_loss(model, features, soft))
-        t_hat = hard_labels(predict_proba(model, features))
-        conf, q_hat = estimate_confusions_and_prior(ann, t_hat,
-                                                    smoothing=cfg.smoothing)
-        prior = uniform_prior(ann.K) if cfg.prior_mode == "uniform" else q_hat
-        soft = posterior(ann, conf, prior)
+        probs = predict_proba(model, features)
+        risks.append(weighted_loss(probs, soft))
+        soft, conf, prior = dawid_skene_update(ann, hard_labels(probs),
+                                               cfg.smoothing, cfg.prior_mode)
     return MbemResult(model=model, confusions=conf, prior=prior, soft=soft,
                       per_round_train_risk=risks)
 

@@ -7,8 +7,10 @@ import yaml
 
 from mbem import io as mbio
 from mbem.cli import build_parser, main
+from mbem.core import PRIOR_MODES
 from mbem.harness import read_sweep_csv
 from mbem.methods import METHODS
+from mbem.simulate import SKILL_KINDS
 
 
 @pytest.fixture
@@ -106,6 +108,16 @@ def test_train_method_choices_are_the_method_names():
     method = next(action for action in sub.choices["train"]._actions
                   if action.dest == "method")
     assert tuple(method.choices) == METHODS
+
+
+def test_prior_and_skill_choices_are_the_core_and_simulator_names():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {(command, action.dest): tuple(action.choices or ())
+             for command in ("train", "simulate")
+             for action in sub.choices[command]._actions}
+    assert flags["train", "prior_mode"] == PRIOR_MODES
+    assert flags["simulate", "skill"] == SKILL_KINDS
 
 
 def test_bound_table(capsys):

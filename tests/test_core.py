@@ -286,6 +286,19 @@ class TestClassicEm:
         assert_allclose(soft, est, atol=1e-9)
         assert_allclose(conf, cm, atol=1e-9)
 
+    def test_estimated_prior_tracks_class_frequencies(self):
+        truth = np.array([0, 0, 0, 1, 2, 2, 0, 1, 0, 0])
+        records = [(i, w, int(truth[i])) for i in range(10) for w in range(2)]
+        ann = AnnotationSet.from_records(records, n=10, m=2, K=3)
+        soft, _, prior = classic_em(ann, prior_mode="estimated")
+        assert_array_equal(hard_labels(soft), truth)
+        assert_allclose(prior, [0.6, 0.2, 0.2], atol=1e-15)
+
+    def test_unknown_prior_mode_rejected(self):
+        ann = AnnotationSet.from_records([(0, 0, 1)], n=1, m=1, K=2)
+        with pytest.raises(ValueError, match="prior_mode"):
+            classic_em(ann, prior_mode="empirical")
+
     def test_deterministic(self, rng):
         ann = random_instance(rng, 12, 3, 2, 3)
         first = classic_em(ann, smoothing=1)

@@ -28,6 +28,15 @@ def test_records_and_sweep_csv_do_not_depend_on_jobs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_error_text_round_trips_through_sweep_csv(tmp_path):
+    error = 'ValueError: bad, "quoted"\nsecond line'
+    record = harness.CellRecord("mv", 1, 120, 0, float("nan"), float("nan"),
+                                0.0, error)
+    harness.emit_report(harness.SweepResult([record], {}), tmp_path)
+    assert [rec.error for rec in
+            harness.read_sweep_csv(tmp_path / "sweep.csv")] == [error]
+
+
 def test_cell_data_runs_once_per_r_and_seed(monkeypatch):
     calls = []
     cell_data = harness._cell_data

@@ -81,6 +81,19 @@ def test_readers_reject_malformed_example_ids(tmp_path, reader, ids):
         reader(path)
 
 
+@pytest.mark.parametrize("rows", [
+    ["0,0,0,1", "0,1,1,1"],
+    ["0,0,0,1", "0,0,1,0", "0,1,0,0", "0,1,1,1", "0,1,1,1"],
+    ["0,0,0,0.9", "0,0,1,0", "0,1,0,0", "0,1,1,1"],
+    ["-1,0,0,1", "0,0,0,1", "0,0,1,0", "0,1,0,0", "0,1,1,1"],
+], ids=["missing", "duplicate", "row-sum", "negative"])
+def test_read_confusions_rejects_malformed_files(tmp_path, rows):
+    path = tmp_path / "workers.csv"
+    path.write_text("worker_id,k,s,prob\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        mbio.read_confusions(path)
+
+
 def test_read_sweep_csv_rejects_a_wrong_header(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text("method,r,seed,n_train,test_risk,train_risk,error\n"

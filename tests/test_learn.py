@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mbem.learn import (
     LearnerConfig,
     TrainedModel,
-    _objective_and_grad,
+    _gradient,
     fit,
     gradient_check,
     param_count,
@@ -46,6 +46,12 @@ class TestWeightedLoss:
     def test_floors_probabilities(self):
         assert np.isfinite(weighted_loss(np.array([1.0, 0.0]),
                                          np.array([0.0, 1.0])))
+
+    def test_rows_average_to_the_mean_row_value(self, rng):
+        p = rng.dirichlet(np.ones(3), size=7)
+        w = rng.dirichlet(np.ones(3), size=7)
+        rows = [weighted_loss(p[i], w[i]) for i in range(7)]
+        assert_allclose(weighted_loss(p, w), np.mean(rows), rtol=1e-15)
 
 
 class TestFit:
@@ -158,7 +164,7 @@ class TestGradientCheck:
         X = np.ones((8, 3))
         soft = np.full((8, 2), 0.5)
         params = np.zeros(param_count(cfg, 3, 2))
-        _, grad = _objective_and_grad(params, X, soft, cfg, K=2)
+        grad = _gradient(params, X, soft, cfg, K=2)
         assert_array_equal(grad[-2:], 0.0)   # bias block vanishes by symmetry
 
 

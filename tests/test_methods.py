@@ -10,7 +10,8 @@ from mbem.core import (
     posterior,
     uniform_prior,
 )
-from mbem.learn import LearnerConfig, fit, predict_proba, zero_one_risk
+from mbem.learn import LearnerConfig, fit, predict_proba, weighted_loss, \
+    zero_one_risk
 from mbem.methods import (
     MbemConfig,
     aggregate_hard_labels,
@@ -96,6 +97,14 @@ class TestRunMbem:
         assert_array_equal(result.model.parameters, model.parameters)
         assert_array_equal(result.confusions, conf)
         assert_array_equal(result.soft, soft)
+
+    def test_round_risk_is_the_weighted_loss_on_the_training_labels(self):
+        X, y, ann, _ = make_cell(n=300, K=2, d=4, m=4, gamma=0.5, r=2, seed=4)
+        cfg = MbemConfig(rounds=1, learner=FAST)
+        result = run_mbem(X, ann, cfg, seed=5)
+        assert result.per_round_train_risk == [
+            weighted_loss(predict_proba(result.model, X),
+                          majority_vote_init(ann))]
 
     def test_soft_labels_stay_on_simplex(self):
         X, y, ann, _ = make_cell(n=200, K=3, d=5, m=6, gamma=0.3, r=2, seed=6)
