@@ -3,12 +3,14 @@
 Given a total annotation budget N, each redundancy level r trains on
 floor(N / r) examples carrying r labels each. The sweep runs one unit
 per (r, seed), which builds that pair's data once and trains every
-method on it; the test set and worker pool are also shared across the
-redundancy levels of a seed. The data draws from substreams keyed by
-(r, seed), and training from substreams keyed by (method, r, seed), so
-results do not depend on execution order or the number of worker
-processes. A failed cell is recorded without aborting the rest, and a
-row of timing.csv covers that method's training and evaluation only.
+method on it, em and weighted-em on one classic EM result; the test
+set and worker pool are also shared across the redundancy levels of a
+seed. The data draws from substreams keyed by (r, seed), and training
+from substreams keyed by (method, r, seed), so results do not depend on
+execution order or the number of worker processes. A failed cell is
+recorded without aborting the rest, and a row of timing.csv covers that
+method's training and evaluation only (and classic EM for the first of
+em and weighted-em).
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files; each unit then reads the five files
@@ -175,15 +177,16 @@ def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
 
 
 def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
-              data) -> CellRecord:
-    """Train and evaluate one method on its unit's data. Bad data and a
-    diverging learner (ValueError, RuntimeError) give an error record."""
+              data, memo: dict) -> CellRecord:
+    """Train and evaluate one method on its unit's data, sharing the
+    unit's memo (see methods.train_method). Bad data and a diverging
+    learner (ValueError, RuntimeError) give an error record."""
     X, y, ann, conf_true, X_test, y_test = data
     start = time.perf_counter()
     try:
         cell_seed = RngSeed(seed).child("method", method, r)
         model = train_method(method, X, ann, spec.mbem, cell_seed, truth=y,
-                             oracle_confusions=conf_true).model
+                             oracle_confusions=conf_true, memo=memo).model
         return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
                           test_risk=zero_one_risk(model, X_test, y_test),
                           train_risk=zero_one_risk(model, X, y),
@@ -199,7 +202,9 @@ def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
     except (ValueError, RuntimeError) as exc:
         return [_failed(spec, method, r, seed, exc, 0.0)
                 for method in spec.methods]
-    return [_run_cell(spec, method, r, seed, data) for method in spec.methods]
+    memo = {}
+    return [_run_cell(spec, method, r, seed, data, memo)
+            for method in spec.methods]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:

@@ -14,6 +14,15 @@ logistic regression and a one-hidden-layer tanh MLP.
 With one-hot soft labels the objective reduces to the ordinary
 cross-entropy, so every baseline that aggregates to hard labels trains
 through the same code path.
+
+The kernel is class-major: fit transposes the features and soft labels
+once, to (d, n) and (K, n), and every forward pass computes the scores
+as W @ XT + b with shape (K, n), one column per example. The softmax then
+reduces over axis 0, in place, which adds K long contiguous rows instead
+of reducing n short rows of K entries each; with few classes that
+row-wise max/sum, not the matmul, took most of a step. The gradient
+follows from the (K, n) residual, and a mini-batch gathers columns.
+predict_proba still returns the usual (n, K) rows.
 """
 
 from __future__ import annotations
@@ -78,45 +87,51 @@ def param_count(cfg: LearnerConfig, d: int, K: int) -> int:
     return H * d + H + K * H + K
 
 
-def _softmax(scores):
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _forward(params, X, kind, K, H):
-    d = X.shape[1]
+def _forward(params, XT, kind, K, H):
+    """Class probabilities (K, n) and the tanh hidden layer (H, n), or
+    None for the logistic model, of the examples in the columns of XT."""
+    d = XT.shape[0]
     if kind == "multinomial_logistic":
         W = params[: K * d].reshape(K, d)
-        b = params[K * d:]
-        return _softmax(X @ W.T + b), None
-    W1 = params[: H * d].reshape(H, d)
-    b1 = params[H * d: H * d + H]
-    W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)
-    b2 = params[H * d + H + K * H:]
-    hidden = np.tanh(X @ W1.T + b1)
-    return _softmax(hidden @ W2.T + b2), hidden
-
-
-def _objective(params, X, soft, cfg, K):
-    probs, _ = _forward(params, X, cfg.learner_kind, K, cfg.hidden_units)
-    return weighted_loss(probs, soft) + 0.5 * cfg.l2_penalty * float(params @ params)
-
-
-def _gradient(params, X, soft, cfg, K):
-    n, d = X.shape
-    kind, H = cfg.learner_kind, cfg.hidden_units
-    probs, hidden = _forward(params, X, kind, K, H)
-    G = (probs - soft) / n
-    if kind == "multinomial_logistic":
-        grad = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
+        scores, hidden = W @ XT, None
+        scores += params[K * d:, None]
     else:
-        gW2 = G.T @ hidden
-        gb2 = G.sum(axis=0)
+        W1 = params[: H * d].reshape(H, d)
         W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)
-        Gh = (G @ W2) * (1.0 - hidden * hidden)
-        grad = np.concatenate([(Gh.T @ X).ravel(), Gh.sum(axis=0),
-                               gW2.ravel(), gb2])
+        hidden = W1 @ XT
+        hidden += params[H * d: H * d + H, None]
+        np.tanh(hidden, out=hidden)
+        scores = W2 @ hidden
+        scores += params[H * d + H + K * H:, None]
+    # Softmax over the class axis, in place.
+    scores -= scores.max(axis=0)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=0)
+    return scores, hidden
+
+
+def _objective(params, XT, ST, cfg, K):
+    probs, _ = _forward(params, XT, cfg.learner_kind, K, cfg.hidden_units)
+    return (weighted_loss(probs.T, ST.T)
+            + 0.5 * cfg.l2_penalty * float(params @ params))
+
+
+def _gradient(params, XT, ST, cfg, K):
+    """Gradient of _objective at params for examples in the columns of
+    XT (d, n) with soft labels in the columns of ST (K, n)."""
+    d, n = XT.shape
+    kind, H = cfg.learner_kind, cfg.hidden_units
+    G, hidden = _forward(params, XT, kind, K, H)
+    G -= ST
+    G /= n
+    if kind == "multinomial_logistic":
+        grad = np.concatenate([(G @ XT.T).ravel(), G.sum(axis=1)])
+    else:
+        W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)
+        Gh = W2.T @ G
+        Gh *= 1.0 - hidden * hidden
+        grad = np.concatenate([(Gh @ XT.T).ravel(), Gh.sum(axis=1),
+                               (G @ hidden.T).ravel(), G.sum(axis=1)])
     grad += cfg.l2_penalty * params
     return grad
 
@@ -155,6 +170,7 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
         raise ValueError("features and soft labels must align on examples")
     n, d = X.shape
     K = S.shape[1]
+    XT, ST = np.ascontiguousarray(X.T), np.ascontiguousarray(S.T)
     seed = as_seed(seed)
     params = _init_params(cfg, d, K, seed.child("init").generator())
     shuffle_rng = seed.child("shuffle").generator()
@@ -164,14 +180,14 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
 
     for epoch in range(cfg.epochs):
         if record_loss:
-            history.append(_objective(params, X, S, cfg, K))
+            history.append(_objective(params, XT, ST, cfg, K))
         if batch == n:
-            batches = (slice(None),)   # a view of X: no copy, no shuffle draw
+            batches = (slice(None),)   # a view of XT: no copy, no shuffle draw
         else:
             order = shuffle_rng.permutation(n)
             batches = (order[start:start + batch] for start in range(0, n, batch))
         for idx in batches:
-            grad = _gradient(params, X[idx], S[idx], cfg, K)
+            grad = _gradient(params, XT[:, idx], ST[:, idx], cfg, K)
             if not np.isfinite(grad).all():
                 raise RuntimeError(
                     f"non-finite training gradient at epoch {epoch}; "
@@ -179,7 +195,7 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
                 )
             params = params - cfg.learning_rate * grad
     if record_loss:
-        history.append(_objective(params, X, S, cfg, K))
+        history.append(_objective(params, XT, ST, cfg, K))
 
     return TrainedModel(
         parameters=params,
@@ -192,15 +208,15 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
 
 
 def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Row-stochastic (n, K) class probabilities."""
+    """Row-stochastic (n, K) class probabilities, C-contiguous."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError(
             f"features must be (n, {model.d}) for this model, got {X.shape}"
         )
-    probs, _ = _forward(model.parameters, X, model.learner_kind, model.K,
+    probs, _ = _forward(model.parameters, X.T, model.learner_kind, model.K,
                         model.hidden_units)
-    return probs
+    return np.ascontiguousarray(probs.T)
 
 
 def zero_one_risk(model: TrainedModel, features: np.ndarray,
@@ -223,18 +239,18 @@ def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
     """
     X = np.asarray(features, dtype=np.float64)
     S = np.asarray(soft, dtype=np.float64)
-    n, d = X.shape
-    K = S.shape[1]
+    d, K = X.shape[1], S.shape[1]
+    XT, ST = X.T, S.T
     rng = as_seed(seed).child("gradient-check").generator()
     params = _init_params(cfg, d, K, rng) + 0.1 * rng.standard_normal(
         param_count(cfg, d, K))
 
-    analytic = _gradient(params, X, S, cfg, K)
+    analytic = _gradient(params, XT, ST, cfg, K)
     numeric = np.empty_like(analytic)
     for i in range(params.size):
         step = np.zeros_like(params)
         step[i] = h
-        numeric[i] = (_objective(params + step, X, S, cfg, K)
-                      - _objective(params - step, X, S, cfg, K)) / (2 * h)
+        numeric[i] = (_objective(params + step, XT, ST, cfg, K)
+                      - _objective(params - step, XT, ST, cfg, K)) / (2 * h)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
     return float(np.abs(analytic - numeric).max() / scale)

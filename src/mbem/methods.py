@@ -135,15 +135,20 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
 
 
 def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
-                     oracle_confusions: np.ndarray | None = None):
+                     oracle_confusions: np.ndarray | None = None,
+                     memo: dict | None = None):
     """(soft, confusions or None) by majority vote, classic EM or the
-    true confusion matrices; method must be one of modes."""
+    true confusion matrices; method must be one of modes. Classic EM
+    runs once per memo, a dict the caller keeps for this one ann."""
     if method not in modes:
         raise ValueError(f"mode must be one of {modes}, got {method!r}")
     if method in ("mv", "weighted-mv"):
         return majority_vote_init(ann), None
     if method in ("em", "weighted-em"):
-        return classic_em(ann)[:2]
+        memo = {} if memo is None else memo
+        if "classic_em" not in memo:
+            memo["classic_em"] = classic_em(ann)[:2]
+        return memo["classic_em"]
     if oracle_confusions is None:
         raise ValueError(f"{method} requires the true confusion matrices")
     return posterior(ann, oracle_confusions, uniform_prior(ann.K)), None
@@ -162,12 +167,14 @@ def weighted_soft_labels(ann: AnnotationSet, mode: str,
 
 def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                           cfg: MbemConfig, seed, *,
-                          oracle_confusions: np.ndarray | None = None) -> MethodResult:
+                          oracle_confusions: np.ndarray | None = None,
+                          memo: dict | None = None) -> MethodResult:
     """One posterior-weighted fit; weights per weighted_soft_labels.
 
-    The fit draws from substream seed.child("fit")."""
+    The fit draws from substream seed.child("fit"). memo is as for
+    train_method."""
     soft, conf = _label_posterior(ann, mode, WEIGHTED_METHODS,
-                                  oracle_confusions)
+                                  oracle_confusions, memo)
     model = fit(features, soft, cfg.learner, as_seed(seed).child("fit"))
     return MethodResult(model=model, soft=soft, confusions=conf)
 
@@ -189,14 +196,15 @@ def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
 
 def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                       cfg: MbemConfig, seed, *,
-                      truth: np.ndarray | None = None) -> MethodResult:
+                      truth: np.ndarray | None = None,
+                      memo: dict | None = None) -> MethodResult:
     """Aggregate-then-train baselines.
 
     mv/em aggregate the annotations to one label per example and train
     on the resulting one-hot targets. truth trains on the true labels;
     oracle-correct does too, restricted to examples where at least one
     annotation matches the truth, and fails if no example survives.
-    Both require truth.
+    Both require truth. memo is as for train_method.
     """
     X = np.asarray(features, dtype=np.float64)
     soft = conf = None
@@ -211,7 +219,7 @@ def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                                  "nothing to train on")
             X, labels = X[hit], labels[hit]
     else:
-        soft, conf = _label_posterior(ann, mode, HARD_METHODS)
+        soft, conf = _label_posterior(ann, mode, HARD_METHODS, memo=memo)
         labels = hard_labels(soft)
     model = fit(X, one_hot(labels, ann.K), cfg.learner,
                 as_seed(seed).child("fit"))
@@ -220,14 +228,21 @@ def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
 
 def train_method(method: str, features: np.ndarray, ann: AnnotationSet,
                  cfg: MbemConfig, seed, *, truth: np.ndarray | None = None,
-                 oracle_confusions: np.ndarray | None = None) -> MethodResult:
+                 oracle_confusions: np.ndarray | None = None,
+                 memo: dict | None = None) -> MethodResult:
     """Train one of METHODS for the CLI or the sweep harness; a method
-    that needs truth or oracle_confusions raises ValueError without it."""
+    that needs truth or oracle_confusions raises ValueError without it.
+
+    em and weighted-em share one classic EM result: pass the same memo,
+    an empty dict at first, to every call on one ann, and EM runs once.
+    """
     if method in HARD_METHODS:
-        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth)
+        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth,
+                                 memo=memo)
     if method in WEIGHTED_METHODS:
         return run_weighted_baseline(features, ann, method, cfg, seed,
-                                     oracle_confusions=oracle_confusions)
+                                     oracle_confusions=oracle_confusions,
+                                     memo=memo)
     if method == "mbem":
         return run_mbem(features, ann, cfg, seed)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mbem.core import AnnotationSet
+from mbem.learn import param_count
+from mbem.seeding import as_seed
 
 
 def random_confusions(rng, m, K, floor=0.02):
@@ -59,6 +61,57 @@ def estimate_oracle(ann, t, smoothing=0.0):
     prior = np.array([sum(1 for x in t if x == k) / ann.n
                       for k in range(ann.K)])
     return conf, prior
+
+
+def forward_oracle(params, X, kind, K, H):
+    """Row-major class probabilities (n, K) and hidden layer (n, H)."""
+    d = X.shape[1]
+    if kind == "multinomial_logistic":
+        W = params[: K * d].reshape(K, d)
+        scores, hidden = X @ W.T + params[K * d:], None
+    else:
+        W1 = params[: H * d].reshape(H, d)
+        b1 = params[H * d: H * d + H]
+        W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)
+        hidden = np.tanh(X @ W1.T + b1)
+        scores = hidden @ W2.T + params[H * d + H + K * H:]
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True), hidden
+
+
+def gradient_oracle(params, X, soft, cfg, K):
+    """Row-major gradient of the soft-label cross-entropy plus l2 term."""
+    n, d = X.shape
+    H = cfg.hidden_units
+    probs, hidden = forward_oracle(params, X, cfg.learner_kind, K, H)
+    G = (probs - soft) / n
+    if cfg.learner_kind == "multinomial_logistic":
+        grad = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
+    else:
+        W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)
+        Gh = (G @ W2) * (1.0 - hidden * hidden)
+        grad = np.concatenate([(Gh.T @ X).ravel(), Gh.sum(axis=0),
+                               (G.T @ hidden).ravel(), G.sum(axis=0)])
+    return grad + cfg.l2_penalty * params
+
+
+def fit_oracle(X, soft, cfg, seed):
+    """learn.fit's parameters, by row-major steps on row-gathered batches
+    with the same initialization and shuffle draws."""
+    n, d = X.shape
+    K = soft.shape[1]
+    seed = as_seed(seed)
+    params = cfg.init_scale * seed.child("init").generator().standard_normal(
+        param_count(cfg, d, K))
+    shuffle_rng = seed.child("shuffle").generator()
+    batch = cfg.batch_size if 0 < cfg.batch_size < n else n
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(n) if batch < n else np.arange(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            params = params - cfg.learning_rate * gradient_oracle(
+                params, X[idx], soft[idx], cfg, K)
+    return params
 
 
 @pytest.fixture

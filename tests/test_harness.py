@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from mbem import harness
+from mbem import harness, methods
 from mbem.cli import main
 from mbem.learn import LearnerConfig
 from mbem.methods import MbemConfig
@@ -101,3 +101,24 @@ def test_spec_from_dict_coerces_yaml_strings():
 def test_spec_from_dict_rejects_an_unknown_learner_key():
     with pytest.raises(ValueError, match="epoch_count"):
         tiny_spec(learner={"epoch_count": 10})
+
+
+def test_em_and_weighted_em_share_one_classic_em_per_unit(monkeypatch,
+                                                          tmp_path):
+    calls = []
+    classic_em = methods.classic_em
+
+    def counted(ann, *args, **kwargs):
+        calls.append(ann)
+        return classic_em(ann, *args, **kwargs)
+
+    monkeypatch.setattr(methods, "classic_em", counted)
+    both = tiny_spec(methods=["em", "weighted-em"])
+    harness.emit_report(harness.run_sweep(both, jobs=1), tmp_path / "both")
+    assert len(calls) == 4     # one per (r, seed)
+    for method in both.methods:
+        alone = harness.run_sweep(tiny_spec(methods=[method]), jobs=1)
+        harness.emit_report(alone, tmp_path / method)
+    rows = [(tmp_path / name / "sweep.csv").read_text().splitlines()
+            for name in ("both", "em", "weighted-em")]
+    assert rows[0] == rows[1] + rows[2][1:]

@@ -18,6 +18,8 @@ from mbem.learn import (
 from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
 
+from conftest import fit_oracle, gradient_oracle
+
 MLP = LearnerConfig(learner_kind="one_hidden_layer_mlp", hidden_units=6)
 
 
@@ -110,6 +112,33 @@ class TestFit:
         assert zero_one_risk(model, X, y) <= 0.02
 
 
+class TestClassMajorLayout:
+    @pytest.mark.parametrize("cfg", [LearnerConfig(), MLP],
+                             ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("batch_size", [0, 16], ids=["full", "batch16"])
+    def test_fit_matches_the_row_major_oracle(self, rng, cfg, batch_size):
+        from dataclasses import replace
+        cfg = replace(cfg, epochs=30, batch_size=batch_size, init_scale=0.3)
+        X = rng.standard_normal((50, 5))     # 16 does not divide 50
+        soft = rng.dirichlet(np.ones(3), size=50)
+        model = fit(X, soft, cfg, seed=21)
+        assert_allclose(model.parameters, fit_oracle(X, soft, cfg, seed=21),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [LearnerConfig(), MLP],
+                             ids=["logistic", "mlp"])
+    def test_column_gathered_batch_gradient_equals_row_gathered(self, rng,
+                                                                 cfg):
+        X = rng.standard_normal((40, 5))
+        soft = rng.dirichlet(np.ones(4), size=40)
+        params = rng.standard_normal(param_count(cfg, 5, 4))
+        idx = rng.permutation(40)[:13]
+        XT, ST = np.ascontiguousarray(X.T), np.ascontiguousarray(soft.T)
+        assert_allclose(_gradient(params, XT[:, idx], ST[:, idx], cfg, 4),
+                        gradient_oracle(params, X[idx], soft[idx], cfg, 4),
+                        rtol=0, atol=1e-12)
+
+
 class TestPredictProba:
     def test_zero_parameters_give_uniform(self):
         cfg = LearnerConfig()
@@ -133,6 +162,8 @@ class TestPredictProba:
             model = TrainedModel(parameters=params, learner_kind=cfg.learner_kind,
                                  K=4, d=5, hidden_units=cfg.hidden_units)
             probs = predict_proba(model, rng.standard_normal((30, 5)))
+            assert probs.shape == (30, 4)
+            assert probs.flags.c_contiguous and probs.flags.owndata
             assert probs.min() >= 0
             assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -164,7 +195,7 @@ class TestGradientCheck:
         X = np.ones((8, 3))
         soft = np.full((8, 2), 0.5)
         params = np.zeros(param_count(cfg, 3, 2))
-        grad = _gradient(params, X, soft, cfg, K=2)
+        grad = _gradient(params, X.T, soft.T, cfg, K=2)
         assert_array_equal(grad[-2:], 0.0)   # bias block vanishes by symmetry
 
 
