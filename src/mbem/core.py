@@ -13,12 +13,23 @@ All operations are pure functions of their inputs and safe to call
 concurrently. Confusion matrices for m workers travel as one (m, K, K)
 array; per-example posteriors ("soft labels") as an (n, K) array whose
 rows sum to one.
+
+The posterior sums each example's log-likelihood terms in record order.
+Which record goes to which example never changes across the iterations
+of classic_em or the rounds of MBEM, so an AnnotationSet builds that
+layout once, on first use, and keeps it: layer j holds the j-th record
+of every example with more than j records. posterior adds one layer at
+a time, so each example receives the same terms in the same order as a
+record-by-record scatter-add, and the result is the same to the bit.
+Counts (majority vote, confusion estimates) are single np.bincount calls
+over a flat index.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +61,11 @@ class AnnotationSet:
 
     Redundancy may vary per example; the only structural requirement is
     that every example carries at least one annotation.
+
+    The first posterior call builds and caches a record index grouped by
+    each record's rank within its example (see the module docstring).
+    The index is derived from example_ids, worker_ids and labels, so
+    those arrays must not be reassigned or modified once it is built.
     """
 
     n: int
@@ -117,6 +133,21 @@ class AnnotationSet:
         """Number of annotations per example."""
         return np.bincount(self.example_ids, minlength=self.n)
 
+    @cached_property
+    def _layers(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        """[(examples, rows)] per rank j: layer j pairs each example with
+        more than j records (None when that is all n examples) with the
+        flat row worker_id * K + label of its j-th record, in record order."""
+        order = np.argsort(self.example_ids, kind="stable")
+        counts = self.redundancy_counts()
+        starts = np.cumsum(counts) - counts
+        rows = (self.worker_ids * self.K + self.labels)[order]
+        layers = []
+        for j in range(int(counts.max(initial=0))):
+            ex = np.flatnonzero(counts > j)
+            layers.append((None if ex.size == self.n else ex, rows[starts[ex] + j]))
+        return layers
+
 
 def uniform_prior(K: int) -> np.ndarray:
     return np.full(K, 1.0 / K)
@@ -168,8 +199,9 @@ def majority_vote_init(ann: AnnotationSet) -> np.ndarray:
     annotation per example it reduces to a one-hot row at the observed
     label.
     """
-    counts = np.zeros((ann.n, ann.K))
-    np.add.at(counts, (ann.example_ids, ann.labels), 1.0)
+    K = ann.K
+    counts = np.bincount(ann.example_ids * K + ann.labels,
+                         minlength=ann.n * K).reshape(ann.n, K).astype(np.float64)
     totals = counts.sum(axis=1)
     if ann.n and totals.min() == 0:
         missing = int(np.flatnonzero(totals == 0)[0])
@@ -194,19 +226,26 @@ def posterior(ann: AnnotationSet, confusions: np.ndarray, prior: np.ndarray,
     if conf.shape[0] < ann.m or conf.shape[1] != ann.K:
         raise ValueError("confusion stack does not cover this annotation set")
 
-    lik = conf[ann.worker_ids, :, ann.labels]  # (records, K)
+    # Row w * K + z of the table is log conf[w, :, z].
     with np.errstate(divide="ignore"):
-        log_rows = np.tile(np.log(prior), (ann.n, 1))
-        np.add.at(log_rows, ann.example_ids, np.log(lik))
-    shift = log_rows.max(axis=1)
+        table = np.log(conf).transpose(0, 2, 1).reshape(-1, ann.K)
+        rows = np.tile(np.log(prior), (ann.n, 1))
+    for ex, wz in ann._layers:
+        if ex is None:
+            rows += np.take(table, wz, axis=0)
+        else:
+            rows[ex] += np.take(table, wz, axis=0)
+    shift = rows.max(axis=1)
     dead = ~np.isfinite(shift)
     if dead.any():
         raise ValueError(
             f"example {int(np.flatnonzero(dead)[0])} has zero posterior mass "
             "for every class; enable clamping or fix the confusion estimates"
         )
-    rows = np.exp(log_rows - shift[:, None])
-    return rows / rows.sum(axis=1, keepdims=True)
+    rows -= shift[:, None]
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def estimate_confusions_and_prior(ann: AnnotationSet, t: np.ndarray,
@@ -230,8 +269,9 @@ def estimate_confusions_and_prior(ann: AnnotationSet, t: np.ndarray,
     if smoothing < 0:
         raise ValueError("smoothing must be nonnegative")
 
-    num = np.zeros((ann.m, ann.K, ann.K))
-    np.add.at(num, (ann.worker_ids, t[ann.example_ids], ann.labels), 1.0)
+    K = ann.K
+    num = np.bincount((ann.worker_ids * K + t[ann.example_ids]) * K + ann.labels,
+                      minlength=ann.m * K * K).reshape(ann.m, K, K).astype(np.float64)
     den = num.sum(axis=2)
 
     if smoothing > 0:

@@ -106,8 +106,8 @@ def read_confusions(path) -> np.ndarray:
     if index.min() < 0:
         raise ValueError(f"{path}: negative worker_id, k or s")
     m, K = int(index[:, 0].max()) + 1, int(index[:, 1:].max()) + 1
-    seen = np.zeros((m, K, K), dtype=np.int64)
-    np.add.at(seen, tuple(index.T), 1)
+    seen = np.bincount(np.ravel_multi_index(index.T, (m, K, K)),
+                       minlength=m * K * K).reshape(m, K, K)
     if (seen != 1).any():
         a, k, s = np.argwhere(seen != 1)[0]
         raise ValueError(f"{path}: entry (worker_id={a}, k={k}, s={s}) "

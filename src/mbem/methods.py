@@ -42,9 +42,7 @@ __all__ = [
     "config_from",
     "train_method",
     "run_mbem",
-    "weighted_soft_labels",
     "run_weighted_baseline",
-    "aggregate_hard_labels",
     "run_hard_baseline",
     "one_hot",
 ]
@@ -154,22 +152,14 @@ def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
     return posterior(ann, oracle_confusions, uniform_prior(ann.K)), None
 
 
-def weighted_soft_labels(ann: AnnotationSet, mode: str,
-                         oracle_confusions: np.ndarray | None = None) -> np.ndarray:
-    """Soft labels for the posterior-weighted baselines.
-
-    weighted-mv uses the raw label frequencies; weighted-em the final
-    posterior of classic EM; oracle-weighted-em the posterior under the
-    true confusion matrices with a uniform prior.
-    """
-    return _label_posterior(ann, mode, WEIGHTED_METHODS, oracle_confusions)[0]
-
-
 def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                           cfg: MbemConfig, seed, *,
                           oracle_confusions: np.ndarray | None = None,
                           memo: dict | None = None) -> MethodResult:
-    """One posterior-weighted fit; weights per weighted_soft_labels.
+    """One posterior-weighted fit. weighted-mv weights by the raw label
+    frequencies; weighted-em by the final posterior of classic EM;
+    oracle-weighted-em by the posterior under the true confusion
+    matrices with a uniform prior.
 
     The fit draws from substream seed.child("fit"). memo is as for
     train_method."""
@@ -177,12 +167,6 @@ def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                                   oracle_confusions, memo)
     model = fit(features, soft, cfg.learner, as_seed(seed).child("fit"))
     return MethodResult(model=model, soft=soft, confusions=conf)
-
-
-def aggregate_hard_labels(ann: AnnotationSet, mode: str) -> np.ndarray:
-    """Hard label per example by majority vote or classic EM (argmax,
-    ties toward the lowest class)."""
-    return hard_labels(_label_posterior(ann, mode, ("mv", "em"))[0])
 
 
 def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:

@@ -93,8 +93,7 @@ def corrupt_labels(truth: np.ndarray, assignment: np.ndarray,
         raise ValueError("assignment references workers beyond the pool")
 
     rng = as_seed(seed).child("corrupt").generator()
-    rows = conf[assignment, truth[:, None], :]          # (n, r, K)
-    cdf = np.cumsum(rows, axis=2)
+    cdf = np.cumsum(conf, axis=2)[assignment, truth[:, None]]   # (n, r, K)
     u = rng.random((n, r, 1))
     labels = np.minimum((u > cdf).sum(axis=2), K - 1)
     return AnnotationSet.from_tables(assignment, labels, m=m, K=K)

@@ -1,7 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mbem.core import AnnotationSet
+from mbem.core import (
+    _EMPTY_ROW_MESSAGE,
+    AnnotationSet,
+    check_confusions,
+    check_prior,
+    clamp_confusions,
+)
 from mbem.learn import param_count
 from mbem.seeding import as_seed
 
@@ -60,6 +68,61 @@ def estimate_oracle(ann, t, smoothing=0.0):
                     conf[a, k, s] = 1.0 / ann.K
     prior = np.array([sum(1 for x in t if x == k) / ann.n
                       for k in range(ann.K)])
+    return conf, prior
+
+
+# The record-by-record np.add.at forms of core's three kernels, as they
+# stood before the cached record index; the kernels must match them bit
+# for bit.
+
+def majority_vote_add_at(ann):
+    counts = np.zeros((ann.n, ann.K))
+    np.add.at(counts, (ann.example_ids, ann.labels), 1.0)
+    totals = counts.sum(axis=1)
+    if ann.n and totals.min() == 0:
+        missing = int(np.flatnonzero(totals == 0)[0])
+        raise ValueError(f"example {missing} has no annotations")
+    return counts / totals[:, None]
+
+
+def posterior_add_at(ann, confusions, prior, clamp=1e-6):
+    conf = clamp_confusions(check_confusions(confusions), clamp)
+    prior = check_prior(prior)
+    if conf.shape[0] < ann.m or conf.shape[1] != ann.K:
+        raise ValueError("confusion stack does not cover this annotation set")
+
+    lik = conf[ann.worker_ids, :, ann.labels]  # (records, K)
+    with np.errstate(divide="ignore"):
+        log_rows = np.tile(np.log(prior), (ann.n, 1))
+        np.add.at(log_rows, ann.example_ids, np.log(lik))
+    shift = log_rows.max(axis=1)
+    dead = ~np.isfinite(shift)
+    if dead.any():
+        raise ValueError(
+            f"example {int(np.flatnonzero(dead)[0])} has zero posterior mass "
+            "for every class; enable clamping or fix the confusion estimates"
+        )
+    rows = np.exp(log_rows - shift[:, None])
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def estimate_add_at(ann, t, smoothing=1.0):
+    t = np.asarray(t, dtype=np.int64)
+    num = np.zeros((ann.m, ann.K, ann.K))
+    np.add.at(num, (ann.worker_ids, t[ann.example_ids], ann.labels), 1.0)
+    den = num.sum(axis=2)
+
+    if smoothing > 0:
+        conf = (num + smoothing) / (den + ann.K * smoothing)[:, :, None]
+    else:
+        conf = np.empty_like(num)
+        seen = den > 0
+        np.divide(num, den[:, :, None], out=conf, where=seen[:, :, None])
+        conf[~seen] = 1.0 / ann.K
+        if not seen.all():
+            warnings.warn(_EMPTY_ROW_MESSAGE, RuntimeWarning, stacklevel=2)
+
+    prior = np.bincount(t, minlength=ann.K) / max(ann.n, 1)
     return conf, prior
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from mbem import core
 from mbem.core import (
     AnnotationSet,
     clamp_confusions,
@@ -15,7 +16,10 @@ from mbem.core import (
 )
 
 from conftest import (
+    estimate_add_at,
     estimate_oracle,
+    majority_vote_add_at,
+    posterior_add_at,
     posterior_oracle,
     random_confusions,
     random_instance,
@@ -198,6 +202,95 @@ class TestEstimate:
         conf_o, prior_o = estimate_oracle(ann, t, smoothing=0)
         assert_allclose(conf, conf_o, atol=1e-12)
         assert_allclose(prior, prior_o, atol=1e-12)
+
+
+def _shuffled(ann, rng):
+    p = rng.permutation(len(ann))
+    return AnnotationSet(n=ann.n, m=ann.m, K=ann.K, example_ids=ann.example_ids[p],
+                         worker_ids=ann.worker_ids[p], labels=ann.labels[p])
+
+
+def _uncovered(ann, missing):
+    keep = ann.example_ids != missing
+    return AnnotationSet(n=ann.n, m=ann.m, K=ann.K,
+                         example_ids=ann.example_ids[keep],
+                         worker_ids=ann.worker_ids[keep],
+                         labels=ann.labels[keep], validate=False)
+
+
+LAYOUTS = {
+    "variable-r": lambda rng: random_instance(rng, 300, 9, 5, 9),
+    "shuffled": lambda rng: _shuffled(random_instance(rng, 300, 9, 5, 9), rng),
+    "r1": lambda rng: random_instance(rng, 300, 9, 5, 1),
+    "uncovered": lambda rng: _uncovered(random_instance(rng, 300, 9, 5, 9), 17),
+}
+
+
+class TestKernelsMatchAddAt:
+    """The record-index kernels give the bits of the np.add.at forms."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_posterior(self, rng, layout):
+        ann = LAYOUTS[layout](rng)
+        conf = random_confusions(rng, ann.m, ann.K)
+        prior = random_prior(rng, ann.K)
+        for clamp in (1e-6, 0.0):
+            assert_array_equal(posterior(ann, conf, prior, clamp=clamp),
+                               posterior_add_at(ann, conf, prior, clamp=clamp),
+                               strict=True)
+        # exact zeros reach the log only through the clamp
+        conf[:, 0, 1] = 0.0
+        conf /= conf.sum(axis=2, keepdims=True)
+        assert_array_equal(posterior(ann, conf, prior),
+                           posterior_add_at(ann, conf, prior), strict=True)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_estimate(self, rng, layout):
+        ann = LAYOUTS[layout](rng)
+        t = rng.integers(0, ann.K, size=ann.n)
+        for smoothing in (1.0, 0.0):
+            got = estimate_confusions_and_prior(ann, t, smoothing=smoothing)
+            want = estimate_add_at(ann, t, smoothing=smoothing)
+            for a, b in zip(got, want):
+                assert_array_equal(a, b, strict=True)
+
+    @pytest.mark.parametrize("layout", sorted(set(LAYOUTS) - {"uncovered"}))
+    def test_majority_vote(self, rng, layout):
+        ann = LAYOUTS[layout](rng)
+        assert_array_equal(majority_vote_init(ann), majority_vote_add_at(ann),
+                           strict=True)
+
+    def test_same_errors_for_uncovered_and_dead_examples(self, rng):
+        ann = LAYOUTS["uncovered"](rng)
+        for kernel in (majority_vote_init, majority_vote_add_at):
+            with pytest.raises(ValueError, match="^example 17 has no annotations$"):
+                kernel(ann)
+        # identity workers: example 2 gets labels 0 and 1, so every class is dead
+        ann = AnnotationSet.from_records(
+            [(3, 1, 1), (2, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)],
+            n=4, m=2, K=2)
+        conf = np.tile(np.eye(2), (2, 1, 1))
+        messages = []
+        for kernel in (posterior, posterior_add_at):
+            with pytest.raises(ValueError, match="example 2 has zero posterior") as exc:
+                kernel(ann, conf, uniform_prior(2), clamp=0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_classic_em_builds_the_record_index_once(self, rng, monkeypatch):
+        ann = random_instance(rng, 50, 5, 3, 4)
+        assert "_layers" not in vars(ann)   # not built at construction
+        indexes = []
+
+        def spy(ann, *args, **kwargs):
+            result = posterior(ann, *args, **kwargs)
+            indexes.append(vars(ann)["_layers"])
+            return result
+
+        monkeypatch.setattr(core, "posterior", spy)
+        classic_em(ann)
+        assert len(indexes) >= 2
+        assert all(index is indexes[0] for index in indexes)
 
 
 class TestHardLabels:

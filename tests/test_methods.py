@@ -14,13 +14,12 @@ from mbem.learn import LearnerConfig, fit, predict_proba, weighted_loss, \
     zero_one_risk
 from mbem.methods import (
     MbemConfig,
-    aggregate_hard_labels,
     correctly_labeled_mask,
     one_hot,
     run_hard_baseline,
     run_mbem,
     run_weighted_baseline,
-    weighted_soft_labels,
+    train_method,
 )
 from mbem.seeding import RngSeed
 from mbem.simulate import (
@@ -161,7 +160,7 @@ class TestWeightedBaselines:
 
     def test_weighted_em_uses_classic_em_posterior_bitwise(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.3, r=3, seed=25)
-        soft = weighted_soft_labels(ann, "weighted-em")
+        soft = train_method("weighted-em", X, ann, CFG, RngSeed(25)).soft
         reference, _, _ = classic_em(ann)
         assert_array_equal(soft, reference)
 
@@ -212,7 +211,7 @@ class TestHardBaselines:
         X, y = make_synthetic_dataset(n, K, 6, 6.0, root.child("data"))
         assignment = np.tile([0, 1, 2], (n, 1))
         ann = corrupt_labels(y, assignment, conf, root.child("corrupt"))
-        aggregated = aggregate_hard_labels(ann, "mv")
+        aggregated = hard_labels(train_method("mv", X, ann, CFG, root).soft)
         spammer_labels = ann.labels[ann.worker_ids == 2]
         spammer_error = (spammer_labels != y).mean()
         assert (aggregated != y).mean() <= spammer_error
