@@ -20,11 +20,11 @@ from .simulate import SKILL_KINDS, WorkerSkillModel, assign_workers, \
     corrupt_labels, make_synthetic_dataset, sample_worker_pool
 from .theory import beta_eps_closed_form, bound_factor, optimal_redundancy
 
-LEARNER_KINDS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_mlp"}
+LEARNER_FLAGS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_mlp"}
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learner", dest="learner_kind", choices=LEARNER_KINDS)
+    p.add_argument("--learner", dest="learner_kind", choices=LEARNER_FLAGS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--l2", dest="l2_penalty", type=float)
@@ -37,7 +37,7 @@ def _config(args) -> MbemConfig:
     """MbemConfig from the config flags given on the command line."""
     given = dict(vars(args))
     if "learner_kind" in given:
-        given["learner_kind"] = LEARNER_KINDS[given["learner_kind"]]
+        given["learner_kind"] = LEARNER_FLAGS[given["learner_kind"]]
 
     def pick(cls):
         return {f.name: given[f.name] for f in fields(cls) if f.name in given}

@@ -8,6 +8,10 @@ given confusion estimates, the maximum-likelihood confusion/prior
 estimator against a set of hard labels, and the classic (model-free)
 EM aggregator built from those two updates. dawid_skene_update chains
 the two, and both classic_em and MBEM's relabel step run through it.
+classic_em has no settings, so its result is a function of the
+AnnotationSet alone: the set computes it on first use and keeps it
+(AnnotationSet.classic_em), and every method that needs it shares one
+run.
 
 All operations are pure functions of their inputs and safe to call
 concurrently. Confusion matrices for m workers travel as one (m, K, K)
@@ -28,7 +32,7 @@ over a flat index.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +53,14 @@ __all__ = [
 ROW_SUM_TOL = 1e-9
 PRIOR_MODES = ("uniform", "estimated")
 
+# classic_em's fixed settings: at most EM_MAX_ITERS updates, stopping
+# once no posterior entry moves by EM_TOL or more; unsmoothed confusion
+# estimates and a uniform class prior.
+EM_MAX_ITERS = 100
+EM_TOL = 1e-8
+EM_SMOOTHING = 0.0
+EM_PRIOR_MODE = "uniform"
+
 _EMPTY_ROW_MESSAGE = (
     "confusion estimate with smoothing=0 has worker classes with no "
     "annotations; the affected rows were set to uniform"
@@ -63,9 +75,10 @@ class AnnotationSet:
     that every example carries at least one annotation.
 
     The first posterior call builds and caches a record index grouped by
-    each record's rank within its example (see the module docstring).
-    The index is derived from example_ids, worker_ids and labels, so
-    those arrays must not be reassigned or modified once it is built.
+    each record's rank within its example (see the module docstring),
+    and the first read of classic_em caches the classic EM result. Both
+    are derived from example_ids, worker_ids and labels, so those arrays
+    must not be reassigned or modified once the set is in use.
     """
 
     n: int
@@ -74,16 +87,11 @@ class AnnotationSet:
     example_ids: np.ndarray
     worker_ids: np.ndarray
     labels: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.example_ids = np.asarray(self.example_ids, dtype=np.int64)
         self.worker_ids = np.asarray(self.worker_ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.validate:
-            self._check()
-
-    def _check(self):
         if not (self.example_ids.shape == self.worker_ids.shape == self.labels.shape):
             raise ValueError("example_ids, worker_ids, labels must have equal length")
         if self.example_ids.ndim != 1:
@@ -102,13 +110,6 @@ class AnnotationSet:
 
     def __len__(self):
         return self.example_ids.size
-
-    @property
-    def records(self):
-        """Annotations as a list of (example_id, worker_id, label) tuples."""
-        return list(
-            zip(self.example_ids.tolist(), self.worker_ids.tolist(), self.labels.tolist())
-        )
 
     @classmethod
     def from_records(cls, records, n: int, m: int, K: int) -> "AnnotationSet":
@@ -148,30 +149,36 @@ class AnnotationSet:
             layers.append((None if ex.size == self.n else ex, rows[starts[ex] + j]))
         return layers
 
+    @cached_property
+    def classic_em(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """classic_em(self): (soft_labels, confusions, prior), run once.
+        Every reader gets the same arrays and must not modify them."""
+        return classic_em(self)
+
 
 def uniform_prior(K: int) -> np.ndarray:
     return np.full(K, 1.0 / K)
 
 
-def check_confusions(confusions: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def check_confusions(confusions: np.ndarray) -> np.ndarray:
     """Validate an (m, K, K) or (K, K) stack of row-stochastic matrices."""
     conf = np.asarray(confusions, dtype=np.float64)
     if conf.ndim == 2:
         conf = conf[None]
     if conf.ndim != 3 or conf.shape[1] != conf.shape[2]:
         raise ValueError(f"expected (m, K, K) confusion stack, got shape {conf.shape}")
-    if conf.min() < -tol or conf.max() > 1 + tol:
+    if conf.min() < -ROW_SUM_TOL or conf.max() > 1 + ROW_SUM_TOL:
         raise ValueError("confusion entries must lie in [0, 1]")
-    if np.abs(conf.sum(axis=2) - 1.0).max() > tol:
+    if np.abs(conf.sum(axis=2) - 1.0).max() > ROW_SUM_TOL:
         raise ValueError("confusion rows must sum to 1")
     return conf
 
 
-def check_prior(prior: np.ndarray, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def check_prior(prior: np.ndarray) -> np.ndarray:
     prior = np.asarray(prior, dtype=np.float64)
     if prior.ndim != 1:
         raise ValueError("class prior must be a vector")
-    if prior.min() < -tol or abs(prior.sum() - 1.0) > tol:
+    if prior.min() < -ROW_SUM_TOL or abs(prior.sum() - 1.0) > ROW_SUM_TOL:
         raise ValueError("class prior must be a probability vector")
     return prior
 
@@ -202,11 +209,7 @@ def majority_vote_init(ann: AnnotationSet) -> np.ndarray:
     K = ann.K
     counts = np.bincount(ann.example_ids * K + ann.labels,
                          minlength=ann.n * K).reshape(ann.n, K).astype(np.float64)
-    totals = counts.sum(axis=1)
-    if ann.n and totals.min() == 0:
-        missing = int(np.flatnonzero(totals == 0)[0])
-        raise ValueError(f"example {missing} has no annotations")
-    return counts / totals[:, None]
+    return counts / counts.sum(axis=1)[:, None]
 
 
 def posterior(ann: AnnotationSet, confusions: np.ndarray, prior: np.ndarray,
@@ -308,29 +311,28 @@ def dawid_skene_update(ann: AnnotationSet, t: np.ndarray, smoothing: float,
     return posterior(ann, conf, prior), conf, prior
 
 
-def classic_em(ann: AnnotationSet, max_iters: int = 100, tol: float = 1e-8,
-               smoothing: float = 0.0, prior_mode: str = "uniform"):
+def classic_em(ann: AnnotationSet):
     """Model-free Dawid-Skene EM over the annotations alone.
 
     Starts from the majority vote, then repeats dawid_skene_update on
-    the current argmax labels, stopping when the max absolute posterior
-    change drops below tol or after max_iters rounds. Returns
-    (soft_labels, confusions, prior) from the final round.
+    the current argmax labels, unsmoothed and with a uniform prior,
+    stopping when the max absolute posterior change drops below EM_TOL
+    or after EM_MAX_ITERS rounds. Returns (soft_labels, confusions,
+    prior) from the final round. Callers that share one set read
+    ann.classic_em, which runs this once.
 
     With one label per example this degenerates as expected: every
     worker's visited confusion rows come out exactly diagonal, i.e. the
     procedure believes all workers are perfect.
     """
-    if prior_mode not in PRIOR_MODES:
-        raise ValueError(f"unknown prior_mode {prior_mode!r}")
     soft = majority_vote_init(ann)
     conf = np.tile(np.eye(ann.K), (ann.m, 1, 1))
     prior = uniform_prior(ann.K)
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         new_soft, conf, prior = dawid_skene_update(ann, hard_labels(soft),
-                                                   smoothing, prior_mode)
+                                                   EM_SMOOTHING, EM_PRIOR_MODE)
         delta = np.abs(new_soft - soft).max()
         soft = new_soft
-        if delta < tol:
+        if delta < EM_TOL:
             break
     return soft, conf, prior

@@ -3,14 +3,14 @@
 Given a total annotation budget N, each redundancy level r trains on
 floor(N / r) examples carrying r labels each. The sweep runs one unit
 per (r, seed), which builds that pair's data once and trains every
-method on it, em and weighted-em on one classic EM result; the test
-set and worker pool are also shared across the redundancy levels of a
-seed. The data draws from substreams keyed by (r, seed), and training
-from substreams keyed by (method, r, seed), so results do not depend on
-execution order or the number of worker processes. A failed cell is
-recorded without aborting the rest, and a row of timing.csv covers that
-method's training and evaluation only (and classic EM for the first of
-em and weighted-em).
+method on it; em and weighted-em share one classic EM run, which the
+unit's AnnotationSet caches. The test set and worker pool are also
+shared across the redundancy levels of a seed. The data draws from
+substreams keyed by (r, seed), and training from substreams keyed by
+(method, r, seed), so results do not depend on execution order or the
+number of worker processes. A failed cell is recorded without aborting
+the rest, and a row of timing.csv covers that method's training and
+evaluation only (and classic EM for the first of em and weighted-em).
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files; each unit then reads the five files
@@ -80,8 +80,9 @@ class SweepSpec:
         for r in self.redundancies:
             if r < 1 or self.budget // r < 1:
                 raise ValueError(f"budget {self.budget} cannot fund redundancy {r}")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        for name in ("methods", "redundancies", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
 
     @property
     def file_mode(self) -> bool:
@@ -177,16 +178,15 @@ def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
 
 
 def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
-              data, memo: dict) -> CellRecord:
-    """Train and evaluate one method on its unit's data, sharing the
-    unit's memo (see methods.train_method). Bad data and a diverging
-    learner (ValueError, RuntimeError) give an error record."""
+              data) -> CellRecord:
+    """Train and evaluate one method on its unit's data. Bad data and a
+    diverging learner (ValueError, RuntimeError) give an error record."""
     X, y, ann, conf_true, X_test, y_test = data
     start = time.perf_counter()
     try:
         cell_seed = RngSeed(seed).child("method", method, r)
         model = train_method(method, X, ann, spec.mbem, cell_seed, truth=y,
-                             oracle_confusions=conf_true, memo=memo).model
+                             oracle_confusions=conf_true).model
         return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
                           test_risk=zero_one_risk(model, X_test, y_test),
                           train_risk=zero_one_risk(model, X, y),
@@ -202,8 +202,7 @@ def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
     except (ValueError, RuntimeError) as exc:
         return [_failed(spec, method, r, seed, exc, 0.0)
                 for method in spec.methods]
-    memo = {}
-    return [_run_cell(spec, method, r, seed, data, memo)
+    return [_run_cell(spec, method, r, seed, data)
             for method in spec.methods]
 
 
@@ -222,31 +221,23 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             units = list(pool.map(_run_unit, [spec] * len(rs), rs, seeds))
     records = [unit[i] for i in range(len(spec.methods)) for unit in units]
-    return SweepResult(records=records,
-                       aggregates=aggregate(records, strict=False))
+    return SweepResult(records=records, aggregates=aggregate(records))
 
 
-def aggregate(records, strict: bool = True) -> dict[tuple[str, int], CellAggregate]:
+def aggregate(records) -> dict[tuple[str, int], CellAggregate]:
     """Per (method, r): mean test risk and standard error over seeds.
 
     Standard error is the sample standard deviation divided by
-    sqrt(#seeds), None for single-seed cells. Failed cells are excluded;
-    a cell with no successful record raises when strict, and is dropped
-    otherwise (the failures stay visible in the records).
+    sqrt(#seeds), None for single-seed cells. Failed cells are excluded,
+    and a (method, r) with no successful record has no aggregate (the
+    failures stay visible in the records).
     """
-    if not records:
-        raise ValueError("no records to aggregate")
     groups: dict[tuple[str, int], list[float]] = {}
     for rec in records:
-        groups.setdefault((rec.method, rec.r), [])
         if rec.error is None:
-            groups[(rec.method, rec.r)].append(rec.test_risk)
+            groups.setdefault((rec.method, rec.r), []).append(rec.test_risk)
     out = {}
     for key, values in groups.items():
-        if not values:
-            if strict:
-                raise ValueError(f"cell {key} has no successful runs")
-            continue
         arr = np.asarray(values)
         stderr = (float(arr.std(ddof=1) / np.sqrt(arr.size))
                   if arr.size > 1 else None)

@@ -2,8 +2,9 @@
 
 Annotation file: header ``example_id,worker_id,label``, 0-based integers.
 Truth file: ``example_id,label``. Soft labels: ``example_id,p0,...,pK-1``
-with 12 significant digits. The readers of truth, soft label and feature
-files require example_id to hold each of 0..n-1 exactly once. Confusion
+with 12 significant digits. Every reader requires at least one row below
+the header, and the readers of truth, soft label and feature files
+require example_id to hold each of 0..n-1 exactly once. Confusion
 matrices travel in long format ``worker_id,k,s,prob``. Model checkpoints
 are a parameter CSV (one value per line, full precision) plus a JSON
 sidecar with ``kind, K, d, hidden_units``.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,18 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def _read_rows(path, dtype=np.float64) -> np.ndarray:
+    """The rows below the header line as a 2-d array; ValueError, naming
+    the file, if there are none."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype,
+                          ndmin=2)
+    if not len(data):
+        raise ValueError(f"{path}: no data rows below the header")
+    return data
+
+
 def _id_order(path, ids: np.ndarray) -> np.ndarray:
     """Row order by example_id; ValueError unless the ids are 0..n-1,
     each once."""
@@ -53,16 +67,18 @@ def write_annotations(path, ann: AnnotationSet) -> None:
     _write_rows(path, ["example_id", "worker_id", "label"], rows)
 
 
-def read_annotations(path, n=None, m=None, K=None) -> AnnotationSet:
-    """Load annotations; n/m/K default to the smallest consistent values."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+def read_annotations(path) -> AnnotationSet:
+    """Load annotations; n, m and K are one more than the largest
+    example_id, worker_id and label. ValueError, naming the file, on a
+    negative value or an example_id below n with no annotations."""
+    data = _read_rows(path, np.int64)
     e, w, z = data[:, 0], data[:, 1], data[:, 2]
-    return AnnotationSet(
-        n=int(e.max()) + 1 if n is None else n,
-        m=int(w.max()) + 1 if m is None else m,
-        K=int(z.max()) + 1 if K is None else K,
-        example_ids=e, worker_ids=w, labels=z,
-    )
+    try:
+        return AnnotationSet(n=int(e.max()) + 1, m=int(w.max()) + 1,
+                             K=int(z.max()) + 1,
+                             example_ids=e, worker_ids=w, labels=z)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_truth(path, truth: np.ndarray) -> None:
@@ -71,7 +87,7 @@ def write_truth(path, truth: np.ndarray) -> None:
 
 
 def read_truth(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    data = _read_rows(path, np.int64)
     return data[_id_order(path, data[:, 0]), 1]
 
 
@@ -84,7 +100,7 @@ def write_soft_labels(path, soft: np.ndarray) -> None:
 
 
 def read_soft_labels(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_rows(path)
     return data[_id_order(path, data[:, 0]), 1:]
 
 
@@ -101,7 +117,7 @@ def read_confusions(path) -> np.ndarray:
     """An (m, K, K) row-stochastic stack; ValueError, naming the file,
     unless each (worker_id, k, s) below (m, K, K) appears exactly once
     and every row sums to 1."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_rows(path)
     index = data[:, :3].astype(np.int64)
     if index.min() < 0:
         raise ValueError(f"{path}: negative worker_id, k or s")
@@ -130,7 +146,7 @@ def write_features(path, features: np.ndarray) -> None:
 
 
 def read_features(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_rows(path)
     return data[_id_order(path, data[:, 0]), 1:]
 
 

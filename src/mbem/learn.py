@@ -27,7 +27,7 @@ predict_proba still returns the usual (n, K) rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class TrainedModel:
     K: int
     d: int
     hidden_units: int = 0
-    loss_history: np.ndarray | None = field(default=None, repr=False)
 
 
 def param_count(cfg: LearnerConfig, d: int, K: int) -> int:
@@ -152,15 +151,13 @@ def weighted_loss(predicted_probs: np.ndarray, weights: np.ndarray) -> float:
     return float(-(w * np.log(p)).sum(axis=-1).mean())
 
 
-def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
-        record_loss: bool = False) -> TrainedModel:
+def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
+        seed) -> TrainedModel:
     """Train a model on soft labels by mini-batch gradient descent.
 
     Deterministic given (inputs, seed): initialization draws from the
     seed's "init" substream and per-epoch shuffles from its "shuffle"
-    substream. batch_size=0 (or >= n) runs full-batch steps. When
-    record_loss is set, the full objective at the start of every epoch
-    (plus the final value) is stored on the returned model.
+    substream. batch_size=0 (or >= n) runs full-batch steps.
 
     Raises RuntimeError if the gradient turns non-finite mid-training.
     """
@@ -176,11 +173,8 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
     shuffle_rng = seed.child("shuffle").generator()
 
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
-    history = [] if record_loss else None
 
     for epoch in range(cfg.epochs):
-        if record_loss:
-            history.append(_objective(params, XT, ST, cfg, K))
         if batch == n:
             batches = (slice(None),)   # a view of XT: no copy, no shuffle draw
         else:
@@ -194,8 +188,6 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
                     "reduce the learning rate or feature scale"
                 )
             params = params - cfg.learning_rate * grad
-    if record_loss:
-        history.append(_objective(params, XT, ST, cfg, K))
 
     return TrainedModel(
         parameters=params,
@@ -203,7 +195,6 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig, seed,
         K=K,
         d=d,
         hidden_units=cfg.hidden_units if cfg.learner_kind == "one_hidden_layer_mlp" else 0,
-        loss_history=np.asarray(history) if record_loss else None,
     )
 
 

@@ -11,7 +11,8 @@ believing every worker is perfect.
 The baselines reproduce the standard alternatives: aggregate-then-train
 on hard labels (majority vote or EM), posterior-weighted training with
 weights from majority vote or EM, and two oracles that see the true
-confusion matrices or the true labels.
+confusion matrices or the true labels. em and weighted-em read classic
+EM from the AnnotationSet, which runs it once and keeps the result.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .core import (
     PRIOR_MODES,
     AnnotationSet,
-    classic_em,
     dawid_skene_update,
     hard_labels,
     majority_vote_init,
@@ -133,20 +133,15 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
 
 
 def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
-                     oracle_confusions: np.ndarray | None = None,
-                     memo: dict | None = None):
-    """(soft, confusions or None) by majority vote, classic EM or the
-    true confusion matrices; method must be one of modes. Classic EM
-    runs once per memo, a dict the caller keeps for this one ann."""
+                     oracle_confusions: np.ndarray | None = None):
+    """(soft, confusions or None) by majority vote, classic EM (cached on
+    ann) or the true confusion matrices; method must be one of modes."""
     if method not in modes:
         raise ValueError(f"mode must be one of {modes}, got {method!r}")
     if method in ("mv", "weighted-mv"):
         return majority_vote_init(ann), None
     if method in ("em", "weighted-em"):
-        memo = {} if memo is None else memo
-        if "classic_em" not in memo:
-            memo["classic_em"] = classic_em(ann)[:2]
-        return memo["classic_em"]
+        return ann.classic_em[:2]
     if oracle_confusions is None:
         raise ValueError(f"{method} requires the true confusion matrices")
     return posterior(ann, oracle_confusions, uniform_prior(ann.K)), None
@@ -154,17 +149,15 @@ def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
 
 def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                           cfg: MbemConfig, seed, *,
-                          oracle_confusions: np.ndarray | None = None,
-                          memo: dict | None = None) -> MethodResult:
+                          oracle_confusions: np.ndarray | None = None) -> MethodResult:
     """One posterior-weighted fit. weighted-mv weights by the raw label
     frequencies; weighted-em by the final posterior of classic EM;
     oracle-weighted-em by the posterior under the true confusion
     matrices with a uniform prior.
 
-    The fit draws from substream seed.child("fit"). memo is as for
-    train_method."""
+    The fit draws from substream seed.child("fit")."""
     soft, conf = _label_posterior(ann, mode, WEIGHTED_METHODS,
-                                  oracle_confusions, memo)
+                                  oracle_confusions)
     model = fit(features, soft, cfg.learner, as_seed(seed).child("fit"))
     return MethodResult(model=model, soft=soft, confusions=conf)
 
@@ -180,15 +173,14 @@ def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
 
 def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                       cfg: MbemConfig, seed, *,
-                      truth: np.ndarray | None = None,
-                      memo: dict | None = None) -> MethodResult:
+                      truth: np.ndarray | None = None) -> MethodResult:
     """Aggregate-then-train baselines.
 
     mv/em aggregate the annotations to one label per example and train
     on the resulting one-hot targets. truth trains on the true labels;
     oracle-correct does too, restricted to examples where at least one
     annotation matches the truth, and fails if no example survives.
-    Both require truth. memo is as for train_method.
+    Both require truth.
     """
     X = np.asarray(features, dtype=np.float64)
     soft = conf = None
@@ -203,7 +195,7 @@ def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                                  "nothing to train on")
             X, labels = X[hit], labels[hit]
     else:
-        soft, conf = _label_posterior(ann, mode, HARD_METHODS, memo=memo)
+        soft, conf = _label_posterior(ann, mode, HARD_METHODS)
         labels = hard_labels(soft)
     model = fit(X, one_hot(labels, ann.K), cfg.learner,
                 as_seed(seed).child("fit"))
@@ -212,21 +204,15 @@ def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
 
 def train_method(method: str, features: np.ndarray, ann: AnnotationSet,
                  cfg: MbemConfig, seed, *, truth: np.ndarray | None = None,
-                 oracle_confusions: np.ndarray | None = None,
-                 memo: dict | None = None) -> MethodResult:
+                 oracle_confusions: np.ndarray | None = None) -> MethodResult:
     """Train one of METHODS for the CLI or the sweep harness; a method
     that needs truth or oracle_confusions raises ValueError without it.
-
-    em and weighted-em share one classic EM result: pass the same memo,
-    an empty dict at first, to every call on one ann, and EM runs once.
-    """
+    Calls on one ann share its classic EM result."""
     if method in HARD_METHODS:
-        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth,
-                                 memo=memo)
+        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth)
     if method in WEIGHTED_METHODS:
         return run_weighted_baseline(features, ann, method, cfg, seed,
-                                     oracle_confusions=oracle_confusions,
-                                     memo=memo)
+                                     oracle_confusions=oracle_confusions)
     if method == "mbem":
         return run_mbem(features, ann, cfg, seed)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

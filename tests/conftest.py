@@ -35,6 +35,12 @@ def random_instance(rng, n, m, K, r_max, variable_r=True):
     return AnnotationSet.from_records(records, n=n, m=m, K=K)
 
 
+def records(ann):
+    """The annotations of ann as (example_id, worker_id, label) tuples."""
+    return list(zip(ann.example_ids.tolist(), ann.worker_ids.tolist(),
+                    ann.labels.tolist()))
+
+
 def posterior_oracle(ann, conf, prior):
     """Direct per-example evaluation of prior[k] * prod conf[w, k, z]."""
     rows = []

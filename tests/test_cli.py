@@ -6,9 +6,10 @@ import pytest
 import yaml
 
 from mbem import io as mbio
-from mbem.cli import build_parser, main
+from mbem.cli import LEARNER_FLAGS, build_parser, main
 from mbem.core import PRIOR_MODES
 from mbem.harness import read_sweep_csv
+from mbem.learn import LEARNER_KINDS
 from mbem.methods import METHODS
 from mbem.simulate import SKILL_KINDS
 
@@ -24,7 +25,7 @@ def simulated(tmp_path):
 
 
 def test_simulate_outputs_are_consistent(simulated):
-    ann = mbio.read_annotations(simulated / "annotations.csv", n=200, m=6, K=2)
+    ann = mbio.read_annotations(simulated / "annotations.csv")
     truth = mbio.read_truth(simulated / "truth.csv")
     features = mbio.read_features(simulated / "features.csv")
     workers = mbio.read_confusions(simulated / "workers.csv")
@@ -118,6 +119,15 @@ def test_prior_and_skill_choices_are_the_core_and_simulator_names():
              for action in sub.choices[command]._actions}
     assert flags["train", "prior_mode"] == PRIOR_MODES
     assert flags["simulate", "skill"] == SKILL_KINDS
+
+
+def test_learner_flags_name_the_learner_kinds():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    learner = next(action for action in sub.choices["train"]._actions
+                   if action.dest == "learner_kind")
+    assert tuple(learner.choices) == tuple(LEARNER_FLAGS)
+    assert tuple(LEARNER_FLAGS.values()) == LEARNER_KINDS
 
 
 def test_bound_table(capsys):

@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from mbem import harness, methods
+from mbem import core, harness
 from mbem.cli import main
 from mbem.learn import LearnerConfig
 from mbem.methods import MbemConfig
@@ -98,6 +98,12 @@ def test_spec_from_dict_coerces_yaml_strings():
     assert spec.mbem.smoothing == 0.5
 
 
+@pytest.mark.parametrize("key", ["methods", "redundancies", "seeds"])
+def test_spec_rejects_an_empty_list(key):
+    with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
+        tiny_spec(**{key: []})
+
+
 def test_spec_from_dict_rejects_an_unknown_learner_key():
     with pytest.raises(ValueError, match="epoch_count"):
         tiny_spec(learner={"epoch_count": 10})
@@ -106,13 +112,13 @@ def test_spec_from_dict_rejects_an_unknown_learner_key():
 def test_em_and_weighted_em_share_one_classic_em_per_unit(monkeypatch,
                                                           tmp_path):
     calls = []
-    classic_em = methods.classic_em
+    classic_em = core.classic_em
 
-    def counted(ann, *args, **kwargs):
+    def counted(ann):
         calls.append(ann)
-        return classic_em(ann, *args, **kwargs)
+        return classic_em(ann)
 
-    monkeypatch.setattr(methods, "classic_em", counted)
+    monkeypatch.setattr(core, "classic_em", counted)
     both = tiny_spec(methods=["em", "weighted-em"])
     harness.emit_report(harness.run_sweep(both, jobs=1), tmp_path / "both")
     assert len(calls) == 4     # one per (r, seed)

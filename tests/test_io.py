@@ -11,17 +11,18 @@ from mbem.learn import LearnerConfig, fit, predict_proba
 from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
 
+from conftest import records
+
 
 def test_annotations_round_trip(tmp_path, rng):
-    records = [(i, int(rng.integers(0, 5)), int(rng.integers(0, 3)))
+    triples = [(i, int(rng.integers(0, 5)), int(rng.integers(0, 3)))
                for i in range(20) for _ in range(2)]
-    ann = AnnotationSet.from_records(records, n=20, m=5, K=3)
+    ann = AnnotationSet.from_records(triples, n=20, m=5, K=3)
     path = tmp_path / "annotations.csv"
     mbio.write_annotations(path, ann)
-    loaded = mbio.read_annotations(path, n=20, m=5, K=3)
-    assert loaded.records == ann.records
-    inferred = mbio.read_annotations(path)
-    assert inferred.n == 20
+    loaded = mbio.read_annotations(path)
+    assert records(loaded) == records(ann)
+    assert loaded.n == 20
 
 
 def test_truth_round_trip(tmp_path, rng):
@@ -79,6 +80,33 @@ def test_readers_reject_malformed_example_ids(tmp_path, reader, ids):
     path.write_text("example_id,v\n" + "".join(f"{i},1\n" for i in ids))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         reader(path)
+
+
+HEADERS = {
+    mbio.read_annotations: "example_id,worker_id,label",
+    mbio.read_truth: "example_id,label",
+    mbio.read_features: "example_id,x0",
+    mbio.read_soft_labels: "example_id,p0,p1",
+    mbio.read_confusions: "worker_id,k,s,prob",
+}
+
+
+@pytest.mark.parametrize("reader", HEADERS, ids=lambda reader: reader.__name__)
+def test_readers_reject_a_header_only_file(tmp_path, reader):
+    path = tmp_path / "table.csv"
+    path.write_text(HEADERS[reader] + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no data rows")):
+        reader(path)
+
+
+@pytest.mark.parametrize("rows", ["0,0,0\n-1,0,1\n", "0,-1,0\n",
+                                  "0,0,-1\n", "0,0,0\n2,0,1\n"],
+                         ids=["example", "worker", "label", "gap"])
+def test_read_annotations_names_the_file_on_a_bad_id(tmp_path, rows):
+    path = tmp_path / "annotations.csv"
+    path.write_text("example_id,worker_id,label\n" + rows)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        mbio.read_annotations(path)
 
 
 @pytest.mark.parametrize("rows", [

@@ -135,6 +135,10 @@ class TestRunMbem:
         assert_allclose(result.prior, np.bincount(y, minlength=2) / 400,
                         atol=0.02)
 
+    def test_unknown_prior_mode_rejected(self):
+        with pytest.raises(ValueError, match="prior_mode"):
+            MbemConfig(prior_mode="empirical")
+
 
 class TestWeightedBaselines:
     def test_weighted_mv_at_r1_is_raw_onehot_training(self):

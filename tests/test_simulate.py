@@ -15,6 +15,8 @@ from mbem.simulate import (
     subsample_redundancy,
 )
 
+from conftest import records
+
 
 def hs_model(gamma, K=2):
     return WorkerSkillModel(kind="hammer_spammer", gamma=gamma, K=K)
@@ -149,8 +151,8 @@ class TestSubsample:
         ann = AnnotationSet.from_tables(workers, labels, m=4, K=2)
         sub = subsample_redundancy(ann, 2, seed=0)
         assert_array_equal(sub.redundancy_counts(), np.full(6, 2))
-        original = set(ann.records)
-        assert all(rec in original for rec in sub.records)
+        original = set(records(ann))
+        assert all(rec in original for rec in records(sub))
 
     def test_requires_enough_annotations(self):
         ann = AnnotationSet.from_records([(0, 0, 0)], n=1, m=1, K=2)
@@ -163,4 +165,4 @@ class TestSubsample:
         ann = AnnotationSet.from_tables(workers, labels, m=5, K=2)
         a = subsample_redundancy(ann, 3, seed=RngSeed(1))
         b = subsample_redundancy(ann, 3, seed=RngSeed(1))
-        assert a.records == b.records
+        assert records(a) == records(b)
