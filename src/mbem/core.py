@@ -27,6 +27,11 @@ a time, so each example receives the same terms in the same order as a
 record-by-record scatter-add, and the result is the same to the bit.
 Counts (majority vote, confusion estimates) are single np.bincount calls
 over a flat index.
+
+posterior clips every confusion entry to [CONFUSION_CLAMP,
+1 - CONFUSION_CLAMP] and renormalises each row before taking logs, so
+no exact 0 from an estimated matrix can zero out a class: every
+log-likelihood term is finite, and so is every posterior row.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import numpy as np
 
 __all__ = [
     "AnnotationSet",
-    "clamp_confusions",
     "check_confusions",
     "check_prior",
     "majority_vote_init",
@@ -51,6 +55,8 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-9
+# posterior's floor on confusion entries (and 1 - it, the ceiling).
+CONFUSION_CLAMP = 1e-6
 PRIOR_MODES = ("uniform", "estimated")
 
 # classic_em's fixed settings: at most EM_MAX_ITERS updates, stopping
@@ -160,42 +166,28 @@ def uniform_prior(K: int) -> np.ndarray:
     return np.full(K, 1.0 / K)
 
 
+# The bounds in check_confusions and check_prior are negated >=/<= tests,
+# so that a NaN fails them.
 def check_confusions(confusions: np.ndarray) -> np.ndarray:
-    """Validate an (m, K, K) or (K, K) stack of row-stochastic matrices."""
+    """Validate an (m, K, K) stack of row-stochastic matrices."""
     conf = np.asarray(confusions, dtype=np.float64)
-    if conf.ndim == 2:
-        conf = conf[None]
     if conf.ndim != 3 or conf.shape[1] != conf.shape[2]:
         raise ValueError(f"expected (m, K, K) confusion stack, got shape {conf.shape}")
-    if conf.min() < -ROW_SUM_TOL or conf.max() > 1 + ROW_SUM_TOL:
+    if not (conf.min() >= -ROW_SUM_TOL and conf.max() <= 1 + ROW_SUM_TOL):
         raise ValueError("confusion entries must lie in [0, 1]")
-    if np.abs(conf.sum(axis=2) - 1.0).max() > ROW_SUM_TOL:
+    if not np.abs(conf.sum(axis=2) - 1.0).max() <= ROW_SUM_TOL:
         raise ValueError("confusion rows must sum to 1")
     return conf
 
 
 def check_prior(prior: np.ndarray) -> np.ndarray:
+    """Validate a class prior: nonnegative entries that sum to 1."""
     prior = np.asarray(prior, dtype=np.float64)
     if prior.ndim != 1:
         raise ValueError("class prior must be a vector")
-    if prior.min() < -ROW_SUM_TOL or abs(prior.sum() - 1.0) > ROW_SUM_TOL:
+    if not (prior.min() >= 0.0 and abs(prior.sum() - 1.0) <= ROW_SUM_TOL):
         raise ValueError("class prior must be a probability vector")
     return prior
-
-
-def clamp_confusions(confusions: np.ndarray, clamp: float = 1e-6) -> np.ndarray:
-    """Clamp entries to [clamp, 1-clamp] and renormalize each row.
-
-    Keeps the posterior away from zero-probability annihilation when an
-    estimated matrix contains exact zeros. clamp=0 is a no-op.
-    """
-    conf = np.asarray(confusions, dtype=np.float64)
-    if clamp == 0.0:
-        return conf
-    if not 0.0 < clamp < 0.5:
-        raise ValueError("clamp must lie in [0, 0.5)")
-    conf = np.clip(conf, clamp, 1.0 - clamp)
-    return conf / conf.sum(axis=-1, keepdims=True)
 
 
 def majority_vote_init(ann: AnnotationSet) -> np.ndarray:
@@ -212,40 +204,34 @@ def majority_vote_init(ann: AnnotationSet) -> np.ndarray:
     return counts / counts.sum(axis=1)[:, None]
 
 
-def posterior(ann: AnnotationSet, confusions: np.ndarray, prior: np.ndarray,
-              clamp: float = 1e-6) -> np.ndarray:
+def posterior(ann: AnnotationSet, confusions: np.ndarray,
+              prior: np.ndarray) -> np.ndarray:
     """Posterior distribution of each true label given its annotations.
 
     Row i is proportional to prior[k] * prod_j conf[w_ij, k, z_ij] over
     the annotations (w_ij, z_ij) of example i, normalized over k. The
     product is accumulated in log space so long annotation lists cannot
-    underflow. Confusion entries are clamped away from exact 0/1 first
-    (see clamp_confusions); pass clamp=0 to use the matrices as given,
-    in which case an example whose numerator vanishes for every class
-    raises.
+    underflow. Confusion entries are first clipped to [CONFUSION_CLAMP,
+    1 - CONFUSION_CLAMP] and each row renormalised, so every row of the
+    result is finite; a class with zero prior gets zero posterior.
     """
-    conf = clamp_confusions(check_confusions(confusions), clamp)
+    conf = np.clip(check_confusions(confusions), CONFUSION_CLAMP,
+                   1.0 - CONFUSION_CLAMP)
+    conf = conf / conf.sum(axis=-1, keepdims=True)
     prior = check_prior(prior)
     if conf.shape[0] < ann.m or conf.shape[1] != ann.K:
         raise ValueError("confusion stack does not cover this annotation set")
 
     # Row w * K + z of the table is log conf[w, :, z].
+    table = np.log(conf).transpose(0, 2, 1).reshape(-1, ann.K)
     with np.errstate(divide="ignore"):
-        table = np.log(conf).transpose(0, 2, 1).reshape(-1, ann.K)
         rows = np.tile(np.log(prior), (ann.n, 1))
     for ex, wz in ann._layers:
         if ex is None:
             rows += np.take(table, wz, axis=0)
         else:
             rows[ex] += np.take(table, wz, axis=0)
-    shift = rows.max(axis=1)
-    dead = ~np.isfinite(shift)
-    if dead.any():
-        raise ValueError(
-            f"example {int(np.flatnonzero(dead)[0])} has zero posterior mass "
-            "for every class; enable clamping or fix the confusion estimates"
-        )
-    rows -= shift[:, None]
+    rows -= rows.max(axis=1)[:, None]
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
@@ -326,8 +312,6 @@ def classic_em(ann: AnnotationSet):
     procedure believes all workers are perfect.
     """
     soft = majority_vote_init(ann)
-    conf = np.tile(np.eye(ann.K), (ann.m, 1, 1))
-    prior = uniform_prior(ann.K)
     for _ in range(EM_MAX_ITERS):
         new_soft, conf, prior = dawid_skene_update(ann, hard_labels(soft),
                                                    EM_SMOOTHING, EM_PRIOR_MODE)

@@ -3,8 +3,10 @@
 Annotation file: header ``example_id,worker_id,label``, 0-based integers.
 Truth file: ``example_id,label``. Soft labels: ``example_id,p0,...,pK-1``
 with 12 significant digits. Every reader requires at least one row below
-the header, and the readers of truth, soft label and feature files
-require example_id to hold each of 0..n-1 exactly once. Confusion
+the header and the file's columns (exactly 3 for annotations, 2 for
+truth and 4 for confusions; at least 2 for features and soft labels),
+and the readers of truth, soft label and feature files require
+example_id to hold each of 0..n-1 exactly once. Confusion
 matrices travel in long format ``worker_id,k,s,prob``. Model checkpoints
 are a parameter CSV (one value per line, full precision) plus a JSON
 sidecar with ``kind, K, d, hidden_units``.
@@ -39,15 +41,20 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_rows(path, dtype=np.float64) -> np.ndarray:
+def _read_rows(path, columns=None, dtype=np.float64) -> np.ndarray:
     """The rows below the header line as a 2-d array; ValueError, naming
-    the file, if there are none."""
+    the file, if there are none, or unless they have exactly `columns`
+    columns (at least 2 when columns is None)."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype,
                           ndmin=2)
     if not len(data):
         raise ValueError(f"{path}: no data rows below the header")
+    found = data.shape[1]
+    if found < 2 or columns not in (None, found):
+        raise ValueError(f"{path}: expected {columns or 'at least 2'} "
+                         f"columns, found {found}")
     return data
 
 
@@ -71,7 +78,7 @@ def read_annotations(path) -> AnnotationSet:
     """Load annotations; n, m and K are one more than the largest
     example_id, worker_id and label. ValueError, naming the file, on a
     negative value or an example_id below n with no annotations."""
-    data = _read_rows(path, np.int64)
+    data = _read_rows(path, 3, np.int64)
     e, w, z = data[:, 0], data[:, 1], data[:, 2]
     try:
         return AnnotationSet(n=int(e.max()) + 1, m=int(w.max()) + 1,
@@ -87,7 +94,7 @@ def write_truth(path, truth: np.ndarray) -> None:
 
 
 def read_truth(path) -> np.ndarray:
-    data = _read_rows(path, np.int64)
+    data = _read_rows(path, 2, np.int64)
     return data[_id_order(path, data[:, 0]), 1]
 
 
@@ -117,7 +124,7 @@ def read_confusions(path) -> np.ndarray:
     """An (m, K, K) row-stochastic stack; ValueError, naming the file,
     unless each (worker_id, k, s) below (m, K, K) appears exactly once
     and every row sums to 1."""
-    data = _read_rows(path)
+    data = _read_rows(path, 4)
     index = data[:, :3].astype(np.int64)
     if index.min() < 0:
         raise ValueError(f"{path}: negative worker_id, k or s")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AnnotationSet, check_confusions
-from .seeding import RngSeed, as_seed
+from .seeding import as_seed
 
 __all__ = [
     "WorkerSkillModel",

@@ -17,12 +17,20 @@ factor of the generalization bound under a fixed total annotation
 budget; minimizing it over r answers how many labels to buy per example.
 Collecting one label per example wins whenever worker accuracy (1-rho)
 exceeds roughly 0.825.
+
+The paper's generalization bound also needs a sample-size condition and
+an entrywise bound on the confusion estimation error. Both hold only up
+to unknown universal constants, and neither is implemented here. At the
+sizes of the perfbench workloads (m of 100 to 1000 workers, budgets of
+8000 to 45000 annotations; rho=0.2, V=10, delta=0.1), the worker term
+alone asks for a budget of 4.5e6 to 5.5e7, and the error bound comes
+out between 88 and 140 for entries that lie in [0, 1], even with the
+constant set to 0. Beside a measured error they would say nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,57 +39,17 @@ from .core import check_confusions, check_prior
 from .seeding import as_seed
 
 __all__ = [
-    "TheoryParams",
     "BetaEstimate",
     "beta_eps_closed_form",
     "beta_general_binary",
     "alpha_general",
     "bound_factor",
     "optimal_redundancy",
-    "sample_size_condition",
-    "confusion_error_bound",
 ]
 
 EXACT_TUPLE_LIMIT = 1_000_000
 MC_TUPLES = 100_000
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Inputs to the sample-size and confusion-error formulas.
-
-    rho is the identical-worker flip probability, epsilon the entrywise
-    confusion estimation error, V a VC-dimension surrogate for the
-    hypothesis class, delta the failure probability, m the worker count,
-    and N the total annotation budget (examples times redundancy).
-    """
-
-    rho: float
-    epsilon: float
-    r: int
-    V: float
-    delta: float
-    m: int
-    N: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho < 0.5:
-            raise ValueError("rho must lie in [0, 0.5)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.rho + self.epsilon >= 0.5:
-            raise ValueError("rho + epsilon must be < 0.5 for a finite bound")
-        if self.r < 1:
-            raise ValueError("redundancy must be at least 1")
-        if self.V <= 0:
-            raise ValueError("V must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.m < 1:
-            raise ValueError("worker count must be at least 1")
-        if self.N <= 0:
-            raise ValueError("annotation budget must be positive")
 
 
 class BetaEstimate(NamedTuple):
@@ -225,49 +193,3 @@ def optimal_redundancy(rho: float, epsilon: float, r_max: int) -> int:
         if val < best_val:
             best_r, best_val = r, val
     return best_r
-
-
-def sample_size_condition(params: TheoryParams, alpha: float,
-                          C: float = 1.0) -> tuple[float, bool]:
-    """Annotation budget needed before the excess-risk bound applies.
-
-    required_N = max( C * r * ((sqrt(V) + sqrt(ln(1/delta))) / (1-2*alpha))^2,
-                      2^12 * m * ln(2^6 * m / delta) )
-
-    with natural logarithms. C is the unknown universal constant,
-    supplied by the caller (default 1). Returns (required_N, whether
-    params.N meets it).
-    """
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError("alpha must lie in [0, 0.5)")
-    if C < 0:
-        raise ValueError("C must be nonnegative")
-    learn_branch = C * params.r * (
-        (math.sqrt(params.V) + math.sqrt(math.log(1.0 / params.delta)))
-        / (1.0 - 2.0 * alpha)
-    ) ** 2
-    worker_branch = 2 ** 12 * params.m * math.log(2 ** 6 * params.m / params.delta)
-    required = max(learn_branch, worker_branch)
-    return required, params.N >= required
-
-
-def confusion_error_bound(params: TheoryParams, quality: float,
-                          min_risk: float = 0.0, C: float = 1.0) -> float:
-    """Entrywise confusion estimation error after one estimation pass.
-
-    quality is alpha for the first round (majority-vote weights) and
-    beta_eps for later rounds. The expression is only meaningful up to
-    the universal constant C, so callers must pick one; it is
-
-        2^4 * g + 2^8 * sqrt(m * ln(2^6 * m / delta) / N),
-        g = min_risk + C * (sqrt(V) + sqrt(ln(1/delta)))
-                       / ((1 - 2*quality) * sqrt(N / r)).
-    """
-    if not 0.0 <= quality < 0.5:
-        raise ValueError("quality must lie in [0, 0.5)")
-    g = min_risk + C * (
-        math.sqrt(params.V) + math.sqrt(math.log(1.0 / params.delta))
-    ) / ((1.0 - 2.0 * quality) * math.sqrt(params.N / params.r))
-    tail = math.sqrt(params.m * math.log(2 ** 6 * params.m / params.delta)
-                     / params.N)
-    return 2 ** 4 * g + 2 ** 8 * tail

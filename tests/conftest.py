@@ -5,10 +5,10 @@ import pytest
 
 from mbem.core import (
     _EMPTY_ROW_MESSAGE,
+    CONFUSION_CLAMP,
     AnnotationSet,
     check_confusions,
     check_prior,
-    clamp_confusions,
 )
 from mbem.learn import param_count
 from mbem.seeding import as_seed
@@ -91,8 +91,10 @@ def majority_vote_add_at(ann):
     return counts / totals[:, None]
 
 
-def posterior_add_at(ann, confusions, prior, clamp=1e-6):
-    conf = clamp_confusions(check_confusions(confusions), clamp)
+def posterior_add_at(ann, confusions, prior):
+    conf = np.clip(check_confusions(confusions), CONFUSION_CLAMP,
+                   1.0 - CONFUSION_CLAMP)
+    conf = conf / conf.sum(axis=-1, keepdims=True)
     prior = check_prior(prior)
     if conf.shape[0] < ann.m or conf.shape[1] != ann.K:
         raise ValueError("confusion stack does not cover this annotation set")

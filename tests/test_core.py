@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mbem import core
 from mbem.core import (
     AnnotationSet,
-    clamp_confusions,
+    check_confusions,
+    check_prior,
     classic_em,
     dawid_skene_update,
     estimate_confusions_and_prior,
@@ -74,11 +75,9 @@ class TestMajorityVote:
 class TestPosterior:
     def test_perfect_worker_forces_delta(self):
         ann = AnnotationSet.from_records([(0, 0, 0)], n=1, m=1, K=2)
-        # clamping leaves a 1e-6 leak; disabling it gives the exact delta
+        # the fixed confusion clamp leaves exactly its 1e-6 leak
         assert_allclose(posterior(ann, IDENTITY2, uniform_prior(2)),
-                        [[1.0, 0.0]], atol=1e-5)
-        assert_array_equal(posterior(ann, IDENTITY2, uniform_prior(2), clamp=0),
-                           [[1.0, 0.0]])
+                        [[1 - 1e-6, 1e-6]], rtol=0, atol=1e-15)
 
     def test_uninformative_worker_returns_prior(self, rng):
         prior = np.array([0.3, 0.7])
@@ -94,19 +93,12 @@ class TestPosterior:
         assert_allclose(posterior(ann, conf, uniform_prior(2)),
                         [[0.64, 0.36]], atol=1e-12)
 
-    def test_zero_mass_row_raises_without_clamp(self):
-        ann = AnnotationSet.from_records([(0, 0, 0), (0, 0, 1)], n=1, m=1, K=2)
-        with pytest.raises(ValueError, match="example 0"):
-            posterior(ann, IDENTITY2, uniform_prior(2), clamp=0)
-
     def test_identity_unanimous_one_hot_any_prior(self, rng):
         for K in (2, 3):
             conf = np.tile(np.eye(K), (3, 1, 1))
             prior = random_prior(rng, K)
             ann = AnnotationSet.from_records(
                 [(0, w, 1) for w in range(3)], n=1, m=3, K=K)
-            assert_array_equal(
-                posterior(ann, conf, prior, clamp=0), np.eye(K)[[1]])
             assert_allclose(posterior(ann, conf, prior), np.eye(K)[[1]],
                             atol=1e-4)
 
@@ -131,6 +123,18 @@ class TestPosterior:
         soft = posterior(ann, random_confusions(rng, m, K), random_prior(rng, K))
         assert soft.min() >= 0
         assert_allclose(soft.sum(axis=1), 1.0, atol=1e-9)
+        # exact 0/1 rows, contradicting labels and a zero prior entry
+        # leave every row finite and on the simplex
+        hard = np.eye(K)[rng.integers(0, K, size=(m, K))]
+        zero_prior = random_prior(rng, K)
+        zero_prior[rng.integers(0, K)] = 0.0
+        zero_prior /= zero_prior.sum()
+        for conf in (hard, np.tile(np.eye(K), (m, 1, 1))):
+            for prior in (random_prior(rng, K), zero_prior):
+                soft = posterior(ann, conf, prior)
+                assert np.isfinite(soft).all()
+                assert soft.min() >= 0
+                assert_allclose(soft.sum(axis=1), 1.0, atol=1e-9)
         mv = majority_vote_init(ann)
         assert mv.min() >= 0
         assert_allclose(mv.sum(axis=1), 1.0, atol=1e-9)
@@ -219,11 +223,14 @@ class TestKernelsMatchAddAt:
         ann = LAYOUTS[layout](rng)
         conf = random_confusions(rng, ann.m, ann.K)
         prior = random_prior(rng, ann.K)
-        for clamp in (1e-6, 0.0):
-            assert_array_equal(posterior(ann, conf, prior, clamp=clamp),
-                               posterior_add_at(ann, conf, prior, clamp=clamp),
-                               strict=True)
-        # exact zeros reach the log only through the clamp
+        zero_prior = prior.copy()
+        zero_prior[1] = 0.0
+        zero_prior /= zero_prior.sum()
+        # a zero prior entry is the only exact zero that reaches the log
+        for p in (prior, zero_prior):
+            assert_array_equal(posterior(ann, conf, p),
+                               posterior_add_at(ann, conf, p), strict=True)
+        # the clamp keeps exact zeros in the confusions away from the log
         conf[:, 0, 1] = 0.0
         conf /= conf.sum(axis=2, keepdims=True)
         assert_array_equal(posterior(ann, conf, prior),
@@ -244,19 +251,6 @@ class TestKernelsMatchAddAt:
         ann = LAYOUTS[layout](rng)
         assert_array_equal(majority_vote_init(ann), majority_vote_add_at(ann),
                            strict=True)
-
-    def test_same_errors_for_dead_examples(self):
-        # identity workers: example 2 gets labels 0 and 1, so every class is dead
-        ann = AnnotationSet.from_records(
-            [(3, 1, 1), (2, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1)],
-            n=4, m=2, K=2)
-        conf = np.tile(np.eye(2), (2, 1, 1))
-        messages = []
-        for kernel in (posterior, posterior_add_at):
-            with pytest.raises(ValueError, match="example 2 has zero posterior") as exc:
-                kernel(ann, conf, uniform_prior(2), clamp=0)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
 
     def test_classic_em_builds_the_record_index_once(self, rng, monkeypatch):
         ann = random_instance(rng, 50, 5, 3, 4)
@@ -393,9 +387,17 @@ class TestClassicEm:
             assert_array_equal(a, b, strict=True)
 
 
-def test_clamp_confusions_renormalizes():
-    conf = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    clamped = clamp_confusions(conf, 1e-6)
-    assert clamped.min() > 0
-    assert_allclose(clamped.sum(axis=2), 1.0, atol=1e-15)
-    assert_array_equal(clamp_confusions(conf, 0.0), conf)
+@pytest.mark.parametrize("values", [[np.nan, np.nan], [0.5, np.nan],
+                                    [-1e-12, 1 + 1e-12], [0.5, 0.6]],
+                         ids=["all-nan", "one-nan", "negative", "sum"])
+def test_check_prior_rejects_non_probability_vectors(values):
+    with pytest.raises(ValueError, match="probability vector"):
+        check_prior(np.array(values))
+
+
+def test_check_confusions_rejects_nan():
+    conf = np.tile(np.eye(2), (3, 1, 1))
+    conf[1, 1] = [np.nan, 1.0]
+    for bad in (np.full_like(conf, np.nan), conf):
+        with pytest.raises(ValueError, match="confusion"):
+            check_confusions(bad)

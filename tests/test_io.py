@@ -114,12 +114,31 @@ def test_read_annotations_names_the_file_on_a_bad_id(tmp_path, rows):
     ["0,0,0,1", "0,0,1,0", "0,1,0,0", "0,1,1,1", "0,1,1,1"],
     ["0,0,0,0.9", "0,0,1,0", "0,1,0,0", "0,1,1,1"],
     ["-1,0,0,1", "0,0,0,1", "0,0,1,0", "0,1,0,0", "0,1,1,1"],
-], ids=["missing", "duplicate", "row-sum", "negative"])
+    ["0,0,0,nan", "0,0,1,nan", "0,1,0,nan", "0,1,1,nan"],
+], ids=["missing", "duplicate", "row-sum", "negative", "nan"])
 def test_read_confusions_rejects_malformed_files(tmp_path, rows):
     path = tmp_path / "workers.csv"
     path.write_text("worker_id,k,s,prob\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=re.escape(str(path))):
         mbio.read_confusions(path)
+
+
+# Each file is one column short of what its reader needs.
+SHORT_FILES = {
+    mbio.read_annotations: "example_id,worker_id\n0,0\n",
+    mbio.read_truth: "example_id\n0\n",
+    mbio.read_features: "example_id\n0\n",
+    mbio.read_soft_labels: "example_id\n0\n",
+    mbio.read_confusions: "worker_id,k,s\n0,0,0\n",
+}
+
+
+@pytest.mark.parametrize("reader", SHORT_FILES, ids=lambda reader: reader.__name__)
+def test_readers_reject_a_missing_column(tmp_path, reader):
+    path = tmp_path / "table.csv"
+    path.write_text(SHORT_FILES[reader])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected")):
+        reader(path)
 
 
 def test_read_sweep_csv_rejects_a_wrong_header(tmp_path):

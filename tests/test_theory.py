@@ -7,14 +7,11 @@ from numpy.testing import assert_allclose
 
 from mbem.core import uniform_prior
 from mbem.theory import (
-    TheoryParams,
     alpha_general,
     beta_eps_closed_form,
     beta_general_binary,
     bound_factor,
-    confusion_error_bound,
     optimal_redundancy,
-    sample_size_condition,
 )
 
 
@@ -180,65 +177,3 @@ class TestAlpha:
     def test_rejects_multiclass(self):
         with pytest.raises(ValueError, match="binary"):
             alpha_general(np.tile(np.eye(3), (2, 1, 1)))
-
-
-class TestSampleSize:
-    def params(self, **kw):
-        base = dict(rho=0.2, epsilon=0.0, r=1, V=10.0, delta=0.1, m=100,
-                    N=1e6)
-        base.update(kw)
-        return TheoryParams(**base)
-
-    def test_worker_branch_hand_value(self):
-        required, satisfied = sample_size_condition(self.params(), alpha=0.2,
-                                                    C=0.0)
-        want = 2 ** 12 * 100 * math.log(2 ** 6 * 100 / 0.1)
-        assert_allclose(required, want, rtol=1e-12)
-        assert_allclose(required, 4.533e6, rtol=1e-3)
-        assert not satisfied
-        assert sample_size_condition(self.params(N=5e6), alpha=0.2, C=0.0)[1]
-
-    def test_first_branch_diverges_toward_half(self):
-        values = [sample_size_condition(self.params(m=1), alpha, C=1.0)[0]
-                  for alpha in (0.3, 0.4, 0.49, 0.49999)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-        assert values[-1] > 1e10
-
-    def test_zero_constant_removes_learning_branch(self):
-        # with C=0 the learning branch vanishes and only the worker
-        # branch (which stays positive) constrains the budget
-        p = self.params(m=1, delta=0.999)
-        required, _ = sample_size_condition(p, alpha=0.49, C=0.0)
-        assert_allclose(required, 2 ** 12 * math.log(2 ** 6 / 0.999),
-                        rtol=1e-12)
-
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            sample_size_condition(self.params(), alpha=0.5)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            self.params(rho=0.4, epsilon=0.2)
-        with pytest.raises(ValueError):
-            self.params(delta=1.5)
-        with pytest.raises(ValueError):
-            self.params(V=-1)
-
-
-class TestConfusionErrorBound:
-    def test_shrinks_with_budget(self):
-        a = confusion_error_bound(TheoryParams(0.2, 0.0, 1, 10, 0.1, 50, 1e5),
-                                  quality=0.2)
-        b = confusion_error_bound(TheoryParams(0.2, 0.0, 1, 10, 0.1, 50, 1e7),
-                                  quality=0.2)
-        assert b < a
-
-    def test_grows_with_quality_loss(self):
-        p = TheoryParams(0.2, 0.0, 1, 10, 0.1, 50, 1e6)
-        assert confusion_error_bound(p, quality=0.4) \
-            > confusion_error_bound(p, quality=0.1)
-
-    def test_quality_domain(self):
-        p = TheoryParams(0.2, 0.0, 1, 10, 0.1, 50, 1e6)
-        with pytest.raises(ValueError):
-            confusion_error_bound(p, quality=0.6)
