@@ -12,7 +12,7 @@ import yaml
 
 from . import io as mbio
 from .core import PRIOR_MODES
-from .harness import emit_report, run_sweep, spec_from_dict
+from .harness import emit_report, read_inputs, run_sweep, spec_from_dict
 from .learn import LearnerConfig
 from .methods import METHODS, MbemConfig, config_from, train_method
 from .seeding import RngSeed
@@ -69,16 +69,15 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    features = mbio.read_features(args.features)
-    ann = mbio.read_annotations(args.annotations)
-    truth = mbio.read_truth(args.truth) if args.truth else None
-    oracle = (mbio.read_confusions(args.worker_confusions)
-              if args.worker_confusions else None)
     try:
+        ann, features, truth = read_inputs(args.annotations, args.features,
+                                           args.truth)
+        oracle = (mbio.read_confusions(args.worker_confusions)
+                  if args.worker_confusions else None)
         result = train_method(args.method, features, ann, _config(args),
                               RngSeed(args.seed), truth=truth,
                               oracle_confusions=oracle)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"mbem train --method {args.method}: {exc}")
 
     mbio.save_model(out, result.model)

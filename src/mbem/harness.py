@@ -8,13 +8,15 @@ unit's AnnotationSet caches. The test set and worker pool are also
 shared across the redundancy levels of a seed. The data draws from
 substreams keyed by (r, seed), and training from substreams keyed by
 (method, r, seed), so results do not depend on execution order or the
-number of worker processes. A failed cell is recorded without aborting
-the rest, and a row of timing.csv covers that method's training and
-evaluation only (and classic EM for the first of em and weighted-em).
+number of worker processes. A ValueError (bad data) or RuntimeError (a
+diverging learner) fails its cells and the sweep goes on; any other
+exception aborts it. A row of timing.csv covers that method's training
+and evaluation only (and classic EM for the first of em and weighted-em).
 
 Instead of synthesizing data, a sweep can run against pre-collected
-annotation/feature/truth files; each unit then reads the five files
-once, checks that their shapes agree, and subsamples floor(N / r)
+annotation/feature/truth files, which read_inputs reads and checks for
+the sweep and `mbem train` alike; each unit reads them and the two test
+files once, checks that they agree, and subsamples floor(N / r)
 examples and r of their annotations.
 """
 
@@ -46,6 +48,7 @@ __all__ = [
     "emit_report",
     "read_sweep_csv",
     "spec_from_dict",
+    "read_inputs",
 ]
 
 SWEEP_COLUMNS = ["method", "r", "n_train", "seed", "test_risk", "train_risk", "error"]
@@ -132,24 +135,41 @@ def _same(what: str, file_a, a: int, file_b, b: int) -> None:
                          f"{file_b} has {b}")
 
 
+def _in_classes(truth_file, y, annotations_file, K: int) -> None:
+    """Raise, naming both files, unless every true label is below K."""
+    if y.max() >= K:
+        raise ValueError(f"{truth_file} has label {y.max()}, but "
+                         f"{annotations_file} has only {K} classes")
+
+
+def read_inputs(annotations, features, truth=None):
+    """(ann, X, y or None) from the annotation, feature and truth files;
+    ValueError, naming them, if their example counts or classes disagree."""
+    ann = mbio.read_annotations(annotations)
+    X = mbio.read_features(features)
+    y = None if truth is None else mbio.read_truth(truth)
+    if y is not None:
+        _same("example counts", features, len(X), truth, len(y))
+        _in_classes(truth, y, annotations, ann.K)
+    _same("example counts", features, len(X), annotations, ann.n)
+    return ann, X, y
+
+
 def _cell_data(spec: SweepSpec, r: int, seed: int):
     """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit."""
     n_train = spec.budget // r
     root = RngSeed(seed)
     if spec.file_mode:
-        ann_all = mbio.read_annotations(spec.annotations_file)
-        X_all = mbio.read_features(spec.features_file)
-        y_all = mbio.read_truth(spec.truth_file)
+        ann_all, X_all, y_all = read_inputs(
+            spec.annotations_file, spec.features_file, spec.truth_file)
         X_test = mbio.read_features(spec.test_features_file)
         y_test = mbio.read_truth(spec.test_truth_file)
-        _same("example counts", spec.features_file, len(X_all),
-              spec.truth_file, len(y_all))
-        _same("example counts", spec.features_file, len(X_all),
-              spec.annotations_file, ann_all.n)
         _same("example counts", spec.test_features_file, len(X_test),
               spec.test_truth_file, len(y_test))
         _same("feature dimensions", spec.features_file, X_all.shape[1],
               spec.test_features_file, X_test.shape[1])
+        _in_classes(spec.test_truth_file, y_test, spec.annotations_file,
+                    ann_all.K)
         if n_train > ann_all.n:
             raise ValueError(f"annotation file has only {ann_all.n} examples, "
                              f"cell needs {n_train}")

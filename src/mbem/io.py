@@ -43,12 +43,16 @@ def _write_rows(path, header, rows):
 
 def _read_rows(path, columns=None, dtype=np.float64) -> np.ndarray:
     """The rows below the header line as a 2-d array; ValueError, naming
-    the file, if there are none, or unless they have exactly `columns`
+    the file, if there are none, if a row is ragged or holds a value that
+    is not a number of dtype, or unless they have exactly `columns`
     columns (at least 2 when columns is None)."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype,
-                          ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype,
+                              ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not len(data):
         raise ValueError(f"{path}: no data rows below the header")
     found = data.shape[1]
@@ -94,7 +98,11 @@ def write_truth(path, truth: np.ndarray) -> None:
 
 
 def read_truth(path) -> np.ndarray:
+    """True labels in example_id order; ValueError, naming the file, on
+    a negative label."""
     data = _read_rows(path, 2, np.int64)
+    if data[:, 1].min() < 0:
+        raise ValueError(f"{path}: negative label {data[:, 1].min()}")
     return data[_id_order(path, data[:, 0]), 1]
 
 

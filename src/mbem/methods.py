@@ -120,10 +120,7 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
     soft = majority_vote_init(ann)
     risks = []
     for t in range(cfg.rounds):
-        try:
-            model = fit(features, soft, cfg.learner, seed.child("round", t))
-        except Exception as exc:
-            raise RuntimeError(f"learner failed in round {t}: {exc}") from exc
+        model = fit(features, soft, cfg.learner, seed.child("round", t))
         probs = predict_proba(model, features)
         risks.append(weighted_loss(probs, soft))
         soft, conf, prior = dawid_skene_update(ann, hard_labels(probs),

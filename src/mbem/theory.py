@@ -140,27 +140,20 @@ def beta_general_binary(confusions: np.ndarray, confusion_estimates: np.ndarray,
         raise ValueError("redundancy must lie in [1, 12]")
 
     patterns = _binary_patterns(r)
-    total_tuples = m ** r
-    if total_tuples <= EXACT_TUPLE_LIMIT:
-        acc = 0.0
-        shape = (m,) * r
-        for start in range(0, total_tuples, _CHUNK):
-            ids = np.arange(start, min(start + _CHUNK, total_tuples))
-            tuples = np.stack(np.unravel_index(ids, shape), axis=1)
-            acc += _beta_for_tuples(tuples, conf_true, conf_est, prior,
-                                    patterns).sum()
-        return BetaEstimate(acc / total_tuples, None)
-
+    exact = m ** r <= EXACT_TUPLE_LIMIT
+    count = m ** r if exact else mc_tuples
     rng = as_seed(seed).child("beta-mc").generator()
-    values = np.empty(mc_tuples)
-    done = 0
-    while done < mc_tuples:
-        c = min(_CHUNK, mc_tuples - done)
-        tuples = rng.integers(0, m, size=(c, r))
-        values[done:done + c] = _beta_for_tuples(tuples, conf_true, conf_est,
-                                                 prior, patterns)
-        done += c
-    stderr = float(values.std(ddof=1) / math.sqrt(mc_tuples))
+    values = np.empty(count)
+    for start in range(0, count, _CHUNK):
+        c = min(_CHUNK, count - start)
+        if exact:
+            tuples = np.stack(np.unravel_index(np.arange(start, start + c),
+                                               (m,) * r), axis=1)
+        else:
+            tuples = rng.integers(0, m, size=(c, r))
+        values[start:start + c] = _beta_for_tuples(tuples, conf_true, conf_est,
+                                                   prior, patterns)
+    stderr = None if exact else float(values.std(ddof=1) / math.sqrt(count))
     return BetaEstimate(float(values.mean()), stderr)
 
 

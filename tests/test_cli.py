@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,53 @@ def test_train_oracle_flags_required(simulated, tmp_path):
               "--out-dir", str(tmp_path / "y")])
 
 
+def train(simulated, out, method, *extra, truth="truth.csv"):
+    return main(["train", "--annotations", str(simulated / "annotations.csv"),
+                 "--features", str(simulated / "features.csv"),
+                 "--truth", str(simulated / truth), "--method", method,
+                 "--seed", "1", "--epochs", "20", "--out-dir", str(out),
+                 *extra])
+
+
+def test_train_rejects_a_short_truth_file(simulated, tmp_path):
+    short = simulated / "short.csv"
+    lines = (simulated / "truth.csv").read_text().splitlines(True)
+    short.write_text("".join(lines[:-10]))
+    with pytest.raises(SystemExit, match=re.escape(
+            "mbem train --method oracle-correct: example counts disagree: "
+            f"{simulated / 'features.csv'} has 200, {short} has 190")):
+        train(simulated, tmp_path / "x", "oracle-correct", truth="short.csv")
+
+
+@pytest.mark.parametrize("label", [2, -1])
+def test_train_rejects_a_label_that_is_not_a_class(simulated, tmp_path,
+                                                   label):
+    truth = simulated / "truth.csv"
+    lines = truth.read_text().splitlines(True)
+    truth.write_text("".join([lines[0], f"0,{label}\n"] + lines[2:]))
+    want = (f"{truth}: negative label -1" if label < 0 else
+            f"{truth} has label 2, but {simulated / 'annotations.csv'} "
+            "has only 2 classes")
+    with pytest.raises(SystemExit, match=re.escape(
+            f"mbem train --method truth: {want}")):
+        train(simulated, tmp_path / "x", "truth")
+
+
+def test_train_turns_a_diverging_learner_into_the_exit_message(simulated,
+                                                              tmp_path):
+    with np.errstate(all="ignore"), pytest.raises(SystemExit, match=re.escape(
+            "mbem train --method mbem: non-finite training gradient")):
+        train(simulated, tmp_path / "x", "mbem", "--learning-rate", "1e300")
+
+
+def test_train_learner_flags_reach_the_model(simulated, tmp_path):
+    out = tmp_path / "mlp"
+    assert train(simulated, out, "mv", "--learner", "mlp",
+                 "--hidden-units", "4") == 0
+    meta = json.loads((out / "model_meta.json").read_text())
+    assert (meta["kind"], meta["hidden_units"]) == ("one_hidden_layer_mlp", 4)
+
+
 def test_train_method_choices_are_the_method_names():
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
@@ -193,3 +241,14 @@ def test_sweep_overrides(tmp_path):
     records = read_sweep_csv(out / "sweep.csv")
     assert len(records) == 1
     assert records[0].method == "truth"
+
+
+def test_sweep_budget_override(tmp_path):
+    config = tmp_path / "sweep.yaml"
+    sweep_config("yaml", config)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(out),
+                 "--methods", "truth", "--seeds", "0",
+                 "--budget", "301"]) == 0
+    records = read_sweep_csv(out / "sweep.csv")
+    assert [(rec.r, rec.n_train) for rec in records] == [(1, 301), (2, 150)]

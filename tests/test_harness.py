@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from mbem import core, harness
+from mbem import core, harness, methods
 from mbem.cli import main
 from mbem.learn import LearnerConfig
 from mbem.methods import MbemConfig
@@ -65,18 +65,25 @@ def test_only_data_and_learner_failures_become_error_records(monkeypatch,
         assert [rec.error for rec in records] == ["RuntimeError: boom"] * 8
 
 
-def test_file_mode_rejects_features_that_do_not_match_the_truth(tmp_path):
+def file_spec(tmp_path):
+    """A tiny file-mode spec over simulated CSVs, and their directory; the
+    test files are copies of the training ones."""
     data = tmp_path / "data"
     assert main(["simulate", "--n", "100", "--m", "5", "--r", "2",
                  "--seed", "3", "--out-dir", str(data)]) == 0
     for name in ("features", "truth"):
         (data / f"test_{name}.csv").write_bytes(
             (data / f"{name}.csv").read_bytes())
-    features = data / "features.csv"
-    features.write_text("".join(features.read_text().splitlines(True)[:-1]))
     spec = tiny_spec(**{f"{name}_file": str(data / f"{name}.csv")
                         for name in ("annotations", "features", "truth",
                                      "test_features", "test_truth")})
+    return spec, data
+
+
+def test_file_mode_rejects_features_that_do_not_match_the_truth(tmp_path):
+    spec, data = file_spec(tmp_path)
+    features = data / "features.csv"
+    features.write_text("".join(features.read_text().splitlines(True)[:-1]))
     records = harness.run_sweep(spec, jobs=1).records
     assert len(records) == 8
     for rec in records:
@@ -84,11 +91,38 @@ def test_file_mode_rejects_features_that_do_not_match_the_truth(tmp_path):
         assert str(features) in rec.error and "truth.csv" in rec.error
 
 
+@pytest.mark.parametrize("name,label", [("truth", 2), ("truth", -1),
+                                        ("test_truth", 2)])
+def test_file_mode_rejects_a_label_that_is_not_a_class(tmp_path, name, label):
+    spec, data = file_spec(tmp_path)
+    truth = data / f"{name}.csv"
+    lines = truth.read_text().splitlines(True)
+    truth.write_text("".join([lines[0], f"0,{label}\n"] + lines[2:]))
+    want = (f"{truth}: negative label -1" if label < 0 else
+            f"{truth} has label 2, but {data / 'annotations.csv'} "
+            "has only 2 classes")
+    records = harness.run_sweep(spec, jobs=1).records
+    assert [rec.error for rec in records] == [f"ValueError: {want}"] * 8
+
+
+def test_a_bug_in_fit_propagates_out_of_an_mbem_sweep(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(methods, "fit", broken)
+    with pytest.raises(TypeError, match="boom"):
+        harness.run_sweep(tiny_spec(methods=["mbem"]), jobs=1)
+
+
 def test_spec_from_dict_takes_config_defaults_from_the_dataclasses():
     spec = harness.spec_from_dict({"budget": 100, "redundancies": [1],
                                    "methods": ["mv"], "seeds": [0]})
     assert spec.mbem == MbemConfig()
     assert spec.mbem.learner == LearnerConfig()
+
+
+def test_spec_from_dict_reads_the_prior_key():
+    assert tiny_spec(prior="estimated").mbem.prior_mode == "estimated"
 
 
 def test_spec_from_dict_coerces_yaml_strings():

@@ -141,6 +141,36 @@ def test_readers_reject_a_missing_column(tmp_path, reader):
         reader(path)
 
 
+# A valid data row per reader; the cases below break its last value.
+ROWS = {
+    mbio.read_annotations: "0,0,0",
+    mbio.read_truth: "0,1",
+    mbio.read_features: "0,1.5",
+    mbio.read_soft_labels: "0,0.5,0.5",
+    mbio.read_confusions: "0,0,0,1",
+}
+
+
+@pytest.mark.parametrize("reader", ROWS, ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("case", ["ragged", "text"])
+def test_readers_name_the_file_on_a_ragged_or_text_row(tmp_path, reader,
+                                                       case):
+    row = ROWS[reader]
+    bad = row.rsplit(",", 1)[0] + ("" if case == "ragged" else ",x")
+    path = tmp_path / "table.csv"
+    path.write_text(f"{HEADERS[reader]}\n{row}\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        reader(path)
+
+
+def test_read_truth_rejects_a_negative_label(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("example_id,label\n0,1\n1,-1\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: negative label -1")):
+        mbio.read_truth(path)
+
+
 def test_read_sweep_csv_rejects_a_wrong_header(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text("method,r,seed,n_train,test_risk,train_risk,error\n"

@@ -1,5 +1,5 @@
-"""Every mbem module's public surface names what the module defines, and
-every module-level import is used.
+"""Every mbem module's public surface names what the module defines,
+every module-level import is used, and no handler catches every exception.
 
 The benchmark tracer (perfbench/spans.py) looks up each __all__ entry
 with getattr(mod, name, None) and skips what it does not find, so a
@@ -53,3 +53,19 @@ def test_every_module_level_import_is_used(name):
                          for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [alias for alias in imported if alias not in used] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_handler_catches_every_exception(name):
+    # The harness and the CLI catch ValueError and RuntimeError only; a
+    # broad handler below them would turn a bug into a failed cell.
+    broad = {"Exception", "BaseException"}
+    caught = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.ExceptHandler):
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            if any(t is None or getattr(t, "id", None) in broad
+                   for t in types):
+                caught.append(node.lineno)
+    assert caught == []

@@ -111,6 +111,11 @@ class TestOptimalRedundancy:
         for rho in np.arange(0.0, 0.1751, 0.005):
             assert optimal_redundancy(rho, 0.0, 9) == 1
 
+    @pytest.mark.parametrize("rho,best", [(0.175, 1), (0.18, 3), (0.2, 3),
+                                          (0.25, 4), (0.3, 7)])
+    def test_one_label_threshold_values(self, rho, best):
+        assert optimal_redundancy(rho, 0.0, 9) == best
+
     def test_noisy_workers_prefer_redundancy(self):
         assert optimal_redundancy(0.3, 0.0, 9) > 1
 
