@@ -15,9 +15,13 @@ and evaluation only (and classic EM for the first of em and weighted-em).
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
-the sweep and `mbem train` alike; each unit reads them and the two test
-files once, checks that they agree, and subsamples floor(N / r)
-examples and r of their annotations.
+the sweep and `mbem train` alike. Each process of a sweep reads them and
+the two test files once and checks that they agree: run_sweep itself at
+jobs=1, and each pool worker as it starts at jobs > 1, so the parent then
+reads nothing. Each unit subsamples floor(N / r) of those examples and r
+of their annotations. A read or check that fails does so in every unit
+by the rule above: a ValueError or RuntimeError fails all the cells, and
+any other error, such as a missing file, aborts the sweep.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ __all__ = [
 ]
 
 SWEEP_COLUMNS = ["method", "r", "n_train", "seed", "test_risk", "train_risk", "error"]
+# The SweepSpec fields of file mode; a spec sets all of them or none.
+FILE_KEYS = ("annotations_file", "features_file", "truth_file",
+             "test_features_file", "test_truth_file")
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,10 @@ class SweepSpec:
         for name in ("methods", "redundancies", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        missing = [key for key in FILE_KEYS if getattr(self, key) is None]
+        if 0 < len(missing) < len(FILE_KEYS):
+            raise ValueError("file mode needs all five input files; missing "
+                             + ", ".join(missing))
 
     @property
     def file_mode(self) -> bool:
@@ -155,21 +166,38 @@ def read_inputs(annotations, features, truth=None):
     return ann, X, y
 
 
-def _cell_data(spec: SweepSpec, r: int, seed: int):
-    """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit."""
-    n_train = spec.budget // r
-    root = RngSeed(seed)
-    if spec.file_mode:
-        ann_all, X_all, y_all = read_inputs(
-            spec.annotations_file, spec.features_file, spec.truth_file)
+def _file_inputs(spec: SweepSpec):
+    """(ann, X, y, X_test, y_test) from spec's five files, read and checked
+    once per sweep process; None in synthetic mode. A ValueError,
+    RuntimeError or OSError that reading raises is returned instead, for
+    each unit to raise: raised in a pool's initializer, it would break
+    the pool and lose its message."""
+    if not spec.file_mode:
+        return None
+    try:
+        ann, X, y = read_inputs(spec.annotations_file, spec.features_file,
+                                spec.truth_file)
         X_test = mbio.read_features(spec.test_features_file)
         y_test = mbio.read_truth(spec.test_truth_file)
         _same("example counts", spec.test_features_file, len(X_test),
               spec.test_truth_file, len(y_test))
-        _same("feature dimensions", spec.features_file, X_all.shape[1],
+        _same("feature dimensions", spec.features_file, X.shape[1],
               spec.test_features_file, X_test.shape[1])
-        _in_classes(spec.test_truth_file, y_test, spec.annotations_file,
-                    ann_all.K)
+        _in_classes(spec.test_truth_file, y_test, spec.annotations_file, ann.K)
+    except (ValueError, RuntimeError, OSError) as exc:
+        return exc
+    return ann, X, y, X_test, y_test
+
+
+def _cell_data(spec: SweepSpec, r: int, seed: int, inputs):
+    """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit;
+    inputs is what _file_inputs gave for spec."""
+    n_train = spec.budget // r
+    root = RngSeed(seed)
+    if spec.file_mode:
+        if isinstance(inputs, Exception):
+            raise inputs
+        ann_all, X_all, y_all, X_test, y_test = inputs
         if n_train > ann_all.n:
             raise ValueError(f"annotation file has only {ann_all.n} examples, "
                              f"cell needs {n_train}")
@@ -215,10 +243,11 @@ def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
         return _failed(spec, method, r, seed, exc, time.perf_counter() - start)
 
 
-def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
+def _run_unit(spec: SweepSpec, r: int, seed: int,
+              inputs) -> list[CellRecord]:
     """One record per method of spec, in spec order, all on one dataset."""
     try:
-        data = _cell_data(spec, r, seed)
+        data = _cell_data(spec, r, seed, inputs)
     except (ValueError, RuntimeError) as exc:
         return [_failed(spec, method, r, seed, exc, 0.0)
                 for method in spec.methods]
@@ -236,12 +265,29 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     rs = [r for r in spec.redundancies for _ in spec.seeds]
     seeds = [seed for _ in spec.redundancies for seed in spec.seeds]
     if jobs <= 1:
-        units = [_run_unit(spec, r, seed) for r, seed in zip(rs, seeds)]
+        inputs = _file_inputs(spec)
+        units = [_run_unit(spec, r, seed, inputs) for r, seed in zip(rs, seeds)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            units = list(pool.map(_run_unit, [spec] * len(rs), rs, seeds))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_load_inputs,
+                                 initargs=(spec,)) as pool:
+            units = list(pool.map(_run_pooled_unit, [spec] * len(rs), rs,
+                                  seeds))
     records = [unit[i] for i in range(len(spec.methods)) for unit in units]
     return SweepResult(records=records, aggregates=aggregate(records))
+
+
+# A pool worker's _file_inputs result. Only _load_inputs, the pool's
+# initializer, sets it, so it lives no longer than the worker process.
+_pooled_inputs = None
+
+
+def _load_inputs(spec: SweepSpec) -> None:
+    global _pooled_inputs
+    _pooled_inputs = _file_inputs(spec)
+
+
+def _run_pooled_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
+    return _run_unit(spec, r, seed, _pooled_inputs)
 
 
 def aggregate(records) -> dict[tuple[str, int], CellAggregate]:
@@ -354,9 +400,5 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
         margin=float(cfg.get("margin", 6.0)),
         seeds=tuple(int(s) for s in cfg["seeds"]),
         mbem=mbem_cfg,
-        annotations_file=cfg.get("annotations_file"),
-        features_file=cfg.get("features_file"),
-        truth_file=cfg.get("truth_file"),
-        test_features_file=cfg.get("test_features_file"),
-        test_truth_file=cfg.get("test_truth_file"),
+        **{key: cfg.get(key) for key in FILE_KEYS},
     )

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 import yaml
 
 from mbem import core, harness, methods
+from mbem import io as mbio
 from mbem.cli import main
 from mbem.learn import LearnerConfig
 from mbem.methods import MbemConfig
@@ -41,9 +44,9 @@ def test_cell_data_runs_once_per_r_and_seed(monkeypatch):
     calls = []
     cell_data = harness._cell_data
 
-    def counted(spec, r, seed):
+    def counted(spec, r, seed, inputs):
         calls.append((r, seed))
-        return cell_data(spec, r, seed)
+        return cell_data(spec, r, seed, inputs)
 
     monkeypatch.setattr(harness, "_cell_data", counted)
     harness.run_sweep(tiny_spec(), jobs=1)
@@ -69,7 +72,7 @@ def file_spec(tmp_path):
     """A tiny file-mode spec over simulated CSVs, and their directory; the
     test files are copies of the training ones."""
     data = tmp_path / "data"
-    assert main(["simulate", "--n", "100", "--m", "5", "--r", "2",
+    assert main(["simulate", "--n", "120", "--m", "5", "--r", "2",
                  "--seed", "3", "--out-dir", str(data)]) == 0
     for name in ("features", "truth"):
         (data / f"test_{name}.csv").write_bytes(
@@ -80,20 +83,31 @@ def file_spec(tmp_path):
     return spec, data
 
 
-def test_file_mode_rejects_features_that_do_not_match_the_truth(tmp_path):
-    spec, data = file_spec(tmp_path)
-    features = data / "features.csv"
-    features.write_text("".join(features.read_text().splitlines(True)[:-1]))
-    records = harness.run_sweep(spec, jobs=1).records
+def drop_last_row(path):
+    path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+
+
+def assert_counts_disagree(records, features):
     assert len(records) == 8
     for rec in records:
         assert "example counts disagree" in rec.error
         assert str(features) in rec.error and "truth.csv" in rec.error
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_file_mode_rejects_features_that_do_not_match_the_truth(tmp_path,
+                                                                jobs):
+    spec, data = file_spec(tmp_path)
+    drop_last_row(data / "features.csv")
+    assert_counts_disagree(harness.run_sweep(spec, jobs=jobs).records,
+                           data / "features.csv")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name,label", [("truth", 2), ("truth", -1),
                                         ("test_truth", 2)])
-def test_file_mode_rejects_a_label_that_is_not_a_class(tmp_path, name, label):
+def test_file_mode_rejects_a_label_that_is_not_a_class(tmp_path, name, label,
+                                                       jobs):
     spec, data = file_spec(tmp_path)
     truth = data / f"{name}.csv"
     lines = truth.read_text().splitlines(True)
@@ -101,8 +115,58 @@ def test_file_mode_rejects_a_label_that_is_not_a_class(tmp_path, name, label):
     want = (f"{truth}: negative label -1" if label < 0 else
             f"{truth} has label 2, but {data / 'annotations.csv'} "
             "has only 2 classes")
-    records = harness.run_sweep(spec, jobs=1).records
+    records = harness.run_sweep(spec, jobs=jobs).records
     assert [rec.error for rec in records] == [f"ValueError: {want}"] * 8
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_file_mode_aborts_on_a_missing_input_file(tmp_path, jobs):
+    # A pool initializer that raised would surface as BrokenProcessPool.
+    spec, data = file_spec(tmp_path)
+    (data / "test_truth.csv").unlink()
+    with pytest.raises(FileNotFoundError,
+                       match=re.escape(str(data / "test_truth.csv"))):
+        harness.run_sweep(spec, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs,reads", [(1, (1, 2, 2)), (2, (0, 0, 0))])
+def test_file_mode_reads_its_inputs_once_per_process(monkeypatch, tmp_path,
+                                                     jobs, reads):
+    # At jobs=2 the pool workers read; these counts are the parent's.
+    calls = {"annotations": 0, "features": 0, "truth": 0}
+    for name in calls:
+        reader = getattr(mbio, f"read_{name}")
+
+        def counted(path, reader=reader, name=name):
+            calls[name] += 1
+            return reader(path)
+
+        monkeypatch.setattr(mbio, f"read_{name}", counted)
+    spec, _ = file_spec(tmp_path)
+    records = harness.run_sweep(spec, jobs=jobs).records
+    assert len(records) == 8 and all(rec.error is None for rec in records)
+    assert tuple(calls.values()) == reads
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_file_mode_rereads_its_inputs_on_every_sweep(tmp_path, jobs):
+    spec, data = file_spec(tmp_path)
+    assert all(rec.error is None
+               for rec in harness.run_sweep(spec, jobs=jobs).records)
+    drop_last_row(data / "features.csv")
+    assert_counts_disagree(harness.run_sweep(spec, jobs=jobs).records,
+                           data / "features.csv")
+
+
+@pytest.mark.parametrize("present,missing", [
+    (["annotations", "features", "test_features", "test_truth"], "truth_file"),
+    (["features"], "annotations_file, truth_file, test_features_file, "
+                   "test_truth_file"),
+])
+def test_spec_rejects_a_partial_file_mode_spec(tmp_path, present, missing):
+    with pytest.raises(ValueError, match=f"; missing {missing}$"):
+        tiny_spec(**{f"{name}_file": str(tmp_path / f"{name}.csv")
+                     for name in present})
 
 
 def test_a_bug_in_fit_propagates_out_of_an_mbem_sweep(monkeypatch):
