@@ -123,6 +123,11 @@ def subsample_redundancy(ann: AnnotationSet, r: int, seed) -> AnnotationSet:
     Supports budget sweeps over a pre-collected annotation file whose
     native redundancy exceeds r. Every example must carry at least r
     annotations.
+
+    The rule: every record draws one 32-bit key from the ("subsample", r)
+    stream of seed, in record order, and each example keeps the r records
+    with the smallest keys (on a repeated key, the earlier record). The
+    kept records stay in their original order.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -132,14 +137,14 @@ def subsample_redundancy(ann: AnnotationSet, r: int, seed) -> AnnotationSet:
         raise ValueError(f"example {short} has fewer than {r} annotations")
     rng = as_seed(seed).child("subsample", r).generator()
 
-    order = np.argsort(ann.example_ids, kind="stable")
-    keep = []
-    start = 0
-    for count in counts:
-        idx = order[start:start + count]
-        keep.append(rng.permutation(idx)[:r])
-        start += count
-    keep = np.sort(np.concatenate(keep))
+    # Exact integer keys, example in the high bits: examples never
+    # interleave, and a stable sort settles repeated draws by record order.
+    keys = (ann.example_ids << 32) | rng.integers(0, 1 << 32, len(ann),
+                                                  dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(len(ann)) - np.repeat(starts, counts)
+    keep = np.sort(order[rank < r])
     return AnnotationSet(n=ann.n, m=ann.m, K=ann.K,
                          example_ids=ann.example_ids[keep],
                          worker_ids=ann.worker_ids[keep],

@@ -6,9 +6,15 @@ import pytest
 from mbem.core import (
     _EMPTY_ROW_MESSAGE,
     CONFUSION_CLAMP,
+    EM_MAX_ITERS,
+    EM_PRIOR_MODE,
+    EM_SMOOTHING,
     AnnotationSet,
     check_confusions,
     check_prior,
+    dawid_skene_update,
+    hard_labels,
+    majority_vote_init,
 )
 from mbem.learn import param_count
 from mbem.seeding import as_seed
@@ -132,6 +138,20 @@ def estimate_add_at(ann, t, smoothing=1.0):
 
     prior = np.bincount(t, minlength=ann.K) / max(ann.n, 1)
     return conf, prior
+
+
+def classic_em_tol_oracle(ann, tol=1e-8):
+    """classic_em as it stood before the repeated-label stop: update on
+    the argmax labels until no posterior entry moves by tol or more."""
+    soft = majority_vote_init(ann)
+    for _ in range(EM_MAX_ITERS):
+        new_soft, conf, prior = dawid_skene_update(ann, hard_labels(soft),
+                                                   EM_SMOOTHING, EM_PRIOR_MODE)
+        delta = np.abs(new_soft - soft).max()
+        soft = new_soft
+        if delta < tol:
+            break
+    return soft, conf, prior
 
 
 def forward_oracle(params, X, kind, K, H):

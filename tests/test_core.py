@@ -18,6 +18,7 @@ from mbem.core import (
 )
 
 from conftest import (
+    classic_em_tol_oracle,
     estimate_add_at,
     estimate_oracle,
     majority_vote_add_at,
@@ -251,6 +252,14 @@ class TestKernelsMatchAddAt:
         ann = LAYOUTS[layout](rng)
         assert_array_equal(majority_vote_init(ann), majority_vote_add_at(ann),
                            strict=True)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_classic_em(self, rng, layout):
+        # stopping on repeated labels saves the last update of the
+        # tolerance loop, which could only reproduce the one before it
+        ann = LAYOUTS[layout](rng)
+        for a, b in zip(classic_em(ann), classic_em_tol_oracle(ann)):
+            assert_array_equal(a, b, strict=True)
 
     def test_classic_em_builds_the_record_index_once(self, rng, monkeypatch):
         ann = random_instance(rng, 50, 5, 3, 4)

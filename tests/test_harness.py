@@ -17,8 +17,9 @@ def tiny_spec(**extra):
     return harness.spec_from_dict({**cfg, **extra})
 
 
-def test_records_and_sweep_csv_do_not_depend_on_jobs(tmp_path):
-    spec = tiny_spec()
+def sweep_csv_at_jobs_1_and_2(spec, out_dir):
+    """The sweep.csv bytes of spec's sweep at jobs=1 and at jobs=2, each
+    checked to hold every cell in spec order, with no error."""
     outputs = []
     for jobs in (1, 2):
         result = harness.run_sweep(spec, jobs=jobs)
@@ -26,9 +27,14 @@ def test_records_and_sweep_csv_do_not_depend_on_jobs(tmp_path):
             (method, r, seed) for method in spec.methods
             for r in spec.redundancies for seed in spec.seeds]
         assert all(rec.error is None for rec in result.records)
-        harness.emit_report(result, tmp_path / str(jobs))
-        outputs.append((tmp_path / str(jobs) / "sweep.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+        harness.emit_report(result, out_dir / str(jobs))
+        outputs.append((out_dir / str(jobs) / "sweep.csv").read_bytes())
+    return outputs
+
+
+def test_records_and_sweep_csv_do_not_depend_on_jobs(tmp_path):
+    first, second = sweep_csv_at_jobs_1_and_2(tiny_spec(), tmp_path)
+    assert first == second
 
 
 def test_error_text_round_trips_through_sweep_csv(tmp_path):
@@ -92,6 +98,13 @@ def assert_counts_disagree(records, features):
     for rec in records:
         assert "example counts disagree" in rec.error
         assert str(features) in rec.error and "truth.csv" in rec.error
+
+
+def test_file_mode_sweep_csv_does_not_depend_on_jobs(tmp_path):
+    # r=1 subsamples one of the file's two labels per example
+    spec, _ = file_spec(tmp_path)
+    first, second = sweep_csv_at_jobs_1_and_2(spec, tmp_path / "out")
+    assert first == second
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -166,3 +166,47 @@ class TestSubsample:
         a = subsample_redundancy(ann, 3, seed=RngSeed(1))
         b = subsample_redundancy(ann, 3, seed=RngSeed(1))
         assert records(a) == records(b)
+
+    @pytest.mark.parametrize("low,r", [(1, 1), (3, 1), (3, 2), (3, 3)])
+    def test_mixed_redundancy_keeps_r_distinct_records(self, rng, low, r):
+        counts = rng.integers(low, 7, size=40)
+        counts[:2] = low, 6
+        example_ids = rng.permutation(np.repeat(np.arange(40), counts))
+        # worker id = record index, so each kept record names its original
+        ann = AnnotationSet(n=40, m=example_ids.size, K=2,
+                            example_ids=example_ids,
+                            worker_ids=np.arange(example_ids.size),
+                            labels=example_ids % 2)
+        sub = subsample_redundancy(ann, r, seed=RngSeed(5))
+        assert_array_equal(sub.redundancy_counts(), np.full(40, r))
+        kept = sub.worker_ids
+        assert np.unique(kept).size == kept.size
+        assert_array_equal(ann.example_ids[kept], sub.example_ids)
+        assert_array_equal(np.diff(kept) > 0, True)   # original order
+
+    def test_r_equal_to_every_count_returns_the_input(self, rng):
+        workers = rng.integers(0, 6, size=(10, 4))
+        ann = AnnotationSet.from_tables(workers, workers % 3, m=6, K=3)
+        p = rng.permutation(len(ann))
+        shuffled = AnnotationSet(n=10, m=6, K=3,
+                                 example_ids=ann.example_ids[p],
+                                 worker_ids=ann.worker_ids[p],
+                                 labels=ann.labels[p])
+        for full in (ann, shuffled):
+            sub = subsample_redundancy(full, 4, seed=RngSeed(2))
+            assert records(sub) == records(full)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_each_record_is_kept_with_probability_r_over_count(self, r):
+        counts = np.array([2, 3, 4, 6])
+        example_ids = np.random.default_rng(3).permutation(
+            np.repeat(np.arange(4), counts))
+        ann = AnnotationSet(n=4, m=15, K=2, example_ids=example_ids,
+                            worker_ids=np.arange(15), labels=np.zeros(15))
+        draws = 4000
+        kept = np.zeros(15)
+        for seed in range(draws):
+            kept[subsample_redundancy(ann, r, seed=RngSeed(seed)).worker_ids] += 1
+        p = r / counts[example_ids]
+        se = np.sqrt(p * (1 - p) / draws)
+        assert np.all(np.abs(kept / draws - p) <= 5 * se)
