@@ -16,8 +16,8 @@ from .harness import emit_report, read_inputs, run_sweep, spec_from_dict
 from .learn import LearnerConfig
 from .methods import METHODS, MbemConfig, config_from, train_method
 from .seeding import RngSeed
-from .simulate import SKILL_KINDS, WorkerSkillModel, assign_workers, \
-    corrupt_labels, make_synthetic_dataset, sample_worker_pool
+from .simulate import MARGIN, SKILL_KINDS, WorkerSkillModel, \
+    assign_workers, corrupt_labels, make_synthetic_dataset, sample_worker_pool
 from .theory import beta_eps_closed_form, bound_factor, optimal_redundancy
 
 LEARNER_FLAGS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_mlp"}
@@ -69,17 +69,13 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        ann, features, truth = read_inputs(args.annotations, args.features,
-                                           args.truth)
-        oracle = (mbio.read_confusions(args.worker_confusions)
-                  if args.worker_confusions else None)
-        result = train_method(args.method, features, ann, _config(args),
-                              RngSeed(args.seed), truth=truth,
-                              oracle_confusions=oracle)
-    except (ValueError, RuntimeError) as exc:
-        raise SystemExit(f"mbem train --method {args.method}: {exc}")
-
+    ann, features, truth = read_inputs(args.annotations, args.features,
+                                       args.truth)
+    oracle = (mbio.read_confusions(args.worker_confusions)
+              if args.worker_confusions else None)
+    result = train_method(args.method, features, ann, _config(args),
+                          RngSeed(args.seed), truth=truth,
+                          oracle_confusions=oracle)
     mbio.save_model(out, result.model)
     if result.soft is not None:
         mbio.write_soft_labels(out / "posteriors.csv", result.soft)
@@ -90,19 +86,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.grid_step:
+    if args.grid_step is not None:
+        if args.grid_step <= 0:
+            raise ValueError("--grid-step must be positive")
         steps = int(round(args.rho / args.grid_step))
         rhos = [i * args.grid_step for i in range(steps + 1)]
     else:
         rhos = [args.rho]
-    print("rho,r,beta,factor,is_optimal")
+    # The table prints only once every row is computed, so a bad value
+    # exits with nothing on stdout.
+    lines = ["rho,r,beta,factor,is_optimal"]
     for rho in rhos:
         best = optimal_redundancy(rho, args.epsilon, args.r_max)
         for r in range(1, args.r_max + 1):
             beta = beta_eps_closed_form(rho, args.epsilon, r)
             factor = bound_factor(rho, args.epsilon, r)
-            print(f"{rho:.6g},{r},{beta:.12g},{factor:.12g},"
-                  f"{1 if r == best else 0}")
+            lines.append(f"{rho:.6g},{r},{beta:.12g},{factor:.12g},"
+                         f"{1 if r == best else 0}")
+    print("\n".join(lines))
     return 0
 
 
@@ -112,12 +113,9 @@ def cmd_sweep(args) -> int:
         cfg = json.load(fh) if path.suffix == ".json" else yaml.safe_load(fh)
     if args.budget is not None:
         cfg["budget"] = args.budget
-    if args.seeds:
-        cfg["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if args.redundancies:
-        cfg["redundancies"] = [int(r) for r in args.redundancies.split(",")]
-    if args.methods:
-        cfg["methods"] = args.methods.split(",")
+    for key in ("seeds", "redundancies", "methods"):
+        if getattr(args, key):
+            cfg[key] = getattr(args, key).split(",")
     spec = spec_from_dict(cfg)
     result = run_sweep(spec, jobs=args.jobs)
     emit_report(result, args.out_dir)
@@ -139,11 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic crowdsourced dataset")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--feature-dim", type=int, default=4)
-    p.add_argument("--margin", type=float, default=6.0)
-    p.add_argument("--skill", choices=SKILL_KINDS, default="hammer_spammer")
-    p.add_argument("--gamma", type=float, default=0.2)
+    p.add_argument("--classes", type=int, default=WorkerSkillModel.K)
+    p.add_argument("--feature-dim", type=int, default=None,
+                   help="default: twice --classes")
+    p.add_argument("--margin", type=float, default=MARGIN)
+    p.add_argument("--skill", choices=SKILL_KINDS, default=WorkerSkillModel.kind)
+    p.add_argument("--gamma", type=float, default=WorkerSkillModel.gamma)
     p.add_argument("--m", type=int, default=20)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -190,8 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Bad input (ValueError) or a diverging learner
+    (RuntimeError) exits with a message naming the subcommand, and
+    train's method; any other exception propagates."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError) as exc:
+        where = f" --method {args.method}" if args.command == "train" else ""
+        raise SystemExit(f"mbem {args.command}{where}: {exc}")
 
 
 if __name__ == "__main__":

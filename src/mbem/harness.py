@@ -39,7 +39,7 @@ from .core import AnnotationSet
 from .learn import LearnerConfig, zero_one_risk
 from .methods import METHODS, MbemConfig, config_from, train_method
 from .seeding import RngSeed
-from .simulate import WorkerSkillModel, assign_workers, corrupt_labels, \
+from .simulate import MARGIN, WorkerSkillModel, assign_workers, corrupt_labels, \
     make_synthetic_dataset, sample_worker_pool, subsample_redundancy
 
 __all__ = [
@@ -59,6 +59,11 @@ SWEEP_COLUMNS = ["method", "r", "n_train", "seed", "test_risk", "train_risk", "e
 # The SweepSpec fields of file mode; a spec sets all of them or none.
 FILE_KEYS = ("annotations_file", "features_file", "truth_file",
              "test_features_file", "test_truth_file")
+# The top-level keys of a sweep config: the required ones, then the rest.
+REQUIRED_KEYS = ("budget", "redundancies", "methods", "seeds")
+CONFIG_KEYS = REQUIRED_KEYS + (
+    "classes", "m", "n_test", "feature_dim", "margin", "worker_model",
+    "rounds", "prior", "smoothing", "learner") + FILE_KEYS
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class SweepSpec:
     skill: WorkerSkillModel
     m: int
     n_test: int
-    d: int
+    d: int | None          # None: make_synthetic_dataset's default
     margin: float
     seeds: tuple[int, ...]
     mbem: MbemConfig = field(default_factory=MbemConfig)
@@ -81,9 +86,6 @@ class SweepSpec:
     test_truth_file: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "redundancies", tuple(self.redundancies))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
@@ -91,8 +93,12 @@ class SweepSpec:
             if r < 1 or self.budget // r < 1:
                 raise ValueError(f"budget {self.budget} cannot fund redundancy {r}")
         for name in ("methods", "redundancies", "seeds"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{name} repeats {repeats[0]!r}")
         missing = [key for key in FILE_KEYS if getattr(self, key) is None]
         if 0 < len(missing) < len(FILE_KEYS):
             raise ValueError("file mode needs all five input files; missing "
@@ -363,23 +369,39 @@ def read_sweep_csv(path) -> list[CellRecord]:
                 in rows]
 
 
+def _listed(cfg: dict, key: str, kind) -> tuple:
+    """cfg[key], a list, as a tuple of kind; ValueError, naming key, if it
+    is not a list."""
+    values = cfg[key]
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {values!r}")
+    return tuple(kind(value) for value in values)
+
+
 def spec_from_dict(cfg: dict) -> SweepSpec:
     """Build a SweepSpec from a parsed config mapping.
 
     Required keys: budget, redundancies, methods (from methods.METHODS),
-    seeds. Optional keys: classes (2), m (100), n_test (4000),
-    feature_dim (2 * classes), margin (6.0), worker_model {kind
-    ("hammer_spammer"), gamma (0.2)}; rounds, prior and smoothing for
-    MbemConfig and learner {kind, l2_penalty, learning_rate, epochs,
-    batch_size, hidden_units, init_scale} for LearnerConfig, coerced to
-    the fields' types and defaulting to the dataclass defaults; and for
-    file mode annotations_file, features_file, truth_file,
-    test_features_file and test_truth_file.
+    seeds; each list holds distinct values. Optional keys: classes, m
+    (100), n_test (4000), feature_dim, margin, worker_model {kind,
+    gamma}; rounds, prior and smoothing for MbemConfig; learner {kind,
+    l2_penalty, learning_rate, epochs, batch_size, hidden_units,
+    init_scale} for LearnerConfig; and for file mode annotations_file,
+    features_file, truth_file, test_features_file and test_truth_file.
+    The scenario defaults come from the simulate module: classes, kind
+    and gamma from WorkerSkillModel, margin from simulate.MARGIN, and
+    feature_dim is 2 * classes. Values are coerced to their fields'
+    types. A key outside CONFIG_KEYS, a missing required key, and an
+    unknown worker_model or learner key each raise ValueError naming it.
     """
-    skill_cfg = cfg.get("worker_model", {})
-    skill = WorkerSkillModel(kind=skill_cfg.get("kind", "hammer_spammer"),
-                             gamma=float(skill_cfg.get("gamma", 0.2)),
-                             K=int(cfg.get("classes", 2)))
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown sweep config key(s) {unknown}")
+    missing = [key for key in REQUIRED_KEYS if key not in cfg]
+    if missing:
+        raise ValueError(f"sweep config lacks {', '.join(missing)}")
+    skill = config_from(WorkerSkillModel, cfg.get("worker_model", {}),
+                        K=int(cfg.get("classes", WorkerSkillModel.K)))
     learner = dict(cfg.get("learner", {}))
     if "kind" in learner:
         learner["learner_kind"] = learner.pop("kind")
@@ -389,16 +411,17 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
         mbem["prior_mode"] = mbem.pop("prior")
     mbem_cfg = config_from(MbemConfig, mbem,
                            learner=config_from(LearnerConfig, learner))
+    d = cfg.get("feature_dim")
     return SweepSpec(
         budget=int(cfg["budget"]),
-        redundancies=tuple(int(r) for r in cfg["redundancies"]),
-        methods=tuple(cfg["methods"]),
+        redundancies=_listed(cfg, "redundancies", int),
+        methods=_listed(cfg, "methods", str),
         skill=skill,
         m=int(cfg.get("m", 100)),
         n_test=int(cfg.get("n_test", 4000)),
-        d=int(cfg.get("feature_dim", 2 * skill.K)),
-        margin=float(cfg.get("margin", 6.0)),
-        seeds=tuple(int(s) for s in cfg["seeds"]),
+        d=None if d is None else int(d),
+        margin=float(cfg.get("margin", MARGIN)),
+        seeds=_listed(cfg, "seeds", int),
         mbem=mbem_cfg,
         **{key: cfg.get(key) for key in FILE_KEYS},
     )

@@ -69,14 +69,14 @@ class MbemConfig:
 
 
 def config_from(cls, values: Mapping, **given):
-    """A MbemConfig or LearnerConfig from the field values given, coerced
-    to the fields' types; omitted fields keep their defaults."""
+    """A config dataclass from values, coerced to the fields' types, and
+    the fields in given, which values may not set; omitted fields default."""
     # Each field with a plain default takes that default's type.
     types = {f.name: type(f.default) for f in fields(cls)
-             if f.default is not MISSING}
+             if f.default is not MISSING and f.name not in given}
     unknown = sorted(set(values) - set(types))
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} field(s) {unknown}")
+        raise ValueError(f"{cls.__name__} cannot take field(s) {unknown}")
     return cls(**{k: types[k](v) for k, v in values.items()}, **given)
 
 

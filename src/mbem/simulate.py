@@ -31,15 +31,18 @@ __all__ = [
 ]
 
 SKILL_KINDS = ("hammer_spammer", "classwise_hammer_spammer")
+# With WorkerSkillModel's defaults and d=None, the default scenario of
+# both `mbem simulate` and `mbem sweep`.
+MARGIN = 6.0
 
 
 @dataclass(frozen=True)
 class WorkerSkillModel:
     """Distribution over worker confusion matrices."""
 
-    kind: str
-    gamma: float
-    K: int
+    kind: str = "hammer_spammer"
+    gamma: float = 0.2
+    K: int = 2
 
     def __post_init__(self):
         if self.kind not in SKILL_KINDS:
@@ -99,12 +102,13 @@ def corrupt_labels(truth: np.ndarray, assignment: np.ndarray,
     return AnnotationSet.from_tables(assignment, labels, m=m, K=K)
 
 
-def make_synthetic_dataset(n: int, K: int, d: int, margin: float, seed):
+def make_synthetic_dataset(n: int, K: int, d: int | None, margin: float, seed):
     """Class-balanced features/labels: scaled one-hot centroids plus unit noise.
 
-    Returns (features (n, d) float array, truth (n,) int array). Class
-    counts differ by at most one. margin=0 removes all class signal.
+    Returns (features (n, d) float array, truth (n,) int array); d=None
+    means 2 * K. Class counts differ by at most one. margin=0 gives pure noise.
     """
+    d = 2 * K if d is None else d
     if d < K:
         raise ValueError("feature dimension must be at least the class count")
     if n < 1:

@@ -9,10 +9,10 @@ import yaml
 from mbem import io as mbio
 from mbem.cli import LEARNER_FLAGS, build_parser, main
 from mbem.core import PRIOR_MODES
-from mbem.harness import read_sweep_csv
+from mbem.harness import _cell_data, read_sweep_csv, spec_from_dict
 from mbem.learn import LEARNER_KINDS
 from mbem.methods import METHODS
-from mbem.simulate import SKILL_KINDS
+from mbem.simulate import MARGIN, SKILL_KINDS, WorkerSkillModel
 
 
 @pytest.fixture
@@ -23,6 +23,27 @@ def simulated(tmp_path):
                  "2", "--seed", "3", "--out-dir", str(out)])
     assert code == 0
     return out
+
+
+MINIMAL_SWEEP = {"budget": 100, "redundancies": [1], "methods": ["mv"],
+                 "seeds": [0]}
+
+
+def test_simulate_defaults_are_a_minimal_sweeps_scenario():
+    args = build_parser().parse_args(["simulate", "--out-dir", "x"])
+    spec = spec_from_dict(MINIMAL_SWEEP)
+    assert spec.skill == WorkerSkillModel() == WorkerSkillModel(
+        kind=args.skill, gamma=args.gamma, K=args.classes)
+    assert spec.margin == args.margin == MARGIN
+
+
+def test_simulate_and_sweep_share_the_default_feature_dimension(tmp_path):
+    assert main(["simulate", "--classes", "5", "--n", "20", "--m", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    features = mbio.read_features(tmp_path / "features.csv")
+    spec = spec_from_dict({**MINIMAL_SWEEP, "classes": 5})
+    X = _cell_data(spec, 1, 0, None)[0]
+    assert features.shape[1] == X.shape[1] == 10
 
 
 def test_simulate_outputs_are_consistent(simulated):
@@ -193,6 +214,29 @@ def test_bound_grid(capsys):
                  "--r-max", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 + 3 * 2   # three rho values, two r each
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--classes", "1"], "need at least two classes"),
+    (["bound", "--rho", "0.6"], "need 0 <= rho < 0.5 and epsilon >= 0"),
+    (["bound", "--rho", "0.1", "--r-max", "0"], "r_max must be at least 1"),
+    (["bound", "--rho", "0.1", "--grid-step", "-0.1"],
+     "--grid-step must be positive"),
+    (["bound", "--rho", "0.1", "--grid-step", "0"],
+     "--grid-step must be positive"),
+    (["sweep", "--methods", "mvx"], "unknown method 'mvx'"),
+])
+def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
+                                                     message):
+    if argv[0] != "bound":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    if argv[0] == "sweep":
+        sweep_config("yaml", tmp_path / "sweep.yaml")
+        argv = argv + ["--config", str(tmp_path / "sweep.yaml")]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == f"mbem {argv[0]}: {message}"
+    assert capsys.readouterr().out == ""
 
 
 def sweep_config(fmt, path):

@@ -8,13 +8,18 @@ from mbem import io as mbio
 from mbem.cli import main
 from mbem.learn import LearnerConfig
 from mbem.methods import MbemConfig
+from mbem.simulate import WorkerSkillModel
 
 
-def tiny_spec(**extra):
+def tiny_config(**extra):
     cfg = {"budget": 120, "redundancies": [1, 2], "methods": ["mv", "mbem"],
            "classes": 2, "m": 5, "n_test": 50, "feature_dim": 4,
            "seeds": [0, 1], "learner": {"epochs": 10}}
-    return harness.spec_from_dict({**cfg, **extra})
+    return {**cfg, **extra}
+
+
+def tiny_spec(**extra):
+    return harness.spec_from_dict(tiny_config(**extra))
 
 
 def sweep_csv_at_jobs_1_and_2(spec, out_dir):
@@ -204,9 +209,12 @@ def test_spec_from_dict_reads_the_prior_key():
 
 def test_spec_from_dict_coerces_yaml_strings():
     spec = tiny_spec(learner=yaml.safe_load("l2_penalty: 1e-4\nepochs: 7"),
-                     smoothing="0.5")
+                     smoothing="0.5", worker_model={"gamma": "0.9"},
+                     seeds=["0", "1"])
     assert spec.mbem.learner == LearnerConfig(l2_penalty=1e-4, epochs=7)
     assert spec.mbem.smoothing == 0.5
+    assert spec.skill == WorkerSkillModel(gamma=0.9)
+    assert spec.seeds == (0, 1)
 
 
 @pytest.mark.parametrize("key", ["methods", "redundancies", "seeds"])
@@ -218,6 +226,40 @@ def test_spec_rejects_an_empty_list(key):
 def test_spec_from_dict_rejects_an_unknown_learner_key():
     with pytest.raises(ValueError, match="epoch_count"):
         tiny_spec(learner={"epoch_count": 10})
+
+
+@pytest.mark.parametrize("key,values,repeat", [
+    ("seeds", [0, 1, 0], "0"),
+    ("redundancies", [1, 2, 2], "2"),
+    ("methods", ["mv", "mbem", "mv"], "'mv'"),
+])
+def test_spec_rejects_a_repeated_list_entry(key, values, repeat):
+    # A repeated seed would count as one more seed in aggregate.csv.
+    with pytest.raises(ValueError, match=f"^{key} repeats {repeat}$"):
+        tiny_spec(**{key: values})
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"n_tset": 10}, "unknown sweep config key(s) ['n_tset']"),
+    ({"classess": 4}, "unknown sweep config key(s) ['classess']"),
+    ({"seeds": None}, "sweep config lacks seeds"),
+    ({"seeds": 0}, "seeds must be a list, got 0"),
+])
+def test_spec_from_dict_names_a_bad_top_level_key(edit, message):
+    # None drops the key.
+    cfg = {key: value for key, value in tiny_config(**edit).items()
+           if value is not None}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.spec_from_dict(cfg)
+
+
+@pytest.mark.parametrize("worker_model,key", [({"gama": 0.9}, "gama"),
+                                              ({"K": 3}, "K")])
+def test_spec_from_dict_rejects_a_worker_model_key_it_does_not_take(
+        worker_model, key):
+    # K comes from the top-level classes key only.
+    with pytest.raises(ValueError, match=re.escape(f"['{key}']")):
+        tiny_spec(worker_model=worker_model)
 
 
 def test_em_and_weighted_em_share_one_classic_em_per_unit(monkeypatch,
