@@ -110,7 +110,14 @@ def cmd_bound(args) -> int:
 def cmd_sweep(args) -> int:
     path = Path(args.config)
     with open(path) as fh:
-        cfg = json.load(fh) if path.suffix == ".json" else yaml.safe_load(fh)
+        try:
+            cfg = (json.load(fh) if path.suffix == ".json"
+                   else yaml.safe_load(fh))
+        except (ValueError, yaml.YAMLError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a sweep config must be a mapping, "
+                         f"got {cfg!r}")
     if args.budget is not None:
         cfg["budget"] = args.budget
     for key in ("seeds", "redundancies", "methods"):
@@ -178,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="YAML or JSON sweep spec (keys: harness.spec_from_dict)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per (r, seed) unit; "
+                        "1 runs the sweep in-process")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seeds", default=None, help="comma-separated override")
     p.add_argument("--redundancies", default=None,

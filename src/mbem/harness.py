@@ -16,18 +16,22 @@ and evaluation only (and classic EM for the first of em and weighted-em).
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
 the sweep and `mbem train` alike. Each process of a sweep reads them and
-the two test files once and checks that they agree: run_sweep itself at
-jobs=1, and each pool worker as it starts at jobs > 1, so the parent then
-reads nothing. Each unit subsamples floor(N / r) of those examples and r
-of their annotations. A read or check that fails does so in every unit
-by the rule above: a ValueError or RuntimeError fails all the cells, and
-any other error, such as a missing file, aborts the sweep.
+the two test files on the first unit it runs, checks that they agree, and
+keeps them for its later units: run_sweep itself at jobs=1, and each pool
+worker at jobs > 1, so the parent then reads nothing and a worker that
+gets no unit reads nothing. Each unit subsamples floor(N / r) of those
+examples and r of their annotations. A read or check that fails does so
+in its unit by the rule above: a ValueError or RuntimeError fails the
+unit's cells, and the next unit reads the files again; any other error,
+such as a missing file, aborts the sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +41,7 @@ import numpy as np
 from . import io as mbio
 from .core import AnnotationSet
 from .learn import LearnerConfig, zero_one_risk
-from .methods import METHODS, MbemConfig, config_from, train_method
+from .methods import METHODS, MbemConfig, coerce, config_from, train_method
 from .seeding import RngSeed
 from .simulate import MARGIN, WorkerSkillModel, assign_workers, corrupt_labels, \
     make_synthetic_dataset, sample_worker_pool, subsample_redundancy
@@ -108,6 +112,11 @@ class SweepSpec:
     def file_mode(self) -> bool:
         return self.annotations_file is not None
 
+    @property
+    def input_files(self) -> tuple:
+        """The five file-mode paths, in FILE_KEYS order."""
+        return tuple(getattr(self, key) for key in FILE_KEYS)
+
 
 @dataclass
 class CellRecord:
@@ -172,38 +181,27 @@ def read_inputs(annotations, features, truth=None):
     return ann, X, y
 
 
-def _file_inputs(spec: SweepSpec):
-    """(ann, X, y, X_test, y_test) from spec's five files, read and checked
-    once per sweep process; None in synthetic mode. A ValueError,
-    RuntimeError or OSError that reading raises is returned instead, for
-    each unit to raise: raised in a pool's initializer, it would break
-    the pool and lose its message."""
-    if not spec.file_mode:
-        return None
-    try:
-        ann, X, y = read_inputs(spec.annotations_file, spec.features_file,
-                                spec.truth_file)
-        X_test = mbio.read_features(spec.test_features_file)
-        y_test = mbio.read_truth(spec.test_truth_file)
-        _same("example counts", spec.test_features_file, len(X_test),
-              spec.test_truth_file, len(y_test))
-        _same("feature dimensions", spec.features_file, X.shape[1],
-              spec.test_features_file, X_test.shape[1])
-        _in_classes(spec.test_truth_file, y_test, spec.annotations_file, ann.K)
-    except (ValueError, RuntimeError, OSError) as exc:
-        return exc
+def _file_inputs(annotations, features, truth, test_features, test_truth):
+    """(ann, X, y, X_test, y_test) from a spec's input_files, read and
+    checked."""
+    ann, X, y = read_inputs(annotations, features, truth)
+    X_test = mbio.read_features(test_features)
+    y_test = mbio.read_truth(test_truth)
+    _same("example counts", test_features, len(X_test), test_truth,
+          len(y_test))
+    _same("feature dimensions", features, X.shape[1], test_features,
+          X_test.shape[1])
+    _in_classes(test_truth, y_test, annotations, ann.K)
     return ann, X, y, X_test, y_test
 
 
 def _cell_data(spec: SweepSpec, r: int, seed: int, inputs):
     """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit;
-    inputs is what _file_inputs gave for spec."""
+    in file mode, inputs() gives _file_inputs(*spec.input_files)."""
     n_train = spec.budget // r
     root = RngSeed(seed)
     if spec.file_mode:
-        if isinstance(inputs, Exception):
-            raise inputs
-        ann_all, X_all, y_all, X_test, y_test = inputs
+        ann_all, X_all, y_all, X_test, y_test = inputs()
         if n_train > ann_all.n:
             raise ValueError(f"annotation file has only {ann_all.n} examples, "
                              f"cell needs {n_train}")
@@ -264,36 +262,38 @@ def _run_unit(spec: SweepSpec, r: int, seed: int,
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run every (method, r, seed) cell and aggregate over seeds.
 
-    Each (r, seed) unit runs in a worker process when jobs > 1; the
-    record order (method, then r, then seed, and therefore the emitted
-    files) is fixed by the spec, not by completion order.
+    jobs=1 runs every (r, seed) unit in this process. jobs > 1 deals the
+    units one at a time to a pool of min(jobs, units) worker processes.
+    In file mode each process reads the input files on its first unit
+    (see the module docstring). The record order (method, then r, then
+    seed, and therefore the emitted files) is fixed by the spec, not by
+    completion order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     rs = [r for r in spec.redundancies for _ in spec.seeds]
     seeds = [seed for _ in spec.redundancies for seed in spec.seeds]
-    if jobs <= 1:
-        inputs = _file_inputs(spec)
+    if jobs == 1:
+        inputs = functools.cache(functools.partial(_file_inputs,
+                                                   *spec.input_files))
         units = [_run_unit(spec, r, seed, inputs) for r, seed in zip(rs, seeds)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_load_inputs,
-                                 initargs=(spec,)) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(rs))) as pool:
             units = list(pool.map(_run_pooled_unit, [spec] * len(rs), rs,
                                   seeds))
     records = [unit[i] for i in range(len(spec.methods)) for unit in units]
     return SweepResult(records=records, aggregates=aggregate(records))
 
 
-# A pool worker's _file_inputs result. Only _load_inputs, the pool's
-# initializer, sets it, so it lives no longer than the worker process.
-_pooled_inputs = None
-
-
-def _load_inputs(spec: SweepSpec) -> None:
-    global _pooled_inputs
-    _pooled_inputs = _file_inputs(spec)
+# A pool worker's file-mode inputs, keyed by the five paths and read on
+# its first unit; the cache ends with the worker process. The parent
+# process never calls it.
+_pooled_inputs = functools.cache(_file_inputs)
 
 
 def _run_pooled_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
-    return _run_unit(spec, r, seed, _pooled_inputs)
+    return _run_unit(spec, r, seed,
+                     functools.partial(_pooled_inputs, *spec.input_files))
 
 
 def aggregate(records) -> dict[tuple[str, int], CellAggregate]:
@@ -371,11 +371,20 @@ def read_sweep_csv(path) -> list[CellRecord]:
 
 def _listed(cfg: dict, key: str, kind) -> tuple:
     """cfg[key], a list, as a tuple of kind; ValueError, naming key, if it
-    is not a list."""
+    is not a list or an entry cannot be read as kind."""
     values = cfg[key]
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {values!r}")
-    return tuple(kind(value) for value in values)
+    return tuple(coerce(kind, value, key) for value in values)
+
+
+def _block(cfg: dict, key: str) -> dict:
+    """cfg[key], a mapping, as a dict, {} if absent; ValueError, naming
+    key, if it is not a mapping."""
+    block = cfg.get(key, {})
+    if not isinstance(block, Mapping):
+        raise ValueError(f"{key} must be a mapping, got {block!r}")
+    return dict(block)
 
 
 def spec_from_dict(cfg: dict) -> SweepSpec:
@@ -388,21 +397,30 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     l2_penalty, learning_rate, epochs, batch_size, hidden_units,
     init_scale} for LearnerConfig; and for file mode annotations_file,
     features_file, truth_file, test_features_file and test_truth_file.
+    A null value, such as an empty YAML block, counts as absent.
     The scenario defaults come from the simulate module: classes, kind
     and gamma from WorkerSkillModel, margin from simulate.MARGIN, and
     feature_dim is 2 * classes. Values are coerced to their fields'
-    types. A key outside CONFIG_KEYS, a missing required key, and an
-    unknown worker_model or learner key each raise ValueError naming it.
+    types, an integer only from an integral value. A key outside
+    CONFIG_KEYS, a missing required key, an unknown worker_model or
+    learner key, a block that is not a mapping and a value that cannot
+    take its type each raise ValueError naming it.
     """
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown sweep config key(s) {unknown}")
     missing = [key for key in REQUIRED_KEYS if key not in cfg]
     if missing:
         raise ValueError(f"sweep config lacks {', '.join(missing)}")
-    skill = config_from(WorkerSkillModel, cfg.get("worker_model", {}),
-                        K=int(cfg.get("classes", WorkerSkillModel.K)))
-    learner = dict(cfg.get("learner", {}))
+
+    def scalar(kind, key, default=None):
+        return coerce(kind, cfg[key], key) if key in cfg else default
+
+    skill = config_from(WorkerSkillModel, _block(cfg, "worker_model"),
+                        "worker_model.",
+                        K=scalar(int, "classes", WorkerSkillModel.K))
+    learner = _block(cfg, "learner")
     if "kind" in learner:
         learner["learner_kind"] = learner.pop("kind")
     mbem = {key: cfg[key] for key in ("rounds", "prior", "smoothing")
@@ -410,17 +428,17 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     if "prior" in mbem:
         mbem["prior_mode"] = mbem.pop("prior")
     mbem_cfg = config_from(MbemConfig, mbem,
-                           learner=config_from(LearnerConfig, learner))
-    d = cfg.get("feature_dim")
+                           learner=config_from(LearnerConfig, learner,
+                                               "learner."))
     return SweepSpec(
-        budget=int(cfg["budget"]),
+        budget=scalar(int, "budget"),
         redundancies=_listed(cfg, "redundancies", int),
         methods=_listed(cfg, "methods", str),
         skill=skill,
-        m=int(cfg.get("m", 100)),
-        n_test=int(cfg.get("n_test", 4000)),
-        d=None if d is None else int(d),
-        margin=float(cfg.get("margin", MARGIN)),
+        m=scalar(int, "m", 100),
+        n_test=scalar(int, "n_test", 4000),
+        d=scalar(int, "feature_dim"),
+        margin=scalar(float, "margin", MARGIN),
         seeds=_listed(cfg, "seeds", int),
         mbem=mbem_cfg,
         **{key: cfg.get(key) for key in FILE_KEYS},

@@ -225,6 +225,9 @@ def test_bound_grid(capsys):
     (["bound", "--rho", "0.1", "--grid-step", "0"],
      "--grid-step must be positive"),
     (["sweep", "--methods", "mvx"], "unknown method 'mvx'"),
+    (["sweep", "--seeds", "a"], "seeds: cannot read 'a' as int"),
+    (["sweep", "--jobs", "0"], "jobs must be at least 1, got 0"),
+    (["sweep", "--jobs", "-2"], "jobs must be at least 1, got -2"),
 ])
 def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
                                                      message):
@@ -237,6 +240,23 @@ def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
         main(argv)
     assert exit_.value.code == f"mbem {argv[0]}: {message}"
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("sweep.yaml", "budget: 400\nredundancies: [1\n",
+     "while parsing a flow sequence"),
+    ("sweep.json", '{"budget": }', "Expecting value: line 1 column 12"),
+    ("sweep.yaml", "", "a sweep config must be a mapping, got None"),
+    ("sweep.yaml", "- 400\n", "a sweep config must be a mapping, got [400]"),
+], ids=["yaml-syntax", "json-syntax", "empty", "list"])
+def test_sweep_names_a_config_file_it_cannot_read(tmp_path, name, text,
+                                                  message):
+    config = tmp_path / name
+    config.write_text(text)
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--config", str(config), "--out-dir",
+              str(tmp_path / "out")])
+    assert exit_.value.code.startswith(f"mbem sweep: {config}: {message}")
 
 
 def sweep_config(fmt, path):

@@ -1,3 +1,6 @@
+import dataclasses
+import multiprocessing
+import os
 import re
 
 import pytest
@@ -22,11 +25,12 @@ def tiny_spec(**extra):
     return harness.spec_from_dict(tiny_config(**extra))
 
 
-def sweep_csv_at_jobs_1_and_2(spec, out_dir):
-    """The sweep.csv bytes of spec's sweep at jobs=1 and at jobs=2, each
-    checked to hold every cell in spec order, with no error."""
+def sweep_csv_at_jobs_1_and_2(spec, out_dir, jobs_counts=(1, 2)):
+    """The sweep.csv bytes of spec's sweep at each of jobs_counts (jobs=1
+    and jobs=2 unless given), each checked to hold every cell in spec
+    order, with no error."""
     outputs = []
-    for jobs in (1, 2):
+    for jobs in jobs_counts:
         result = harness.run_sweep(spec, jobs=jobs)
         assert [(rec.method, rec.r, rec.seed) for rec in result.records] == [
             (method, r, seed) for method in spec.methods
@@ -40,6 +44,13 @@ def sweep_csv_at_jobs_1_and_2(spec, out_dir):
 def test_records_and_sweep_csv_do_not_depend_on_jobs(tmp_path):
     first, second = sweep_csv_at_jobs_1_and_2(tiny_spec(), tmp_path)
     assert first == second
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError,
+                       match=f"^jobs must be at least 1, got {jobs}$"):
+        harness.run_sweep(tiny_spec(), jobs=jobs)
 
 
 def test_error_text_round_trips_through_sweep_csv(tmp_path):
@@ -139,7 +150,7 @@ def test_file_mode_rejects_a_label_that_is_not_a_class(tmp_path, name, label,
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_file_mode_aborts_on_a_missing_input_file(tmp_path, jobs):
-    # A pool initializer that raised would surface as BrokenProcessPool.
+    # At jobs=2 a pool worker raises it, and pool.map raises it again here.
     spec, data = file_spec(tmp_path)
     (data / "test_truth.csv").unlink()
     with pytest.raises(FileNotFoundError,
@@ -164,6 +175,58 @@ def test_file_mode_reads_its_inputs_once_per_process(monkeypatch, tmp_path,
     records = harness.run_sweep(spec, jobs=jobs).records
     assert len(records) == 8 and all(rec.error is None for rec in records)
     assert tuple(calls.values()) == reads
+
+
+def test_pool_workers_leave_the_parents_input_cache_empty(tmp_path):
+    spec, _ = file_spec(tmp_path)
+    assert all(rec.error is None
+               for rec in harness.run_sweep(spec, jobs=2).records)
+    assert harness._pooled_inputs.cache_info().currsize == 0
+
+
+def test_a_one_unit_file_mode_sweep_does_not_depend_on_jobs(tmp_path):
+    spec, _ = file_spec(tmp_path)
+    one_unit = dataclasses.replace(spec, redundancies=(1,), seeds=(0,))
+    first, second = sweep_csv_at_jobs_1_and_2(one_unit, tmp_path / "out",
+                                              (1, 4))
+    assert first == second
+
+
+def test_a_file_mode_spec_with_list_fields_runs_in_a_pool(tmp_path):
+    # A pool worker's input cache is keyed by the file paths, not by the
+    # spec, which a list field would make unhashable.
+    spec, _ = file_spec(tmp_path)
+    listed = dataclasses.replace(spec, redundancies=[1, 2], seeds=[0, 1])
+    first, second = sweep_csv_at_jobs_1_and_2(listed, tmp_path / "out")
+    assert first == second
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched reader reaches pool workers only "
+                           "when they are forked")
+@pytest.mark.parametrize("redundancies,seeds,jobs", [((1,), (0,), 4),
+                                                     ((1, 2), (0, 1), 2)])
+def test_each_pool_worker_that_runs_a_unit_reads_its_inputs_once(
+        monkeypatch, tmp_path, redundancies, seeds, jobs):
+    def logged(log, fn):
+        def call(*args):
+            with open(tmp_path / log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(mbio, "read_annotations",
+                        logged("reads", mbio.read_annotations))
+    monkeypatch.setattr(harness, "_run_unit",
+                        logged("units", harness._run_unit))
+    spec, _ = file_spec(tmp_path)
+    spec = dataclasses.replace(spec, redundancies=redundancies, seeds=seeds)
+    records = harness.run_sweep(spec, jobs=jobs).records
+    assert all(rec.error is None for rec in records)
+    reads = (tmp_path / "reads").read_text().split()
+    workers = set((tmp_path / "units").read_text().split())
+    assert sorted(reads) == sorted(workers)
+    assert str(os.getpid()) not in workers
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -260,6 +323,53 @@ def test_spec_from_dict_rejects_a_worker_model_key_it_does_not_take(
     # K comes from the top-level classes key only.
     with pytest.raises(ValueError, match=re.escape(f"['{key}']")):
         tiny_spec(worker_model=worker_model)
+
+
+@pytest.mark.parametrize("key,block,message", [
+    ("learner", None, None),
+    ("worker_model", None, None),
+    ("learner", 5, "learner must be a mapping, got 5"),
+    ("worker_model", [0.9], "worker_model must be a mapping, got [0.9]"),
+])
+def test_spec_from_dict_reads_a_null_block_as_absent(key, block, message):
+    # YAML reads an empty block (a key with no entries) as null.
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_spec(**{key: block})
+        return
+    absent = {k: v for k, v in tiny_config().items() if k != key}
+    assert tiny_spec(**{key: block}) == harness.spec_from_dict(absent)
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"seeds": ["a"]}, "seeds: cannot read 'a' as int"),
+    ({"budget": "abc"}, "budget: cannot read 'abc' as int"),
+    ({"m": "x"}, "m: cannot read 'x' as int"),
+    ({"learner": {"epochs": "x"}}, "learner.epochs: cannot read 'x' as int"),
+    ({"worker_model": {"gamma": "high"}},
+     "worker_model.gamma: cannot read 'high' as float"),
+    ({"margin": [2]}, "margin: cannot read [2] as float"),
+    ({"budget": 100.7}, "budget: cannot read 100.7 as int"),
+    ({"m": 5.9}, "m: cannot read 5.9 as int"),
+    ({"seeds": [0.5]}, "seeds: cannot read 0.5 as int"),
+    ({"learner": {"epochs": 2.5}}, "learner.epochs: cannot read 2.5 as int"),
+    ({"redundancies": [1.9]}, "redundancies: cannot read 1.9 as int"),
+    ({"classes": "2.5"}, "classes: cannot read '2.5' as int"),
+    ({"learner": yaml.safe_load("epochs: yes")},
+     "learner.epochs: cannot read True as int"),
+])
+def test_spec_from_dict_names_a_value_it_cannot_coerce(edit, message):
+    # An integer key takes an integral value only; 100.7 is not read as 100.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_spec(**edit)
+
+
+def test_spec_from_dict_reads_an_integral_float_as_an_int():
+    spec = tiny_spec(budget=120.0, seeds=[0.0, "1"],
+                     learner={"epochs": 10.0})
+    assert (spec.budget, spec.seeds, spec.mbem.learner.epochs) == (
+        120, (0, 1), 10)
+    assert spec == tiny_spec()
 
 
 def test_em_and_weighted_em_share_one_classic_em_per_unit(monkeypatch,

@@ -1,5 +1,6 @@
 """Every mbem module's public surface names what the module defines,
-every module-level import is used, and no handler catches every exception.
+every module-level import is used, no handler catches every exception, and
+no function rebinds a name outside its own scope.
 
 The benchmark tracer (perfbench/spans.py) looks up each __all__ entry
 with getattr(mod, name, None) and skips what it does not find, so a
@@ -69,3 +70,12 @@ def test_no_handler_catches_every_exception(name):
                    for t in types):
                 caught.append(node.lineno)
     assert caught == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_rebinds_a_global_or_nonlocal_name(name):
+    # A function that rebinds a module or enclosing name keeps state its
+    # callers cannot see; harness keeps a pool worker's inputs in a cache.
+    rebinds = [node.lineno for node in ast.walk(_tree(name))
+               if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert rebinds == []
