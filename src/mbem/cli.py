@@ -121,7 +121,7 @@ def cmd_sweep(args) -> int:
     if args.budget is not None:
         cfg["budget"] = args.budget
     for key in ("seeds", "redundancies", "methods"):
-        if getattr(args, key):
+        if getattr(args, key) is not None:
             cfg[key] = getattr(args, key).split(",")
     spec = spec_from_dict(cfg)
     result = run_sweep(spec, jobs=args.jobs)

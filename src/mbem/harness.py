@@ -17,13 +17,14 @@ Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
 the sweep and `mbem train` alike. Each process of a sweep reads them and
 the two test files on the first unit it runs, checks that they agree, and
-keeps them for its later units: run_sweep itself at jobs=1, and each pool
-worker at jobs > 1, so the parent then reads nothing and a worker that
-gets no unit reads nothing. Each unit subsamples floor(N / r) of those
-examples and r of their annotations. A read or check that fails does so
-in its unit by the rule above: a ValueError or RuntimeError fails the
-unit's cells, and the next unit reads the files again; any other error,
-such as a missing file, aborts the sweep.
+keeps them for its later units in one cache, keyed by the five paths and
+cleared when run_sweep returns: run_sweep's own process at jobs=1, and
+each pool worker at jobs > 1, so the parent then reads nothing and a
+worker that gets no unit reads nothing. Each unit subsamples floor(N / r)
+of those examples and r of their annotations. A read or check that fails
+does so in its unit by the rule above: a ValueError or RuntimeError fails
+the unit's cells, and the next unit reads the files again; any other
+error, such as a missing file, aborts the sweep.
 """
 
 from __future__ import annotations
@@ -181,6 +182,10 @@ def read_inputs(annotations, features, truth=None):
     return ann, X, y
 
 
+# Keyed by the five paths, not by the spec, which list fields would make
+# unhashable. run_sweep clears it on return; a pool worker's copy ends with
+# the worker.
+@functools.cache
 def _file_inputs(annotations, features, truth, test_features, test_truth):
     """(ann, X, y, X_test, y_test) from a spec's input_files, read and
     checked."""
@@ -195,13 +200,13 @@ def _file_inputs(annotations, features, truth, test_features, test_truth):
     return ann, X, y, X_test, y_test
 
 
-def _cell_data(spec: SweepSpec, r: int, seed: int, inputs):
-    """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit;
-    in file mode, inputs() gives _file_inputs(*spec.input_files)."""
+def _cell_data(spec: SweepSpec, r: int, seed: int):
+    """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit."""
     n_train = spec.budget // r
     root = RngSeed(seed)
     if spec.file_mode:
-        ann_all, X_all, y_all, X_test, y_test = inputs()
+        ann_all, X_all, y_all, X_test, y_test = _file_inputs(
+            *spec.input_files)
         if n_train > ann_all.n:
             raise ValueError(f"annotation file has only {ann_all.n} examples, "
                              f"cell needs {n_train}")
@@ -247,11 +252,10 @@ def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
         return _failed(spec, method, r, seed, exc, time.perf_counter() - start)
 
 
-def _run_unit(spec: SweepSpec, r: int, seed: int,
-              inputs) -> list[CellRecord]:
+def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
     """One record per method of spec, in spec order, all on one dataset."""
     try:
-        data = _cell_data(spec, r, seed, inputs)
+        data = _cell_data(spec, r, seed)
     except (ValueError, RuntimeError) as exc:
         return [_failed(spec, method, r, seed, exc, 0.0)
                 for method in spec.methods]
@@ -262,38 +266,29 @@ def _run_unit(spec: SweepSpec, r: int, seed: int,
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run every (method, r, seed) cell and aggregate over seeds.
 
-    jobs=1 runs every (r, seed) unit in this process. jobs > 1 deals the
-    units one at a time to a pool of min(jobs, units) worker processes.
-    In file mode each process reads the input files on its first unit
-    (see the module docstring). The record order (method, then r, then
-    seed, and therefore the emitted files) is fixed by the spec, not by
-    completion order.
+    Every (r, seed) unit runs through _run_unit: in this process at
+    jobs=1, and at jobs > 1 dealt one at a time to a pool of
+    min(jobs, units) worker processes. In file mode each process reads
+    the input files on its first unit, and this process's cache of them
+    is cleared on return (see the module docstring). The record order
+    (method, then r, then seed, and therefore the emitted files) is fixed
+    by the spec, not by completion order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     rs = [r for r in spec.redundancies for _ in spec.seeds]
     seeds = [seed for _ in spec.redundancies for seed in spec.seeds]
-    if jobs == 1:
-        inputs = functools.cache(functools.partial(_file_inputs,
-                                                   *spec.input_files))
-        units = [_run_unit(spec, r, seed, inputs) for r, seed in zip(rs, seeds)]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(rs))) as pool:
-            units = list(pool.map(_run_pooled_unit, [spec] * len(rs), rs,
-                                  seeds))
+    specs = [spec] * len(rs)
+    try:
+        if jobs == 1:
+            units = list(map(_run_unit, specs, rs, seeds))
+        else:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(rs))) as pool:
+                units = list(pool.map(_run_unit, specs, rs, seeds))
+    finally:
+        _file_inputs.cache_clear()
     records = [unit[i] for i in range(len(spec.methods)) for unit in units]
     return SweepResult(records=records, aggregates=aggregate(records))
-
-
-# A pool worker's file-mode inputs, keyed by the five paths and read on
-# its first unit; the cache ends with the worker process. The parent
-# process never calls it.
-_pooled_inputs = functools.cache(_file_inputs)
-
-
-def _run_pooled_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
-    return _run_unit(spec, r, seed,
-                     functools.partial(_pooled_inputs, *spec.input_files))
 
 
 def aggregate(records) -> dict[tuple[str, int], CellAggregate]:
@@ -356,17 +351,26 @@ def _write_csv(path, header, rows) -> None:
 
 
 def read_sweep_csv(path) -> list[CellRecord]:
-    """Parse sweep.csv back into records (wall times are not stored there)."""
+    """Parse sweep.csv back into records (wall times are not stored there);
+    ValueError, naming the file, on a wrong header, and naming the file and
+    line on a row that is ragged or holds a value of the wrong type."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header != SWEEP_COLUMNS:
             raise ValueError(f"{path}: header {header} is not {SWEEP_COLUMNS}")
-        return [CellRecord(method, int(r), int(n_train), int(seed),
-                           float(test_risk), float(train_risk), 0.0,
-                           error or None)
-                for method, r, n_train, seed, test_risk, train_risk, error
-                in rows]
+        records = []
+        for row in rows:
+            try:
+                method, r, n_train, seed, test_risk, train_risk, error = row
+                records.append(CellRecord(method, int(r), int(n_train),
+                                          int(seed), float(test_risk),
+                                          float(train_risk), 0.0,
+                                          error or None))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {rows.line_num}: {exc}") \
+                    from None
+        return records
 
 
 def _listed(cfg: dict, key: str, kind) -> tuple:

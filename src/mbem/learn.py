@@ -60,14 +60,21 @@ class LearnerConfig:
     def __post_init__(self):
         if self.learner_kind not in LEARNER_KINDS:
             raise ValueError(f"learner_kind must be one of {LEARNER_KINDS}")
-        if self.learning_rate <= 0:
+        # Each bound is a negated test, so that NaN fails it too.
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
+        if not self.epochs >= 1:
             raise ValueError("epochs must be at least 1")
-        if self.l2_penalty < 0:
+        if not self.l2_penalty >= 0:
             raise ValueError("l2_penalty must be nonnegative")
-        if self.learner_kind == "one_hidden_layer_mlp" and self.hidden_units < 1:
+        if not self.batch_size >= 0:
+            raise ValueError("batch_size must be nonnegative "
+                             "(0 means full batch)")
+        if (self.learner_kind == "one_hidden_layer_mlp"
+                and not self.hidden_units >= 1):
             raise ValueError("hidden_units must be at least 1")
+        if not np.isfinite(self.init_scale):
+            raise ValueError("init_scale must be finite")
 
 
 @dataclass(eq=False)

@@ -61,11 +61,11 @@ class MbemConfig:
     learner: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self):
-        if self.rounds < 1:
+        if not self.rounds >= 1:
             raise ValueError("rounds must be at least 1")
         if self.prior_mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
-        if self.smoothing < 0:
+        if not self.smoothing >= 0:
             raise ValueError("smoothing must be nonnegative")
 
 

@@ -113,6 +113,8 @@ def make_synthetic_dataset(n: int, K: int, d: int | None, margin: float, seed):
         raise ValueError("feature dimension must be at least the class count")
     if n < 1:
         raise ValueError("need at least one example")
+    if not np.isfinite(margin):
+        raise ValueError("margin must be finite")
     rng = as_seed(seed).child("dataset").generator()
     truth = np.arange(n, dtype=np.int64) % K
     truth = truth[rng.permutation(n)]

@@ -42,7 +42,7 @@ def test_simulate_and_sweep_share_the_default_feature_dimension(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     features = mbio.read_features(tmp_path / "features.csv")
     spec = spec_from_dict({**MINIMAL_SWEEP, "classes": 5})
-    X = _cell_data(spec, 1, 0, None)[0]
+    X = _cell_data(spec, 1, 0)[0]
     assert features.shape[1] == X.shape[1] == 10
 
 
@@ -228,6 +228,10 @@ def test_bound_grid(capsys):
     (["sweep", "--seeds", "a"], "seeds: cannot read 'a' as int"),
     (["sweep", "--jobs", "0"], "jobs must be at least 1, got 0"),
     (["sweep", "--jobs", "-2"], "jobs must be at least 1, got -2"),
+    (["simulate", "--margin", "nan"], "margin must be finite"),
+    (["sweep", "--seeds", ""], "seeds: cannot read '' as int"),
+    (["sweep", "--redundancies", ""], "redundancies: cannot read '' as int"),
+    (["sweep", "--methods", ""], "unknown method ''"),
 ])
 def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
                                                      message):

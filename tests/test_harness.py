@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import multiprocessing
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 import yaml
@@ -66,9 +68,9 @@ def test_cell_data_runs_once_per_r_and_seed(monkeypatch):
     calls = []
     cell_data = harness._cell_data
 
-    def counted(spec, r, seed, inputs):
+    def counted(spec, r, seed):
         calls.append((r, seed))
-        return cell_data(spec, r, seed, inputs)
+        return cell_data(spec, r, seed)
 
     monkeypatch.setattr(harness, "_cell_data", counted)
     harness.run_sweep(tiny_spec(), jobs=1)
@@ -177,11 +179,33 @@ def test_file_mode_reads_its_inputs_once_per_process(monkeypatch, tmp_path,
     assert tuple(calls.values()) == reads
 
 
-def test_pool_workers_leave_the_parents_input_cache_empty(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_workers_leave_the_parents_input_cache_empty(tmp_path, jobs):
     spec, _ = file_spec(tmp_path)
     assert all(rec.error is None
-               for rec in harness.run_sweep(spec, jobs=2).records)
-    assert harness._pooled_inputs.cache_info().currsize == 0
+               for rec in harness.run_sweep(spec, jobs=jobs).records)
+    assert harness._file_inputs.cache_info().currsize == 0
+
+
+def test_an_aborted_sweep_leaves_the_input_cache_empty(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(harness, "train_method", broken)
+    spec, _ = file_spec(tmp_path)
+    with pytest.raises(TypeError, match="boom"):
+        harness.run_sweep(spec, jobs=1)
+    assert harness._file_inputs.cache_info().currsize == 0
+
+
+def test_a_file_mode_sweep_under_spawn_does_not_depend_on_jobs(monkeypatch,
+                                                                tmp_path):
+    # Spawned workers import mbem.harness afresh, with an empty cache.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    spec, _ = file_spec(tmp_path)
+    first, second = sweep_csv_at_jobs_1_and_2(spec, tmp_path / "out")
+    assert first == second
 
 
 def test_a_one_unit_file_mode_sweep_does_not_depend_on_jobs(tmp_path):
@@ -217,8 +241,9 @@ def test_each_pool_worker_that_runs_a_unit_reads_its_inputs_once(
 
     monkeypatch.setattr(mbio, "read_annotations",
                         logged("reads", mbio.read_annotations))
-    monkeypatch.setattr(harness, "_run_unit",
-                        logged("units", harness._run_unit))
+    # The pool pickles _run_unit by name, so the log sits one call below it.
+    monkeypatch.setattr(harness, "_cell_data",
+                        logged("units", harness._cell_data))
     spec, _ = file_spec(tmp_path)
     spec = dataclasses.replace(spec, redundancies=redundancies, seeds=seeds)
     records = harness.run_sweep(spec, jobs=jobs).records

@@ -177,3 +177,17 @@ def test_read_sweep_csv_rejects_a_wrong_header(tmp_path):
                     "mv,1,0,100,0.1,0.1,\n")
     with pytest.raises(ValueError, match="header"):
         read_sweep_csv(path)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("mv,1,100", "not enough values to unpack (expected 7, got 3)"),
+    ("mv,one,100,0,0.1,0.1,", "invalid literal for int() with base 10: 'one'"),
+])
+def test_read_sweep_csv_names_the_file_and_line_of_a_bad_row(tmp_path, row,
+                                                             message):
+    path = tmp_path / "sweep.csv"
+    path.write_text("method,r,n_train,seed,test_risk,train_risk,error\n"
+                    "mv,1,100,0,0.1,0.1,\n" + row + "\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: line 3: {message}")):
+        read_sweep_csv(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -221,3 +223,28 @@ class TestHardBaselines:
         assert (aggregated != y).mean() <= spammer_error
         # two hammers always outvote one spammer
         assert (aggregated != y).mean() == 0.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cls,value,message", [
+    (LearnerConfig, {"learner_kind": "svm"}, "learner_kind must be one of"),
+    (LearnerConfig, {"learning_rate": 0.0}, "learning_rate must be positive"),
+    (LearnerConfig, {"learning_rate": NAN}, "learning_rate must be positive"),
+    (LearnerConfig, {"epochs": 0}, "epochs must be at least 1"),
+    (LearnerConfig, {"l2_penalty": -1e-4}, "l2_penalty must be nonnegative"),
+    (LearnerConfig, {"l2_penalty": NAN}, "l2_penalty must be nonnegative"),
+    (LearnerConfig, {"batch_size": -5}, "batch_size must be nonnegative"),
+    (LearnerConfig, {"learner_kind": "one_hidden_layer_mlp",
+                     "hidden_units": 0}, "hidden_units must be at least 1"),
+    (LearnerConfig, {"init_scale": NAN}, "init_scale must be finite"),
+    (LearnerConfig, {"init_scale": float("inf")}, "init_scale must be finite"),
+    (MbemConfig, {"rounds": 0}, "rounds must be at least 1"),
+    (MbemConfig, {"prior_mode": "empirical"}, "unknown prior_mode"),
+    (MbemConfig, {"smoothing": -1.0}, "smoothing must be nonnegative"),
+    (MbemConfig, {"smoothing": NAN}, "smoothing must be nonnegative"),
+])
+def test_each_config_bound_rejects_a_value_outside_it(cls, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        cls(**value)
