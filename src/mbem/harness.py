@@ -104,6 +104,15 @@ class SweepSpec:
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
                 raise ValueError(f"{name} repeats {repeats[0]!r}")
+        # Each bound is a negated test, so that NaN fails it.
+        if not np.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
+        for key, value in (("m", self.m), ("n_test", self.n_test)):
+            if not value >= 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+        if self.d is not None and not self.d >= self.skill.K:
+            raise ValueError(f"feature_dim must be at least classes "
+                             f"({self.skill.K}), got {self.d}")
         missing = [key for key in FILE_KEYS if getattr(self, key) is None]
         if 0 < len(missing) < len(FILE_KEYS):
             raise ValueError("file mode needs all five input files; missing "
@@ -408,7 +417,9 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     types, an integer only from an integral value. A key outside
     CONFIG_KEYS, a missing required key, an unknown worker_model or
     learner key, a block that is not a mapping and a value that cannot
-    take its type each raise ValueError naming it.
+    take its type each raise ValueError naming it, and so do a margin
+    that is not finite, an m or n_test below 1 and a feature_dim below
+    classes.
     """
     cfg = {key: value for key, value in cfg.items() if value is not None}
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))

@@ -1,20 +1,26 @@
 """CSV and checkpoint formats.
 
-Annotation file: header ``example_id,worker_id,label``, 0-based integers.
-Truth file: ``example_id,label``. Soft labels: ``example_id,p0,...,pK-1``
-with 12 significant digits. Every reader requires at least one row below
-the header and the file's columns (exactly 3 for annotations, 2 for
-truth and 4 for confusions; at least 2 for features and soft labels),
-and the readers of truth, soft label and feature files require
-example_id to hold each of 0..n-1 exactly once. Confusion
-matrices travel in long format ``worker_id,k,s,prob``. Model checkpoints
-are a parameter CSV (one value per line, full precision) plus a JSON
-sidecar with ``kind, K, d, hidden_units``.
+Data files are comma-separated with a header line, and every line ends
+in CRLF. Annotation file: header ``example_id,worker_id,label``, 0-based
+integers. Truth file: ``example_id,label``, integers. Features:
+``example_id,x0,...,xd-1``, each value at 17 significant digits, so
+that it reads back exactly. Soft labels: ``example_id,p0,...,pK-1``
+with 12 significant digits. Confusion matrices travel in long format
+``worker_id,k,s,prob``, prob at 12 significant digits. The writers
+format each row with one format string and stream the lines to the
+file; none builds the whole file in memory.
+
+Every reader requires at least one row below the header and the file's
+columns (exactly 3 for annotations, 2 for truth and 4 for confusions;
+at least 2 for features and soft labels), and the readers of truth,
+soft label and feature files require example_id to hold each of 0..n-1
+exactly once. Model checkpoints are a parameter CSV (one value per
+line, full precision) plus a JSON sidecar with ``kind, K, d,
+hidden_units``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from pathlib import Path
@@ -34,11 +40,14 @@ __all__ = [
 ]
 
 
-def _write_rows(path, header, rows):
+def _write_rows(path, header, row_format, rows):
+    """Write the header and then each row, a tuple of Python values,
+    formatted by `row_format % row`; every line ends in CRLF. The lines
+    are streamed to the file, never joined into one string."""
+    line = row_format + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _read_rows(path, columns=None, dtype=np.float64) -> np.ndarray:
@@ -75,7 +84,7 @@ def _id_order(path, ids: np.ndarray) -> np.ndarray:
 def write_annotations(path, ann: AnnotationSet) -> None:
     rows = zip(ann.example_ids.tolist(), ann.worker_ids.tolist(),
                ann.labels.tolist())
-    _write_rows(path, ["example_id", "worker_id", "label"], rows)
+    _write_rows(path, ["example_id", "worker_id", "label"], "%d,%d,%d", rows)
 
 
 def read_annotations(path) -> AnnotationSet:
@@ -94,7 +103,8 @@ def read_annotations(path) -> AnnotationSet:
 
 def write_truth(path, truth: np.ndarray) -> None:
     truth = np.asarray(truth, dtype=np.int64)
-    _write_rows(path, ["example_id", "label"], enumerate(truth.tolist()))
+    _write_rows(path, ["example_id", "label"], "%d,%d",
+                enumerate(truth.tolist()))
 
 
 def read_truth(path) -> np.ndarray:
@@ -108,10 +118,10 @@ def read_truth(path) -> np.ndarray:
 
 def write_soft_labels(path, soft: np.ndarray) -> None:
     soft = np.asarray(soft, dtype=np.float64)
-    header = ["example_id"] + [f"p{k}" for k in range(soft.shape[1])]
-    rows = ([i] + [f"{v:.12g}" for v in row]
-            for i, row in enumerate(soft.tolist()))
-    _write_rows(path, header, rows)
+    K = soft.shape[1]
+    header = ["example_id"] + [f"p{k}" for k in range(K)]
+    rows = ((i, *row) for i, row in enumerate(soft.tolist()))
+    _write_rows(path, header, "%d" + ",%.12g" * K, rows)
 
 
 def read_soft_labels(path) -> np.ndarray:
@@ -122,10 +132,9 @@ def read_soft_labels(path) -> np.ndarray:
 def write_confusions(path, confusions: np.ndarray) -> None:
     """Long format worker_id,k,s,prob covering every entry."""
     conf = np.asarray(confusions, dtype=np.float64)
-    m, K, _ = conf.shape
-    rows = ((a, k, s, f"{conf[a, k, s]:.12g}")
-            for a in range(m) for k in range(K) for s in range(K))
-    _write_rows(path, ["worker_id", "k", "s", "prob"], rows)
+    a, k, s = (idx.ravel().tolist() for idx in np.indices(conf.shape))
+    rows = zip(a, k, s, conf.ravel().tolist())
+    _write_rows(path, ["worker_id", "k", "s", "prob"], "%d,%d,%d,%.12g", rows)
 
 
 def read_confusions(path) -> np.ndarray:
@@ -153,11 +162,10 @@ def read_confusions(path) -> np.ndarray:
 
 def write_features(path, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=np.float64)
-    header = ["example_id"] + [f"x{j}" for j in range(features.shape[1])]
-    # Python floats format faster than numpy scalars, to the same text.
-    rows = ([i] + [f"{v:.17g}" for v in row]
-            for i, row in enumerate(features.tolist()))
-    _write_rows(path, header, rows)
+    d = features.shape[1]
+    header = ["example_id"] + [f"x{j}" for j in range(d)]
+    rows = ((i, *row) for i, row in enumerate(features.tolist()))
+    _write_rows(path, header, "%d" + ",%.17g" * d, rows)
 
 
 def read_features(path) -> np.ndarray:

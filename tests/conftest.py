@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -152,6 +153,51 @@ def classic_em_tol_oracle(ann, tol=1e-8):
         if delta < tol:
             break
     return soft, conf, prior
+
+
+def _write_rows_oracle(path, header, rows):
+    """The io writers below are as they stood on csv.writer, formatting
+    one value at a time: the byte-for-byte reference for io's writers."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_annotations_oracle(path, ann):
+    rows = zip(ann.example_ids.tolist(), ann.worker_ids.tolist(),
+               ann.labels.tolist())
+    _write_rows_oracle(path, ["example_id", "worker_id", "label"], rows)
+
+
+def write_truth_oracle(path, truth):
+    truth = np.asarray(truth, dtype=np.int64)
+    _write_rows_oracle(path, ["example_id", "label"],
+                       enumerate(truth.tolist()))
+
+
+def write_soft_labels_oracle(path, soft):
+    soft = np.asarray(soft, dtype=np.float64)
+    header = ["example_id"] + [f"p{k}" for k in range(soft.shape[1])]
+    rows = ([i] + [f"{v:.12g}" for v in row]
+            for i, row in enumerate(soft.tolist()))
+    _write_rows_oracle(path, header, rows)
+
+
+def write_confusions_oracle(path, confusions):
+    conf = np.asarray(confusions, dtype=np.float64)
+    m, K, _ = conf.shape
+    rows = ((a, k, s, f"{conf[a, k, s]:.12g}")
+            for a in range(m) for k in range(K) for s in range(K))
+    _write_rows_oracle(path, ["worker_id", "k", "s", "prob"], rows)
+
+
+def write_features_oracle(path, features):
+    features = np.asarray(features, dtype=np.float64)
+    header = ["example_id"] + [f"x{j}" for j in range(features.shape[1])]
+    rows = ([i] + [f"{v:.17g}" for v in row]
+            for i, row in enumerate(features.tolist()))
+    _write_rows_oracle(path, header, rows)
 
 
 def forward_oracle(params, X, kind, K, H):

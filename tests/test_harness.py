@@ -332,6 +332,11 @@ def test_spec_rejects_a_repeated_list_entry(key, values, repeat):
     ({"classess": 4}, "unknown sweep config key(s) ['classess']"),
     ({"seeds": None}, "sweep config lacks seeds"),
     ({"seeds": 0}, "seeds must be a list, got 0"),
+    ({"margin": float("nan")}, "margin must be finite, got nan"),
+    ({"margin": float("inf")}, "margin must be finite, got inf"),
+    ({"m": 0}, "m must be at least 1, got 0"),
+    ({"n_test": 0}, "n_test must be at least 1, got 0"),
+    ({"feature_dim": 1}, "feature_dim must be at least classes (2), got 1"),
 ])
 def test_spec_from_dict_names_a_bad_top_level_key(edit, message):
     # None drops the key.

@@ -11,7 +11,21 @@ from mbem.learn import LearnerConfig, fit, predict_proba
 from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
 
-from conftest import records
+from conftest import (
+    records,
+    write_annotations_oracle,
+    write_confusions_oracle,
+    write_features_oracle,
+    write_soft_labels_oracle,
+    write_truth_oracle,
+)
+
+# Values that a number format can get wrong: nan, the infinities, a
+# negative zero, the smallest subnormal, the largest double, and values
+# that need all 17 significant digits to read back.
+AWKWARD = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                    1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 1e-300,
+                    -1e300, 2.5])
 
 
 def test_annotations_round_trip(tmp_path, rng):
@@ -50,10 +64,32 @@ def test_confusions_round_trip(tmp_path, rng):
 
 
 def test_features_round_trip_exact(tmp_path):
-    X, _ = make_synthetic_dataset(12, 2, 5, margin=3.0, seed=0)
+    synthetic, _ = make_synthetic_dataset(12, 2, 5, margin=3.0, seed=0)
     path = tmp_path / "features.csv"
-    mbio.write_features(path, X)
-    assert_array_equal(mbio.read_features(path), X)
+    for X in (synthetic, AWKWARD.reshape(4, 3)):
+        mbio.write_features(path, X)
+        # Bit patterns, so that a negative zero must come back negative.
+        assert_array_equal(mbio.read_features(path).view(np.uint64),
+                           X.view(np.uint64))
+
+
+@pytest.mark.parametrize("writer,oracle,value", [
+    (mbio.write_annotations, write_annotations_oracle,
+     AnnotationSet(n=3, m=2**40, K=7, example_ids=[2, 0, 1, 0],
+                   worker_ids=[2**40 - 1, 0, 5, 1], labels=[6, 0, 3, 6])),
+    (mbio.write_truth, write_truth_oracle, np.array([3, 0, 2**62])),
+    (mbio.write_truth, write_truth_oracle, np.array([], dtype=np.int64)),
+    (mbio.write_features, write_features_oracle, AWKWARD.reshape(4, 3)),
+    (mbio.write_soft_labels, write_soft_labels_oracle, AWKWARD.reshape(3, 4)),
+    (mbio.write_confusions, write_confusions_oracle, AWKWARD.reshape(3, 2, 2)),
+], ids=["annotations", "truth", "truth-no-rows", "features", "soft-labels",
+        "confusions"])
+def test_writers_match_the_csv_writer_reference(tmp_path, writer, oracle,
+                                                value):
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    writer(ours, value)
+    oracle(reference, value)
+    assert ours.read_bytes() == reference.read_bytes()
 
 
 def test_model_checkpoint_round_trip(tmp_path):
