@@ -157,8 +157,11 @@ class AnnotationSet:
     @cached_property
     def classic_em(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """classic_em(self): (soft_labels, confusions, prior), run once.
-        Every reader gets the same arrays and must not modify them."""
-        return classic_em(self)
+        Every reader gets the same arrays, which are read-only."""
+        result = classic_em(self)
+        for arr in result:
+            arr.flags.writeable = False
+        return result
 
 
 def uniform_prior(K: int) -> np.ndarray:

@@ -6,12 +6,18 @@ per (r, seed), which builds that pair's data once and trains every
 method on it; em and weighted-em share one classic EM run, which the
 unit's AnnotationSet caches. The test set and worker pool are also
 shared across the redundancy levels of a seed. The data draws from
-substreams keyed by (r, seed), and training from substreams keyed by
-(method, r, seed), so results do not depend on execution order or the
-number of worker processes. A ValueError (bad data) or RuntimeError (a
-diverging learner) fails its cells and the sweep goes on; any other
-exception aborts it. A row of timing.csv covers that method's training
-and evaluation only (and classic EM for the first of em and weighted-em).
+substreams keyed by (r, seed), and every fit of a unit, whatever its
+method or MBEM round, from the one substream ("fit", r) of seed. Two
+methods that train on the same rows and targets therefore get the same
+model, and the unit keeps one list of its fits, which methods._fit
+reads: a repeated fit returns the earlier model. Results do not depend
+on execution order, on which methods the spec lists or on the number of
+worker processes. A ValueError (bad data) or RuntimeError (a diverging
+learner) fails its cells and the sweep goes on; any other exception
+aborts it. A row of timing.csv covers that method's training and
+evaluation only (and classic EM for the first of em and weighted-em). A
+fit the unit already made costs its later method nothing: after
+weighted-mv, the mbem row excludes round 0.
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
@@ -244,15 +250,16 @@ def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
 
 
 def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
-              data) -> CellRecord:
-    """Train and evaluate one method on its unit's data. Bad data and a
-    diverging learner (ValueError, RuntimeError) give an error record."""
+              data, fits: list | None) -> CellRecord:
+    """Train and evaluate one method on its unit's data, sharing the
+    unit's fits (None: none). Bad data and a diverging learner
+    (ValueError, RuntimeError) give an error record."""
     X, y, ann, conf_true, X_test, y_test = data
     start = time.perf_counter()
     try:
-        cell_seed = RngSeed(seed).child("method", method, r)
-        model = train_method(method, X, ann, spec.mbem, cell_seed, truth=y,
-                             oracle_confusions=conf_true).model
+        model = train_method(method, X, ann, spec.mbem,
+                             RngSeed(seed).child("fit", r), truth=y,
+                             oracle_confusions=conf_true, fits=fits).model
         return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
                           test_risk=zero_one_risk(model, X_test, y_test),
                           train_risk=zero_one_risk(model, X, y),
@@ -268,7 +275,8 @@ def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
     except (ValueError, RuntimeError) as exc:
         return [_failed(spec, method, r, seed, exc, 0.0)
                 for method in spec.methods]
-    return [_run_cell(spec, method, r, seed, data)
+    fits = []
+    return [_run_cell(spec, method, r, seed, data, fits)
             for method in spec.methods]
 
 

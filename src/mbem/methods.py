@@ -13,6 +13,13 @@ on hard labels (majority vote or EM), posterior-weighted training with
 weights from majority vote or EM, and two oracles that see the true
 confusion matrices or the true labels. em and weighted-em read classic
 EM from the AnnotationSet, which runs it once and keeps the result.
+
+Every fit goes through _fit with the seed it is given, whatever the
+method or MBEM round, so two fits on the same rows and targets give the
+same model. The sweep passes each method of an (r, seed) unit the same
+seed and one list of the unit's fits, and _fit returns a model from that
+list instead of training it again: weighted-mv's model is MBEM's round-0
+model, and at r=1 mv, em and weighted-mv share it too.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .core import (
     uniform_prior,
 )
 from .learn import LearnerConfig, TrainedModel, fit, predict_proba, weighted_loss
-from .seeding import as_seed
+from .seeding import RngSeed, as_seed
 
 __all__ = [
     "METHODS",
@@ -121,26 +128,69 @@ def one_hot(labels: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+@dataclass(eq=False)
+class _Fit:
+    """One fit of a unit: what it trained on, and the model."""
+    features: object
+    cfg: LearnerConfig
+    seed: RngSeed
+    rows: np.ndarray | None
+    targets: np.ndarray
+    model: TrainedModel
+
+
+def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether a and b are both None or hold equal values, compared on a
+    prefix before the whole."""
+    if a is None or b is None:
+        return a is b
+    return (a.shape == b.shape and np.array_equal(a[:16], b[:16])
+            and np.array_equal(a, b))
+
+
+def _fit(features, targets: np.ndarray, cfg: LearnerConfig, seed,
+         fits: list[_Fit] | None, rows: np.ndarray | None = None) -> TrainedModel:
+    """learn.fit on the features in rows (all of them if None) and targets.
+
+    fits, if not None, holds the earlier fits of one unit. A fit there
+    on the same features object, cfg, seed, rows and targets gives its
+    model instead of training again; a new fit is added to it. The model
+    parameters and the targets of every fit in fits are read-only, since
+    other methods share them."""
+    seed = as_seed(seed)
+    for done in fits or ():
+        if (done.features is features and done.cfg == cfg and done.seed == seed
+                and _same(done.rows, rows) and _same(done.targets, targets)):
+            return done.model
+    X = features if rows is None else np.asarray(features, dtype=np.float64)[rows]
+    model = fit(X, targets, cfg, seed)
+    if fits is not None:
+        model.parameters.flags.writeable = False
+        targets.flags.writeable = False
+        fits.append(_Fit(features, cfg, seed, rows, targets, model))
+    return model
+
+
 def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
-             seed) -> MbemResult:
+             seed, fits: list[_Fit] | None = None) -> MbemResult:
     """Alternate posterior-weighted training with model-based confusion
     re-estimation for cfg.rounds rounds.
 
     The posterior starts at the per-example label frequencies. Each
     round then: (1) retrains the learner from scratch on the current
-    soft labels, using substream seed.child("round", t); (2) takes the
-    model's argmax predictions on the training examples as provisional
-    truth; (3) re-estimates all confusion matrices and the class prior
-    against them and recomputes the label posterior, in one
+    soft labels, with every round's fit drawing from seed itself, so
+    round 0 fits weighted-mv's model; (2) takes the model's argmax
+    predictions on the training examples as provisional truth; (3)
+    re-estimates all confusion matrices and the class prior against
+    them and recomputes the label posterior, in one
     core.dawid_skene_update. Artifacts of the final round are returned,
     together with each round's weighted_loss of the model on the soft
-    labels it was trained on.
+    labels it was trained on. fits is as in _fit.
     """
-    seed = as_seed(seed)
     soft = majority_vote_init(ann)
     risks = []
     for t in range(cfg.rounds):
-        model = fit(features, soft, cfg.learner, seed.child("round", t))
+        model = _fit(features, soft, cfg.learner, seed, fits)
         probs = predict_proba(model, features)
         risks.append(weighted_loss(probs, soft))
         soft, conf, prior = dawid_skene_update(ann, hard_labels(probs),
@@ -166,16 +216,17 @@ def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
 
 def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                           cfg: MbemConfig, seed, *,
-                          oracle_confusions: np.ndarray | None = None) -> MethodResult:
+                          oracle_confusions: np.ndarray | None = None,
+                          fits: list[_Fit] | None = None) -> MethodResult:
     """One posterior-weighted fit. weighted-mv weights by the raw label
     frequencies; weighted-em by the final posterior of classic EM;
     oracle-weighted-em by the posterior under the true confusion
     matrices with a uniform prior.
 
-    The fit draws from substream seed.child("fit")."""
+    The fit draws from seed itself; fits is as in _fit."""
     soft, conf = _label_posterior(ann, mode, WEIGHTED_METHODS,
                                   oracle_confusions)
-    model = fit(features, soft, cfg.learner, as_seed(seed).child("fit"))
+    model = _fit(features, soft, cfg.learner, seed, fits)
     return MethodResult(model=model, soft=soft, confusions=conf)
 
 
@@ -190,46 +241,51 @@ def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
 
 def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
                       cfg: MbemConfig, seed, *,
-                      truth: np.ndarray | None = None) -> MethodResult:
+                      truth: np.ndarray | None = None,
+                      fits: list[_Fit] | None = None) -> MethodResult:
     """Aggregate-then-train baselines.
 
     mv/em aggregate the annotations to one label per example and train
     on the resulting one-hot targets. truth trains on the true labels;
     oracle-correct does too, restricted to examples where at least one
     annotation matches the truth, and fails if no example survives.
-    Both require truth.
+    Both require truth. The fit draws from seed itself; fits is as in
+    _fit.
     """
-    X = np.asarray(features, dtype=np.float64)
-    soft = conf = None
+    soft = conf = rows = None
     if mode in ("oracle-correct", "truth"):
         if truth is None:
             raise ValueError(f"{mode} requires the true labels")
         labels = np.asarray(truth, dtype=np.int64)
         if mode == "oracle-correct":
-            hit = correctly_labeled_mask(ann, labels)
-            if not hit.any():
+            rows = correctly_labeled_mask(ann, labels)
+            if not rows.any():
                 raise ValueError("no example has a correct annotation; "
                                  "nothing to train on")
-            X, labels = X[hit], labels[hit]
+            labels = labels[rows]
     else:
         soft, conf = _label_posterior(ann, mode, HARD_METHODS)
         labels = hard_labels(soft)
-    model = fit(X, one_hot(labels, ann.K), cfg.learner,
-                as_seed(seed).child("fit"))
+    model = _fit(features, one_hot(labels, ann.K), cfg.learner, seed, fits,
+                 rows)
     return MethodResult(model=model, soft=soft, confusions=conf)
 
 
 def train_method(method: str, features: np.ndarray, ann: AnnotationSet,
                  cfg: MbemConfig, seed, *, truth: np.ndarray | None = None,
-                 oracle_confusions: np.ndarray | None = None) -> MethodResult:
+                 oracle_confusions: np.ndarray | None = None,
+                 fits: list[_Fit] | None = None) -> MethodResult:
     """Train one of METHODS for the CLI or the sweep harness; a method
     that needs truth or oracle_confusions raises ValueError without it.
-    Calls on one ann share its classic EM result."""
+    Calls on one ann share its classic EM result, and calls given one
+    fits list share their fits (see _fit)."""
     if method in HARD_METHODS:
-        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth)
+        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth,
+                                 fits=fits)
     if method in WEIGHTED_METHODS:
         return run_weighted_baseline(features, ann, method, cfg, seed,
-                                     oracle_confusions=oracle_confusions)
+                                     oracle_confusions=oracle_confusions,
+                                     fits=fits)
     if method == "mbem":
-        return run_mbem(features, ann, cfg, seed)
+        return run_mbem(features, ann, cfg, seed, fits)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

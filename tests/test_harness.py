@@ -421,3 +421,49 @@ def test_em_and_weighted_em_share_one_classic_em_per_unit(monkeypatch,
     rows = [(tmp_path / name / "sweep.csv").read_text().splitlines()
             for name in ("both", "em", "weighted-em")]
     assert rows[0] == rows[1] + rows[2][1:]
+
+
+def test_a_sweep_of_mbem_alone_writes_the_mbem_rows_of_a_full_sweep(tmp_path):
+    every = tiny_spec(methods=list(methods.METHODS))
+    harness.emit_report(harness.run_sweep(every, jobs=1), tmp_path / "every")
+    alone = harness.run_sweep(tiny_spec(methods=["mbem"]), jobs=1)
+    harness.emit_report(alone, tmp_path / "alone")
+    rows = [(tmp_path / name / "sweep.csv").read_text().splitlines()
+            for name in ("every", "alone")]
+    assert [row for row in rows[0] if row.startswith("mbem,")] == rows[1][1:]
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "file"])
+def test_shared_fits_change_no_record(monkeypatch, tmp_path, mode):
+    # A unit shares its fits across methods; each method fitting alone
+    # must give the same records, with more fits.
+    if mode == "synthetic":
+        spec = tiny_spec(methods=list(methods.METHODS))
+    else:
+        spec = dataclasses.replace(
+            file_spec(tmp_path)[0], methods=tuple(
+                m for m in methods.METHODS if m != "oracle-weighted-em"))
+    calls = []
+    fit = methods.fit
+    monkeypatch.setattr(methods, "fit",
+                        lambda *args: calls.append(1) or fit(*args))
+    counts = {"shared": 0, "alone": 0}
+    try:
+        for r in spec.redundancies:
+            for seed in spec.seeds:
+                shared = harness._run_unit(spec, r, seed)
+                counts["shared"] += len(calls)
+                calls.clear()
+                data = harness._cell_data(spec, r, seed)
+                alone = [harness._run_cell(spec, method, r, seed, data, None)
+                         for method in spec.methods]
+                counts["alone"] += len(calls)
+                calls.clear()
+                assert all(rec.error is None for rec in shared)
+                assert ([dataclasses.replace(rec, wall_time=0.0)
+                         for rec in shared]
+                        == [dataclasses.replace(rec, wall_time=0.0)
+                            for rec in alone])
+    finally:
+        harness._file_inputs.cache_clear()
+    assert counts["shared"] < counts["alone"]

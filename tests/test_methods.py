@@ -90,7 +90,7 @@ class TestRunMbem:
         result = run_mbem(X, ann, cfg, seed)
 
         soft0 = majority_vote_init(ann)
-        model = fit(X, soft0, cfg.learner, seed.child("round", 0))
+        model = fit(X, soft0, cfg.learner, seed)
         t = hard_labels(predict_proba(model, X))
         conf, _ = estimate_confusions_and_prior(ann, t, smoothing=cfg.smoothing)
         soft = posterior(ann, conf, uniform_prior(2))
@@ -148,7 +148,7 @@ class TestWeightedBaselines:
         seed = RngSeed(21)
         model = run_weighted_baseline(X, ann, "weighted-mv", CFG, seed).model
         raw = one_hot(ann.labels[np.argsort(ann.example_ids)], 3)
-        reference = fit(X, raw, CFG.learner, seed.child("fit"))
+        reference = fit(X, raw, CFG.learner, seed)
         assert_array_equal(model.parameters, reference.parameters)
 
     def test_oracle_with_identity_confusions_matches_truth_training(self):
@@ -157,7 +157,7 @@ class TestWeightedBaselines:
         seed = RngSeed(23)
         model = run_weighted_baseline(X, ann, "oracle-weighted-em", CFG, seed,
                                       oracle_confusions=conf).model
-        reference = fit(X, one_hot(y, 2), CFG.learner, seed.child("fit"))
+        reference = fit(X, one_hot(y, 2), CFG.learner, seed)
         # the 1e-6 confusion clamp perturbs the targets, not the argmax
         assert_allclose(model.parameters, reference.parameters, atol=1e-3)
         Xt, _ = make_synthetic_dataset(500, 2, 4, 6.0, RngSeed(24))
@@ -185,7 +185,7 @@ class TestHardBaselines:
     def test_identity_workers_make_all_modes_equal_truth_training(self):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=1.0, r=3, seed=30)
         seed = RngSeed(31)
-        reference = fit(X, one_hot(y, 3), CFG.learner, seed.child("fit"))
+        reference = fit(X, one_hot(y, 3), CFG.learner, seed)
         for mode, kwargs in (("mv", {}), ("em", {}),
                              ("oracle-correct", {"truth": y})):
             model = run_hard_baseline(X, ann, mode, CFG, seed, **kwargs).model
@@ -223,6 +223,41 @@ class TestHardBaselines:
         assert (aggregated != y).mean() <= spammer_error
         # two hammers always outvote one spammer
         assert (aggregated != y).mean() == 0.0
+
+
+class TestSharedFits:
+    def test_weighted_mv_fits_mbem_round_0(self):
+        X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=2, seed=40)
+        seed, cfg = RngSeed(41), MbemConfig(rounds=1, learner=FAST)
+        fits = []
+        weighted = train_method("weighted-mv", X, ann, cfg, seed,
+                                fits=fits).model
+        # With one round, MBEM's model is its round-0 model.
+        assert_array_equal(run_mbem(X, ann, cfg, seed).model.parameters,
+                           weighted.parameters)
+        assert run_mbem(X, ann, cfg, seed, fits).model is weighted
+        assert len(fits) == 1
+
+    def test_at_r1_mv_em_and_weighted_mv_fit_one_model(self):
+        X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=1, seed=42)
+        seed = RngSeed(43)
+        fits = []
+        shared = [train_method(method, X, ann, CFG, seed, fits=fits).model
+                  for method in ("mv", "em", "weighted-mv")]
+        assert shared[1] is shared[0] and shared[2] is shared[0]
+        assert len(fits) == 1
+        for method in ("em", "weighted-mv"):
+            alone = train_method(method, X, ann, CFG, seed).model
+            assert_array_equal(alone.parameters, shared[0].parameters)
+
+    def test_shared_arrays_are_read_only(self):
+        X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.5, r=2, seed=46)
+        # weighted-mv's posterior is the targets of its fit.
+        result = train_method("weighted-mv", X, ann, CFG, RngSeed(47),
+                              fits=[])
+        for arr in (result.model.parameters, result.soft, *ann.classic_em):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 NAN = float("nan")
