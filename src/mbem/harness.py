@@ -4,20 +4,22 @@ Given a total annotation budget N, each redundancy level r trains on
 floor(N / r) examples carrying r labels each. The sweep runs one unit
 per (r, seed), which builds that pair's data once and trains every
 method on it; em and weighted-em share one classic EM run, which the
-unit's AnnotationSet caches. The test set and worker pool are also
-shared across the redundancy levels of a seed. The data draws from
-substreams keyed by (r, seed), and every fit of a unit, whatever its
-method or MBEM round, from the one substream ("fit", r) of seed. Two
-methods that train on the same rows and targets therefore get the same
-model, and the unit keeps one list of its fits, which methods._fit
-reads: a repeated fit returns the earlier model. Results do not depend
-on execution order, on which methods the spec lists or on the number of
-worker processes. A ValueError (bad data) or RuntimeError (a diverging
-learner) fails its cells and the sweep goes on; any other exception
-aborts it. A row of timing.csv covers that method's training and
-evaluation only (and classic EM for the first of em and weighted-em). A
-fit the unit already made costs its later method nothing: after
-weighted-mv, the mbem row excludes round 0.
+unit's AnnotationSet caches. The training data draws from substreams
+keyed by (r, seed). The test set and worker pool draw from substreams
+keyed by the seed alone, so every redundancy level of a seed sees the
+same ones, but each unit draws them again rather than sharing them.
+Every fit of a unit, whatever its method or MBEM round, draws from the
+one substream ("fit", r) of seed. Two methods that train on the same
+features and targets therefore get the same model, and the unit keeps
+one list of its fits, which methods._fit reads: a repeated fit returns
+the earlier model. Results do not depend on execution order, on which
+methods the spec lists or on the number of worker processes. A
+ValueError (bad data) or RuntimeError (a diverging learner) fails its
+cells and the sweep goes on; any other exception aborts it. A row of
+timing.csv covers that method's training and evaluation only (and
+classic EM for the first of em and weighted-em). A fit the unit already
+made costs its later method nothing: after weighted-mv, the mbem row
+excludes round 0.
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
@@ -61,7 +63,6 @@ __all__ = [
     "run_sweep",
     "aggregate",
     "emit_report",
-    "read_sweep_csv",
     "spec_from_dict",
     "read_inputs",
 ]
@@ -365,29 +366,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_sweep_csv(path) -> list[CellRecord]:
-    """Parse sweep.csv back into records (wall times are not stored there);
-    ValueError, naming the file, on a wrong header, and naming the file and
-    line on a row that is ragged or holds a value of the wrong type."""
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header != SWEEP_COLUMNS:
-            raise ValueError(f"{path}: header {header} is not {SWEEP_COLUMNS}")
-        records = []
-        for row in rows:
-            try:
-                method, r, n_train, seed, test_risk, train_risk, error = row
-                records.append(CellRecord(method, int(r), int(n_train),
-                                          int(seed), float(test_risk),
-                                          float(train_risk), 0.0,
-                                          error or None))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {rows.line_num}: {exc}") \
-                    from None
-        return records
 
 
 def _listed(cfg: dict, key: str, kind) -> tuple:

@@ -15,11 +15,11 @@ confusion matrices or the true labels. em and weighted-em read classic
 EM from the AnnotationSet, which runs it once and keeps the result.
 
 Every fit goes through _fit with the seed it is given, whatever the
-method or MBEM round, so two fits on the same rows and targets give the
-same model. The sweep passes each method of an (r, seed) unit the same
-seed and one list of the unit's fits, and _fit returns a model from that
-list instead of training it again: weighted-mv's model is MBEM's round-0
-model, and at r=1 mv, em and weighted-mv share it too.
+method or MBEM round, so two fits on the same features and targets give
+the same model. The sweep passes each method of an (r, seed) unit the
+same seed and one list of the unit's fits, and _fit returns a model from
+that list instead of training it again: weighted-mv's model is MBEM's
+round-0 model, and at r=1 mv, em and weighted-mv share it too.
 """
 
 from __future__ import annotations
@@ -134,40 +134,36 @@ class _Fit:
     features: object
     cfg: LearnerConfig
     seed: RngSeed
-    rows: np.ndarray | None
     targets: np.ndarray
     model: TrainedModel
 
 
-def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    """Whether a and b are both None or hold equal values, compared on a
-    prefix before the whole."""
-    if a is None or b is None:
-        return a is b
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b hold equal values, compared on a prefix before the
+    whole."""
     return (a.shape == b.shape and np.array_equal(a[:16], b[:16])
             and np.array_equal(a, b))
 
 
 def _fit(features, targets: np.ndarray, cfg: LearnerConfig, seed,
-         fits: list[_Fit] | None, rows: np.ndarray | None = None) -> TrainedModel:
-    """learn.fit on the features in rows (all of them if None) and targets.
+         fits: list[_Fit] | None) -> TrainedModel:
+    """learn.fit on features and targets.
 
     fits, if not None, holds the earlier fits of one unit. A fit there
-    on the same features object, cfg, seed, rows and targets gives its
-    model instead of training again; a new fit is added to it. The model
+    on the same features object, cfg, seed and targets gives its model
+    instead of training again; a new fit is added to it. The model
     parameters and the targets of every fit in fits are read-only, since
     other methods share them."""
     seed = as_seed(seed)
     for done in fits or ():
         if (done.features is features and done.cfg == cfg and done.seed == seed
-                and _same(done.rows, rows) and _same(done.targets, targets)):
+                and _same(done.targets, targets)):
             return done.model
-    X = features if rows is None else np.asarray(features, dtype=np.float64)[rows]
-    model = fit(X, targets, cfg, seed)
+    model = fit(features, targets, cfg, seed)
     if fits is not None:
         model.parameters.flags.writeable = False
         targets.flags.writeable = False
-        fits.append(_Fit(features, cfg, seed, rows, targets, model))
+        fits.append(_Fit(features, cfg, seed, targets, model))
     return model
 
 
@@ -252,7 +248,7 @@ def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
     Both require truth. The fit draws from seed itself; fits is as in
     _fit.
     """
-    soft = conf = rows = None
+    soft = conf = None
     if mode in ("oracle-correct", "truth"):
         if truth is None:
             raise ValueError(f"{mode} requires the true labels")
@@ -262,12 +258,12 @@ def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
             if not rows.any():
                 raise ValueError("no example has a correct annotation; "
                                  "nothing to train on")
+            features = np.asarray(features, dtype=np.float64)[rows]
             labels = labels[rows]
     else:
         soft, conf = _label_posterior(ann, mode, HARD_METHODS)
         labels = hard_labels(soft)
-    model = _fit(features, one_hot(labels, ann.K), cfg.learner, seed, fits,
-                 rows)
+    model = _fit(features, one_hot(labels, ann.K), cfg.learner, seed, fits)
     return MethodResult(model=model, soft=soft, confusions=conf)
 
 

@@ -59,15 +59,10 @@ def sample_worker_pool(model: WorkerSkillModel, m: int, seed) -> np.ndarray:
         raise ValueError("need at least one worker")
     rng = as_seed(seed).child("worker-pool").generator()
     K = model.K
-    eye = np.eye(K)
-    flat = np.full((K, K), 1.0 / K)
-    if model.kind == "hammer_spammer":
-        is_hammer = rng.random(m) < model.gamma
-        conf = np.where(is_hammer[:, None, None], eye, flat)
-    else:
-        is_hammer_row = rng.random((m, K)) < model.gamma
-        conf = np.where(is_hammer_row[:, :, None], eye, flat)
-    return conf
+    # One coin per worker, or one per row of each worker's matrix.
+    coins = 1 if model.kind == "hammer_spammer" else K
+    is_hammer = rng.random((m, coins)) < model.gamma
+    return np.where(is_hammer[:, :, None], np.eye(K), np.full((K, K), 1.0 / K))
 
 
 def assign_workers(n: int, r: int, m: int, seed) -> np.ndarray:

@@ -3,8 +3,7 @@
 For binary classification the excess risk of a posterior-weighted
 learner inflates by 1/(1 - 2*beta), where beta measures how much
 posterior mass the confusion estimates put on the wrong label, averaged
-over worker assignments. alpha is the same idea for raw majority-vote
-weights: the average worst-class flip probability.
+over worker assignments.
 
 When all workers share a single flip probability rho and the confusion
 estimates are off by at most eps entrywise, beta has a closed form:
@@ -42,7 +41,6 @@ __all__ = [
     "BetaEstimate",
     "beta_eps_closed_form",
     "beta_general_binary",
-    "alpha_general",
     "bound_factor",
     "optimal_redundancy",
 ]
@@ -155,14 +153,6 @@ def beta_general_binary(confusions: np.ndarray, confusion_estimates: np.ndarray,
                                                    prior, patterns)
     stderr = None if exact else float(values.std(ddof=1) / math.sqrt(count))
     return BetaEstimate(float(values.mean()), stderr)
-
-
-def alpha_general(confusions: np.ndarray) -> float:
-    """Mean over workers of the larger off-diagonal (flip) probability."""
-    conf = check_confusions(confusions)
-    if conf.shape[1] != 2:
-        raise ValueError("alpha is defined for binary classification only")
-    return float(np.maximum(conf[:, 0, 1], conf[:, 1, 0]).mean())
 
 
 def bound_factor(rho: float, epsilon: float, r: int) -> float:

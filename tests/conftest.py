@@ -17,6 +17,7 @@ from mbem.core import (
     hard_labels,
     majority_vote_init,
 )
+from mbem.harness import SWEEP_COLUMNS
 from mbem.learn import param_count
 from mbem.seeding import as_seed
 
@@ -249,6 +250,16 @@ def fit_oracle(X, soft, cfg, seed):
             params = params - cfg.learning_rate * gradient_oracle(
                 params, X[idx], soft[idx], cfg, K)
     return params
+
+
+def sweep_rows(path):
+    """The rows of a sweep.csv as dicts of strings, after checking that
+    its header is SWEEP_COLUMNS and that no row is ragged."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == SWEEP_COLUMNS
+    assert all(len(row) == len(header) for row in rows)
+    return [dict(zip(header, row)) for row in rows]
 
 
 @pytest.fixture

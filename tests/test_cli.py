@@ -9,10 +9,12 @@ import yaml
 from mbem import io as mbio
 from mbem.cli import LEARNER_FLAGS, build_parser, main
 from mbem.core import PRIOR_MODES
-from mbem.harness import _cell_data, read_sweep_csv, spec_from_dict
+from mbem.harness import _cell_data, spec_from_dict
 from mbem.learn import LEARNER_KINDS
 from mbem.methods import METHODS
 from mbem.simulate import MARGIN, SKILL_KINDS, WorkerSkillModel
+
+from conftest import sweep_rows
 
 
 @pytest.fixture
@@ -291,8 +293,7 @@ def test_sweep_end_to_end(tmp_path, fmt):
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(config), "--out-dir", str(out)])
     assert code == 0
-    records = read_sweep_csv(out / "sweep.csv")
-    assert len(records) == 3 * 2 * 2
+    assert len(sweep_rows(out / "sweep.csv")) == 3 * 2 * 2
     assert (out / "aggregate.csv").exists()
     assert (out / "plotdata_mbem.csv").exists()
     assert (out / "timing.csv").exists()
@@ -306,9 +307,9 @@ def test_sweep_overrides(tmp_path):
                  "--methods", "truth", "--redundancies", "1",
                  "--seeds", "0"])
     assert code == 0
-    records = read_sweep_csv(out / "sweep.csv")
-    assert len(records) == 1
-    assert records[0].method == "truth"
+    rows = sweep_rows(out / "sweep.csv")
+    assert len(rows) == 1
+    assert rows[0]["method"] == "truth"
 
 
 def test_sweep_budget_override(tmp_path):
@@ -318,5 +319,5 @@ def test_sweep_budget_override(tmp_path):
     assert main(["sweep", "--config", str(config), "--out-dir", str(out),
                  "--methods", "truth", "--seeds", "0",
                  "--budget", "301"]) == 0
-    records = read_sweep_csv(out / "sweep.csv")
-    assert [(rec.r, rec.n_train) for rec in records] == [(1, 301), (2, 150)]
+    assert [(row["r"], row["n_train"]) for row in sweep_rows(out / "sweep.csv")
+            ] == [("1", "301"), ("2", "150")]

@@ -15,6 +15,8 @@ from mbem.learn import LearnerConfig
 from mbem.methods import MbemConfig
 from mbem.simulate import WorkerSkillModel
 
+from conftest import sweep_rows
+
 
 def tiny_config(**extra):
     cfg = {"budget": 120, "redundancies": [1, 2], "methods": ["mv", "mbem"],
@@ -60,8 +62,8 @@ def test_error_text_round_trips_through_sweep_csv(tmp_path):
     record = harness.CellRecord("mv", 1, 120, 0, float("nan"), float("nan"),
                                 0.0, error)
     harness.emit_report(harness.SweepResult([record], {}), tmp_path)
-    assert [rec.error for rec in
-            harness.read_sweep_csv(tmp_path / "sweep.csv")] == [error]
+    assert [row["error"] for row in
+            sweep_rows(tmp_path / "sweep.csv")] == [error]
 
 
 def test_cell_data_runs_once_per_r_and_seed(monkeypatch):

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mbem import io as mbio
 from mbem.core import AnnotationSet
-from mbem.harness import read_sweep_csv
 from mbem.learn import LearnerConfig, fit, predict_proba
 from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
@@ -205,25 +204,3 @@ def test_read_truth_rejects_a_negative_label(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}: negative label -1")):
         mbio.read_truth(path)
-
-
-def test_read_sweep_csv_rejects_a_wrong_header(tmp_path):
-    path = tmp_path / "sweep.csv"
-    path.write_text("method,r,seed,n_train,test_risk,train_risk,error\n"
-                    "mv,1,0,100,0.1,0.1,\n")
-    with pytest.raises(ValueError, match="header"):
-        read_sweep_csv(path)
-
-
-@pytest.mark.parametrize("row,message", [
-    ("mv,1,100", "not enough values to unpack (expected 7, got 3)"),
-    ("mv,one,100,0,0.1,0.1,", "invalid literal for int() with base 10: 'one'"),
-])
-def test_read_sweep_csv_names_the_file_and_line_of_a_bad_row(tmp_path, row,
-                                                             message):
-    path = tmp_path / "sweep.csv"
-    path.write_text("method,r,n_train,seed,test_risk,train_risk,error\n"
-                    "mv,1,100,0,0.1,0.1,\n" + row + "\n")
-    with pytest.raises(ValueError,
-                       match=re.escape(f"{path}: line 3: {message}")):
-        read_sweep_csv(path)

@@ -209,6 +209,24 @@ class TestHardBaselines:
             run_hard_baseline(X, ann, "oracle-correct", CFG, seed=35,
                               truth=ann_wrong_truth)
 
+    def test_oracle_correct_trains_on_its_rows_alone(self):
+        X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.3, r=1, seed=36)
+        rows = correctly_labeled_mask(ann, y)
+        assert 0 < rows.sum() < rows.size
+        seed = RngSeed(37)
+        reference = fit(X[rows], one_hot(y[rows], 3), CFG.learner, seed)
+        fits = []
+        for given in (None, fits):
+            model = train_method("oracle-correct", X, ann, CFG, seed, truth=y,
+                                 fits=given).model
+            assert_array_equal(model.parameters, reference.parameters)
+        # truth trains on every row, so it cannot take oracle-correct's fit.
+        truth = train_method("truth", X, ann, CFG, seed, truth=y,
+                             fits=fits).model
+        assert len(fits) == 2 and truth is not fits[0].model
+        assert_array_equal(truth.parameters,
+                           fit(X, one_hot(y, 3), CFG.learner, seed).parameters)
+
     def test_majority_vote_beats_lone_spammer(self):
         # every example labelled by two hammers and one spammer
         K, n = 4, 2000

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from mbem.core import uniform_prior
 from mbem.theory import (
-    alpha_general,
     beta_eps_closed_form,
     beta_general_binary,
     bound_factor,
@@ -164,21 +163,3 @@ class TestBetaGeneral:
         pool = symmetric_pool(0.1, 2)
         with pytest.raises(ValueError, match="redundancy"):
             beta_general_binary(pool, pool, uniform_prior(2), 13)
-
-
-class TestAlpha:
-    def test_identical_workers_give_rho(self):
-        assert_allclose(alpha_general(symmetric_pool(0.23, 6)), 0.23,
-                        atol=1e-15)
-
-    def test_identity_gives_zero(self):
-        assert alpha_general(symmetric_pool(0.0, 3)) == 0.0
-
-    def test_mean_of_max_offdiagonals(self):
-        conf = np.array([[[0.95, 0.05], [0.1, 0.9]],
-                         [[0.7, 0.3], [0.25, 0.75]]])
-        assert_allclose(alpha_general(conf), (0.1 + 0.3) / 2, atol=1e-15)
-
-    def test_rejects_multiclass(self):
-        with pytest.raises(ValueError, match="binary"):
-            alpha_general(np.tile(np.eye(3), (2, 1, 1)))
