@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -14,7 +15,7 @@ from . import io as mbio
 from .core import PRIOR_MODES
 from .harness import emit_report, read_inputs, run_sweep, spec_from_dict
 from .learn import LearnerConfig
-from .methods import METHODS, MbemConfig, config_from, train_method
+from .methods import METHODS, MbemConfig, train_method
 from .seeding import RngSeed
 from .simulate import MARGIN, SKILL_KINDS, WorkerSkillModel, \
     assign_workers, corrupt_labels, make_synthetic_dataset, sample_worker_pool
@@ -42,8 +43,8 @@ def _config(args) -> MbemConfig:
     def pick(cls):
         return {f.name: given[f.name] for f in fields(cls) if f.name in given}
 
-    return config_from(MbemConfig, pick(MbemConfig),
-                       learner=config_from(LearnerConfig, pick(LearnerConfig)))
+    return MbemConfig(**pick(MbemConfig),
+                      learner=LearnerConfig(**pick(LearnerConfig)))
 
 
 def cmd_simulate(args) -> int:
@@ -86,13 +87,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    rhos = [args.rho]
     if args.grid_step is not None:
-        if args.grid_step <= 0:
+        if not args.grid_step > 0:
             raise ValueError("--grid-step must be positive")
-        steps = int(round(args.rho / args.grid_step))
-        rhos = [i * args.grid_step for i in range(steps + 1)]
-    else:
-        rhos = [args.rho]
+        # The last step not above rho, up to rounding (0.3 / 0.1 is
+        # 2.9999999999999996); the table rejects a rho outside [0, 0.5).
+        if 0 <= args.rho < 0.5:
+            steps = math.floor(args.rho / args.grid_step + 1e-9)
+            rhos = [0.0] + [i * args.grid_step for i in range(1, steps + 1)]
     # The table prints only once every row is computed, so a bad value
     # exits with nothing on stdout.
     lines = ["rho,r,beta,factor,is_optimal"]

@@ -1,4 +1,4 @@
-"""Fixed-budget experiment runner.
+"""Fixed-budget experiment runner, and the reader of its config files.
 
 Given a total annotation budget N, each redundancy level r trains on
 floor(N / r) examples carrying r labels each. The sweep runs one unit
@@ -23,9 +23,10 @@ excludes round 0.
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
-the sweep and `mbem train` alike. Each process of a sweep reads them and
-the two test files on the first unit it runs, checks that they agree, and
-keeps them for its later units in one cache, keyed by the five paths and
+the sweep and `mbem train` alike. A file-mode spec holds the five paths
+as one input_files tuple, in FILE_KEYS order. Each process of a sweep
+reads them on the first unit it runs, checks that they agree, and keeps
+them for its later units in one cache, keyed by the five paths and
 cleared when run_sweep returns: run_sweep's own process at jobs=1, and
 each pool worker at jobs > 1, so the parent then reads nothing and a
 worker that gets no unit reads nothing. Each unit subsamples floor(N / r)
@@ -42,7 +43,7 @@ import functools
 import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ import numpy as np
 from . import io as mbio
 from .core import AnnotationSet
 from .learn import LearnerConfig, zero_one_risk
-from .methods import METHODS, MbemConfig, coerce, config_from, train_method
+from .methods import METHODS, MbemConfig, train_method
 from .seeding import RngSeed
 from .simulate import MARGIN, WorkerSkillModel, assign_workers, corrupt_labels, \
     make_synthetic_dataset, sample_worker_pool, subsample_redundancy
@@ -68,7 +69,7 @@ __all__ = [
 ]
 
 SWEEP_COLUMNS = ["method", "r", "n_train", "seed", "test_risk", "train_risk", "error"]
-# The SweepSpec fields of file mode; a spec sets all of them or none.
+# The config keys of file mode, in SweepSpec.input_files order.
 FILE_KEYS = ("annotations_file", "features_file", "truth_file",
              "test_features_file", "test_truth_file")
 # The top-level keys of a sweep config: the required ones, then the rest.
@@ -90,12 +91,8 @@ class SweepSpec:
     margin: float
     seeds: tuple[int, ...]
     mbem: MbemConfig = field(default_factory=MbemConfig)
-    # optional file-backed mode: subsample r labels from recorded annotations
-    annotations_file: str | None = None
-    features_file: str | None = None
-    truth_file: str | None = None
-    test_features_file: str | None = None
-    test_truth_file: str | None = None
+    # the five file-mode paths in FILE_KEYS order; None: synthetic data
+    input_files: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for method in self.methods:
@@ -120,19 +117,10 @@ class SweepSpec:
         if self.d is not None and not self.d >= self.skill.K:
             raise ValueError(f"feature_dim must be at least classes "
                              f"({self.skill.K}), got {self.d}")
-        missing = [key for key in FILE_KEYS if getattr(self, key) is None]
-        if 0 < len(missing) < len(FILE_KEYS):
-            raise ValueError("file mode needs all five input files; missing "
-                             + ", ".join(missing))
-
-    @property
-    def file_mode(self) -> bool:
-        return self.annotations_file is not None
-
-    @property
-    def input_files(self) -> tuple:
-        """The five file-mode paths, in FILE_KEYS order."""
-        return tuple(getattr(self, key) for key in FILE_KEYS)
+        if (self.input_files is not None
+                and len(self.input_files) != len(FILE_KEYS)):
+            raise ValueError(f"input_files must hold {len(FILE_KEYS)} paths, "
+                             f"got {len(self.input_files)}")
 
 
 @dataclass
@@ -220,7 +208,7 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
     """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit."""
     n_train = spec.budget // r
     root = RngSeed(seed)
-    if spec.file_mode:
+    if spec.input_files is not None:
         ann_all, X_all, y_all, X_test, y_test = _file_inputs(
             *spec.input_files)
         if n_train > ann_all.n:
@@ -228,8 +216,12 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
                              f"cell needs {n_train}")
         pick_rng = root.child("subset", r).generator()
         keep = np.sort(pick_rng.choice(ann_all.n, size=n_train, replace=False))
-        ann = subsample_redundancy(_restrict(ann_all, keep), r,
-                                   root.child("labels", r))
+        kept = _restrict(ann_all, keep)
+        short = keep[kept.redundancy_counts() < r]
+        if short.size:
+            raise ValueError(f"{spec.input_files[0]}: example {short[0]} has "
+                             f"fewer than {r} annotations")
+        ann = subsample_redundancy(kept, r, root.child("labels", r))
         return X_all[keep], y_all[keep], ann, None, X_test, y_test
 
     K = spec.skill.K
@@ -368,13 +360,44 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _coerce(kind, value, key: str):
+    """value as kind (int, float or str); ValueError, naming key, if it
+    cannot be read as one. An int takes only an integral value, 2 or "2"
+    but not 2.5, so nothing is truncated; no kind takes a bool, which is
+    how YAML reads yes and no."""
+    message = f"{key}: cannot read {value!r} as {kind.__name__}"
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    if isinstance(value, bool) or (kind is int and out != value
+                                   and not isinstance(value, str)):
+        raise ValueError(message)
+    return out
+
+
+def _config_from(cls, values: Mapping, block: str = "", **given):
+    """A config dataclass from values, coerced to the fields' types, and
+    the fields in given, which values may not set; omitted fields default.
+    A value that cannot take its field's type raises a ValueError naming
+    it as block + field name (block is "learner." for learner.epochs)."""
+    # Each field with a plain default takes that default's type.
+    types = {f.name: type(f.default) for f in fields(cls)
+             if f.default is not MISSING and f.name not in given}
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise ValueError(f"{cls.__name__} cannot take field(s) {unknown}")
+    return cls(**{k: _coerce(types[k], v, block + k)
+                  for k, v in values.items()}, **given)
+
+
 def _listed(cfg: dict, key: str, kind) -> tuple:
     """cfg[key], a list, as a tuple of kind; ValueError, naming key, if it
     is not a list or an entry cannot be read as kind."""
     values = cfg[key]
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {values!r}")
-    return tuple(coerce(kind, value, key) for value in values)
+    return tuple(_coerce(kind, value, key) for value in values)
 
 
 def _block(cfg: dict, key: str) -> dict:
@@ -414,12 +437,16 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     missing = [key for key in REQUIRED_KEYS if key not in cfg]
     if missing:
         raise ValueError(f"sweep config lacks {', '.join(missing)}")
+    absent = [key for key in FILE_KEYS if key not in cfg]
+    if 0 < len(absent) < len(FILE_KEYS):
+        raise ValueError("file mode needs all five input files; missing "
+                         + ", ".join(absent))
 
     def scalar(kind, key, default=None):
-        return coerce(kind, cfg[key], key) if key in cfg else default
+        return _coerce(kind, cfg[key], key) if key in cfg else default
 
-    skill = config_from(WorkerSkillModel, _block(cfg, "worker_model"),
-                        "worker_model.",
+    skill = _config_from(WorkerSkillModel, _block(cfg, "worker_model"),
+                         "worker_model.",
                         K=scalar(int, "classes", WorkerSkillModel.K))
     learner = _block(cfg, "learner")
     if "kind" in learner:
@@ -428,9 +455,9 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
             if key in cfg}
     if "prior" in mbem:
         mbem["prior_mode"] = mbem.pop("prior")
-    mbem_cfg = config_from(MbemConfig, mbem,
-                           learner=config_from(LearnerConfig, learner,
-                                               "learner."))
+    mbem_cfg = _config_from(MbemConfig, mbem,
+                            learner=_config_from(LearnerConfig, learner,
+                                                 "learner."))
     return SweepSpec(
         budget=scalar(int, "budget"),
         redundancies=_listed(cfg, "redundancies", int),
@@ -442,5 +469,5 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
         margin=scalar(float, "margin", MARGIN),
         seeds=_listed(cfg, "seeds", int),
         mbem=mbem_cfg,
-        **{key: cfg.get(key) for key in FILE_KEYS},
+        input_files=None if absent else tuple(cfg[key] for key in FILE_KEYS),
     )

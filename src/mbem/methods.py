@@ -24,8 +24,7 @@ round-0 model, and at r=1 mv, em and weighted-mv share it too.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +45,6 @@ __all__ = [
     "MbemConfig",
     "MethodResult",
     "MbemResult",
-    "coerce",
-    "config_from",
     "train_method",
     "run_mbem",
     "run_weighted_baseline",
@@ -74,37 +71,6 @@ class MbemConfig:
             raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
         if not self.smoothing >= 0:
             raise ValueError("smoothing must be nonnegative")
-
-
-def coerce(kind, value, key: str):
-    """value as kind (int, float or str); ValueError, naming key, if it
-    cannot be read as one. An int takes only an integral value, 2 or "2"
-    but not 2.5, so nothing is truncated; no kind takes a bool, which is
-    how YAML reads yes and no."""
-    message = f"{key}: cannot read {value!r} as {kind.__name__}"
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(message) from None
-    if isinstance(value, bool) or (kind is int and out != value
-                                   and not isinstance(value, str)):
-        raise ValueError(message)
-    return out
-
-
-def config_from(cls, values: Mapping, block: str = "", **given):
-    """A config dataclass from values, coerced to the fields' types, and
-    the fields in given, which values may not set; omitted fields default.
-    A value that cannot take its field's type raises a ValueError naming
-    it as block + field name (block is "learner." for learner.epochs)."""
-    # Each field with a plain default takes that default's type.
-    types = {f.name: type(f.default) for f in fields(cls)
-             if f.default is not MISSING and f.name not in given}
-    unknown = sorted(set(values) - set(types))
-    if unknown:
-        raise ValueError(f"{cls.__name__} cannot take field(s) {unknown}")
-    return cls(**{k: coerce(types[k], v, block + k)
-                  for k, v in values.items()}, **given)
 
 
 @dataclass(eq=False)

@@ -62,7 +62,7 @@ def beta_eps_closed_form(rho: float, epsilon: float, r: int) -> float:
     Evaluated term by term; for r > 30 the binomial sum moves to log
     space to avoid overflow. rho + epsilon must stay below 1/2.
     """
-    if not 0.0 <= rho < 0.5 or epsilon < 0:
+    if not (0.0 <= rho < 0.5 and epsilon >= 0):
         raise ValueError("need 0 <= rho < 0.5 and epsilon >= 0")
     p = rho + epsilon
     if p >= 0.5:

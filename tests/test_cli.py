@@ -218,6 +218,18 @@ def test_bound_grid(capsys):
     assert len(lines) == 1 + 3 * 2   # three rho values, two r each
 
 
+@pytest.mark.parametrize("rho,step,grid", [
+    ("0.45", "0.3", ["0", "0.3"]),     # 0.45 / 0.3 rounds up to 2 steps
+    ("0.3", "0.1", ["0", "0.1", "0.2", "0.3"]),   # 0.3 / 0.1 < 3
+])
+def test_bound_grid_ends_at_the_last_step_not_above_rho(capsys, rho, step,
+                                                        grid):
+    assert main(["bound", "--rho", rho, "--grid-step", step,
+                 "--r-max", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == grid
+
+
 @pytest.mark.parametrize("argv,message", [
     (["simulate", "--classes", "1"], "need at least two classes"),
     (["bound", "--rho", "0.6"], "need 0 <= rho < 0.5 and epsilon >= 0"),
@@ -234,6 +246,14 @@ def test_bound_grid(capsys):
     (["sweep", "--seeds", ""], "seeds: cannot read '' as int"),
     (["sweep", "--redundancies", ""], "redundancies: cannot read '' as int"),
     (["sweep", "--methods", ""], "unknown method ''"),
+    (["bound", "--rho", "0.1", "--epsilon", "nan"],
+     "need 0 <= rho < 0.5 and epsilon >= 0"),
+    (["bound", "--rho", "0.1", "--grid-step", "nan"],
+     "--grid-step must be positive"),
+    (["bound", "--rho", "nan", "--grid-step", "0.1"],
+     "need 0 <= rho < 0.5 and epsilon >= 0"),
+    (["bound", "--rho", "-0.1", "--grid-step", "0.1"],
+     "need 0 <= rho < 0.5 and epsilon >= 0"),
 ])
 def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
                                                      message):

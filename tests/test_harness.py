@@ -153,6 +153,31 @@ def test_file_mode_rejects_a_label_that_is_not_a_class(tmp_path, name, label,
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_file_mode_names_a_short_example_by_its_file_example_id(tmp_path,
+                                                                 jobs):
+    # Seed 0's subset leaves out example 50; seeds 1 and 2 take it, at
+    # other indices of their subsets.
+    data = tmp_path / "data"
+    assert main(["simulate", "--n", "60", "--m", "5", "--r", "3",
+                 "--seed", "1", "--out-dir", str(data)]) == 0
+    annotations = data / "annotations.csv"
+    lines = annotations.read_text().splitlines(True)
+    ex50 = [line for line in lines if line.startswith("50,")]
+    annotations.write_text("".join(line for line in lines
+                                   if line not in ex50[1:]))
+    spec = tiny_spec(budget=90, redundancies=[3], methods=["mv"],
+                     seeds=[0, 1, 2],
+                     **{f"{name}_file": str(data / f"{name}.csv")
+                        for name in ("annotations", "features", "truth")},
+                     test_features_file=str(data / "features.csv"),
+                     test_truth_file=str(data / "truth.csv"))
+    want = (f"ValueError: {annotations}: example 50 has fewer than 3 "
+            f"annotations")
+    records = harness.run_sweep(spec, jobs=jobs).records
+    assert [rec.error for rec in records] == [None, want, want]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_file_mode_aborts_on_a_missing_input_file(tmp_path, jobs):
     # At jobs=2 a pool worker raises it, and pool.map raises it again here.
     spec, data = file_spec(tmp_path)
@@ -275,6 +300,13 @@ def test_spec_rejects_a_partial_file_mode_spec(tmp_path, present, missing):
     with pytest.raises(ValueError, match=f"; missing {missing}$"):
         tiny_spec(**{f"{name}_file": str(tmp_path / f"{name}.csv")
                      for name in present})
+
+
+@pytest.mark.parametrize("paths", [(), ("a.csv",) * 4, ("a.csv",) * 6])
+def test_spec_rejects_input_files_that_are_not_five_paths(paths):
+    with pytest.raises(ValueError, match=f"^input_files must hold 5 paths, "
+                                         f"got {len(paths)}$"):
+        dataclasses.replace(tiny_spec(), input_files=paths)
 
 
 def test_a_bug_in_fit_propagates_out_of_an_mbem_sweep(monkeypatch):

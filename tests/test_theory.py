@@ -6,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mbem.core import uniform_prior
+from mbem.seeding import RngSeed
+from mbem.simulate import WorkerSkillModel, sample_worker_pool
 from mbem.theory import (
     beta_eps_closed_form,
     beta_general_binary,
@@ -153,6 +155,30 @@ class TestBetaGeneral:
         assert est.stderr is not None
         want = beta_eps_closed_form(rho, 0.0, r)
         assert abs(est.value - want) <= max(5 * est.stderr, 1e-6)
+
+    @pytest.mark.parametrize("gamma,hammers,betas,factors,best_r", [
+        (0.8, 75, (0.125, 0.0078125), (1.333, 1.760), 1),
+        (0.4, 31, (0.345, 0.1642545), (3.226, 2.579), 3),
+    ])
+    def test_hammer_spammer_pool_table(self, gamma, hammers, betas, factors,
+                                       best_r):
+        # The workers.csv of `mbem simulate --seed 0 --m 100 --skill
+        # hammer_spammer --gamma <gamma>`, as its own estimates. A tuple's
+        # wrong-label mass is 1/2 when every worker in it is a spammer and
+        # 0 otherwise, so beta(r) is 0.5 * (spammer share)^r.
+        pool = sample_worker_pool(WorkerSkillModel("hammer_spammer", gamma, 2),
+                                  100, RngSeed(0).child("workers"))
+        assert int((pool[:, 0, 0] == 1.0).sum()) == hammers
+        got = {}
+        for r, beta, factor in zip((1, 3), betas, factors):
+            est = beta_general_binary(pool, pool, uniform_prior(2), r)
+            assert est.stderr is None
+            assert est.value == pytest.approx(beta, rel=1e-12, abs=0)
+            assert est.value == pytest.approx(0.5 * (1 - hammers / 100) ** r,
+                                              rel=1e-12, abs=0)
+            got[r] = math.sqrt(r) / (1 - 2 * est.value)
+            assert got[r] == pytest.approx(factor, abs=5e-4)
+        assert min(got, key=got.get) == best_r
 
     def test_rejects_multiclass(self):
         pool = np.tile(np.eye(3), (2, 1, 1))
