@@ -19,7 +19,8 @@ cells and the sweep goes on; any other exception aborts it. A row of
 timing.csv covers that method's training and evaluation only (and
 classic EM for the first of em and weighted-em). A fit the unit already
 made costs its later method nothing: after weighted-mv, the mbem row
-excludes round 0.
+excludes round 0. Nor is a model evaluated twice, so at r=1, where em
+and weighted-mv get mv's model, their rows exclude its evaluation too.
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
@@ -243,9 +244,10 @@ def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
 
 
 def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
-              data, fits: list | None) -> CellRecord:
+              data, fits: list | None, risks: dict) -> CellRecord:
     """Train and evaluate one method on its unit's data, sharing the
-    unit's fits (None: none). Bad data and a diverging learner
+    unit's fits (None: none). risks maps each model the unit evaluated
+    to its (test_risk, train_risk). Bad data and a diverging learner
     (ValueError, RuntimeError) give an error record."""
     X, y, ann, conf_true, X_test, y_test = data
     start = time.perf_counter()
@@ -253,9 +255,14 @@ def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
         model = train_method(method, X, ann, spec.mbem,
                              RngSeed(seed).child("fit", r), truth=y,
                              oracle_confusions=conf_true, fits=fits).model
+        # TrainedModel compares by identity, so a shared model is
+        # evaluated once.
+        if model not in risks:
+            risks[model] = (zero_one_risk(model, X_test, y_test),
+                            zero_one_risk(model, X, y))
+        test_risk, train_risk = risks[model]
         return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
-                          test_risk=zero_one_risk(model, X_test, y_test),
-                          train_risk=zero_one_risk(model, X, y),
+                          test_risk=test_risk, train_risk=train_risk,
                           wall_time=time.perf_counter() - start)
     except (ValueError, RuntimeError) as exc:
         return _failed(spec, method, r, seed, exc, time.perf_counter() - start)
@@ -268,8 +275,8 @@ def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
     except (ValueError, RuntimeError) as exc:
         return [_failed(spec, method, r, seed, exc, 0.0)
                 for method in spec.methods]
-    fits = []
-    return [_run_cell(spec, method, r, seed, data, fits)
+    fits, risks = [], {}
+    return [_run_cell(spec, method, r, seed, data, fits, risks)
             for method in spec.methods]
 
 
@@ -427,8 +434,8 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     CONFIG_KEYS, a missing required key, an unknown worker_model or
     learner key, a block that is not a mapping and a value that cannot
     take its type each raise ValueError naming it, and so do a margin
-    that is not finite, an m or n_test below 1 and a feature_dim below
-    classes.
+    that is not finite, an m or n_test below 1, a feature_dim below
+    classes and a file path that is not a string.
     """
     cfg = {key: value for key, value in cfg.items() if value is not None}
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
@@ -441,6 +448,10 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     if 0 < len(absent) < len(FILE_KEYS):
         raise ValueError("file mode needs all five input files; missing "
                          + ", ".join(absent))
+    for key in FILE_KEYS:
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ValueError(f"{key}: a file path must be a string, "
+                             f"got {cfg[key]!r}")
 
     def scalar(kind, key, default=None):
         return _coerce(kind, cfg[key], key) if key in cfg else default

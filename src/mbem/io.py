@@ -174,7 +174,9 @@ def read_features(path) -> np.ndarray:
 
 
 def save_model(out_dir, model: TrainedModel) -> None:
-    """Write model_params.csv (one value per line) and model_meta.json."""
+    """Write model_params.csv and model_meta.json. model_params.csv holds
+    one value per line: each layer's weights, row by row, then its bias,
+    so [W, b] or [W1, b1, W2, b2]."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "model_params.csv", "w") as fh:

@@ -16,12 +16,22 @@ cross-entropy, so every baseline that aggregates to hard labels trains
 through the same code path.
 
 The kernel is class-major: fit transposes the features and soft labels
-once, to (d, n) and (K, n), and every forward pass computes the scores
-as W @ XT + b with shape (K, n), one column per example. The softmax then
-reduces over axis 0, in place, which adds K long contiguous rows instead
-of reducing n short rows of K entries each; with few classes that
-row-wise max/sum, not the matmul, took most of a step. The gradient
-follows from the (K, n) residual, and a mini-batch gathers columns.
+once, to (d + 1, n) and (K, n), with a row of ones appended to the
+features, and every forward pass computes the scores as W @ XA with
+shape (K, n), one column per example. The softmax then reduces over
+axis 0, in place, which adds K long contiguous rows instead of reducing
+n short rows of K entries each; with few classes that row-wise max/sum,
+not the matmul, took most of a step. Each layer is one (out, in + 1)
+matrix whose last column is its bias, which meets the ones row, so a
+layer is one matmul with no bias add. The MLP writes tanh into the
+first H rows of an (H + 1, n) hidden layer whose last row is ones, the
+next layer's input. A layer's gradient, weights and bias together, is
+its (out, n) residual times the transpose of its input, and the 1/n of
+the mean is applied to that small (out, in + 1) gradient, not to the
+residual. The gradient and predict_proba run on blocks of at most a few
+thousand examples (see BLOCK_MACS) and sum or stack the blocks'
+results. A mini-batch gathers columns. TrainedModel keeps the flat [W, b] or [W1, b1, W2, b2]
+parameters, which fit, predict_proba and gradient_check convert, and
 predict_proba still returns the usual (n, K) rows.
 """
 
@@ -45,6 +55,16 @@ __all__ = [
 
 LEARNER_KINDS = ("multinomial_logistic", "one_hidden_layer_mlp")
 PROB_FLOOR = 1e-12
+# The most multiply-adds in one matmul of a layer on a block of
+# examples, and the fewest examples a block may hold. OpenBLAS's AVX-512
+# builds (0.3.31 measured) run a product of at most 1e6 multiply-adds
+# through a small-matrix kernel that packs nothing. On a gradient's
+# long, thin (out, n) @ (n, in + 1) product it was 1.5-3x as fast as the
+# general kernel, but with fewer than about 1000 examples a block, the
+# extra calls and sums cost more than that saves. Blocks also bound the
+# memory predict_proba takes.
+BLOCK_MACS = 1_000_000
+MIN_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -86,60 +106,104 @@ class TrainedModel:
     hidden_units: int = 0
 
 
-def param_count(cfg: LearnerConfig, d: int, K: int) -> int:
-    if cfg.learner_kind == "multinomial_logistic":
-        return K * d + K
-    H = cfg.hidden_units
-    return H * d + H + K * H + K
-
-
-def _forward(params, XT, kind, K, H):
-    """Class probabilities (K, n) and the tanh hidden layer (H, n), or
-    None for the logistic model, of the examples in the columns of XT."""
-    d = XT.shape[0]
+def _shapes(kind, d, K, H):
+    """(out, in) of each layer: the logistic model's one, or the MLP's
+    hidden and output layers."""
     if kind == "multinomial_logistic":
-        W = params[: K * d].reshape(K, d)
-        scores, hidden = W @ XT, None
-        scores += params[K * d:, None]
-    else:
-        W1 = params[: H * d].reshape(H, d)
-        W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)
-        hidden = W1 @ XT
-        hidden += params[H * d: H * d + H, None]
-        np.tanh(hidden, out=hidden)
-        scores = W2 @ hidden
-        scores += params[H * d + H + K * H:, None]
+        return [(K, d)]
+    return [(H, d), (K, H)]
+
+
+def param_count(cfg: LearnerConfig, d: int, K: int) -> int:
+    return sum(out * (inp + 1) for out, inp in
+               _shapes(cfg.learner_kind, d, K, cfg.hidden_units))
+
+
+def _layers(params, kind, d, K, H):
+    """The flat [W, b] or [W1, b1, W2, b2] parameters as one (out, in + 1)
+    matrix per layer, with the layer's bias as its last column."""
+    layers, start = [], 0
+    for out, inp in _shapes(kind, d, K, H):
+        W = np.empty((out, inp + 1))
+        W[:, :inp] = params[start:start + out * inp].reshape(out, inp)
+        W[:, inp] = params[start + out * inp:start + out * (inp + 1)]
+        layers.append(W)
+        start += out * (inp + 1)
+    return layers
+
+
+def _flat(layers):
+    """The inverse of _layers: each layer's weights, then its bias."""
+    return np.concatenate([part for W in layers
+                           for part in (W[:, :-1].ravel(), W[:, -1])])
+
+
+def _with_ones(X):
+    """The (d + 1, n) columns of the examples in the rows of X (n, d),
+    each ending in a 1 that multiplies the first layer's bias."""
+    XA = np.empty((X.shape[1] + 1, X.shape[0]))
+    XA[:-1] = X.T
+    XA[-1] = 1.0
+    return XA
+
+
+def _forward(layers, XA):
+    """Class probabilities (K, m) of the m examples in the columns of XA,
+    and the input of each layer: XA, then for the MLP the (H + 1, m)
+    tanh hidden layer, whose last row is ones."""
+    inputs = [XA]
+    for W in layers[:-1]:
+        A = np.empty((W.shape[0] + 1, XA.shape[1]))
+        np.matmul(W, inputs[-1], out=A[:-1])
+        np.tanh(A[:-1], out=A[:-1])
+        A[-1] = 1.0
+        inputs.append(A)
+    scores = layers[-1] @ inputs[-1]
     # Softmax over the class axis, in place.
     scores -= scores.max(axis=0)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=0)
-    return scores, hidden
+    return scores, inputs
 
 
-def _objective(params, XT, ST, cfg, K):
-    probs, _ = _forward(params, XT, cfg.learner_kind, K, cfg.hidden_units)
+def _blocks(layers, n):
+    """Slices that split n examples into blocks small enough that each
+    matmul of a layer on a block takes at most BLOCK_MACS multiply-adds,
+    or one slice where such blocks would hold fewer than MIN_BLOCK."""
+    block = BLOCK_MACS // max(W.size for W in layers)
+    if block < MIN_BLOCK or n <= block:
+        return [slice(None)]
+    return [slice(start, start + block) for start in range(0, n, block)]
+
+
+def _objective(layers, XA, ST, l2):
+    probs, _ = _forward(layers, XA)
     return (weighted_loss(probs.T, ST.T)
-            + 0.5 * cfg.l2_penalty * float(params @ params))
+            + 0.5 * l2 * sum(float((W * W).sum()) for W in layers))
 
 
-def _gradient(params, XT, ST, cfg, K):
-    """Gradient of _objective at params for examples in the columns of
-    XT (d, n) with soft labels in the columns of ST (K, n)."""
-    d, n = XT.shape
-    kind, H = cfg.learner_kind, cfg.hidden_units
-    G, hidden = _forward(params, XT, kind, K, H)
-    G -= ST
-    G /= n
-    if kind == "multinomial_logistic":
-        grad = np.concatenate([(G @ XT.T).ravel(), G.sum(axis=1)])
-    else:
-        W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)
-        Gh = W2.T @ G
-        Gh *= 1.0 - hidden * hidden
-        grad = np.concatenate([(Gh @ XT.T).ravel(), Gh.sum(axis=1),
-                               (G @ hidden.T).ravel(), G.sum(axis=1)])
-    grad += cfg.l2_penalty * params
-    return grad
+def _gradient(layers, XA, ST, l2):
+    """Gradient of _objective with respect to each layer, in its shape,
+    for the examples in the columns of XA with soft labels in the columns
+    of ST (K, m), summed over _blocks of examples."""
+    m = XA.shape[1]
+    grads = None
+    for cols in _blocks(layers, m):
+        G, inputs = _forward(layers, XA[:, cols])
+        G -= ST[:, cols]
+        sums = [None] * len(layers)
+        for i in reversed(range(len(layers))):
+            A = inputs[i]
+            sums[i] = G @ A.T
+            if i:
+                G = layers[i][:, :-1].T @ G
+                G *= 1.0 - A[:-1] * A[:-1]
+        grads = sums if grads is None else [g + part for g, part in
+                                            zip(grads, sums)]
+    for grad, W in zip(grads, layers):
+        grad /= m
+        grad += l2 * W
+    return grads
 
 
 def _init_params(cfg, d, K, rng):
@@ -174,35 +238,33 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
         raise ValueError("features and soft labels must align on examples")
     n, d = X.shape
     K = S.shape[1]
-    XT, ST = np.ascontiguousarray(X.T), np.ascontiguousarray(S.T)
+    H = cfg.hidden_units if cfg.learner_kind == "one_hidden_layer_mlp" else 0
+    XA, ST = _with_ones(X), np.ascontiguousarray(S.T)
     seed = as_seed(seed)
-    params = _init_params(cfg, d, K, seed.child("init").generator())
+    layers = _layers(_init_params(cfg, d, K, seed.child("init").generator()),
+                     cfg.learner_kind, d, K, H)
     shuffle_rng = seed.child("shuffle").generator()
 
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
 
     for epoch in range(cfg.epochs):
         if batch == n:
-            batches = (slice(None),)   # a view of XT: no copy, no shuffle draw
+            batches = (slice(None),)   # a view of XA: no copy, no shuffle draw
         else:
             order = shuffle_rng.permutation(n)
             batches = (order[start:start + batch] for start in range(0, n, batch))
         for idx in batches:
-            grad = _gradient(params, XT[:, idx], ST[:, idx], cfg, K)
-            if not np.isfinite(grad).all():
-                raise RuntimeError(
-                    f"non-finite training gradient at epoch {epoch}; "
-                    "reduce the learning rate or feature scale"
-                )
-            params = params - cfg.learning_rate * grad
+            grads = _gradient(layers, XA[:, idx], ST[:, idx], cfg.l2_penalty)
+            for W, grad in zip(layers, grads):
+                if not np.isfinite(grad).all():
+                    raise RuntimeError(
+                        f"non-finite training gradient at epoch {epoch}; "
+                        "reduce the learning rate or feature scale"
+                    )
+                W -= cfg.learning_rate * grad
 
-    return TrainedModel(
-        parameters=params,
-        learner_kind=cfg.learner_kind,
-        K=K,
-        d=d,
-        hidden_units=cfg.hidden_units if cfg.learner_kind == "one_hidden_layer_mlp" else 0,
-    )
+    return TrainedModel(parameters=_flat(layers), learner_kind=cfg.learner_kind,
+                        K=K, d=d, hidden_units=H)
 
 
 def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
@@ -212,9 +274,13 @@ def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"features must be (n, {model.d}) for this model, got {X.shape}"
         )
-    probs, _ = _forward(model.parameters, X.T, model.learner_kind, model.K,
-                        model.hidden_units)
-    return np.ascontiguousarray(probs.T)
+    layers = _layers(model.parameters, model.learner_kind, model.d, model.K,
+                     model.hidden_units)
+    probs = np.empty((X.shape[0], model.K))
+    for rows in _blocks(layers, X.shape[0]):
+        block, _ = _forward(layers, _with_ones(X[rows]))
+        probs[rows] = block.T
+    return probs
 
 
 def zero_one_risk(model: TrainedModel, features: np.ndarray,
@@ -238,17 +304,22 @@ def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
     X = np.asarray(features, dtype=np.float64)
     S = np.asarray(soft, dtype=np.float64)
     d, K = X.shape[1], S.shape[1]
-    XT, ST = X.T, S.T
+    XA, ST = _with_ones(X), S.T
     rng = as_seed(seed).child("gradient-check").generator()
     params = _init_params(cfg, d, K, rng) + 0.1 * rng.standard_normal(
         param_count(cfg, d, K))
+    H, l2 = cfg.hidden_units, cfg.l2_penalty
 
-    analytic = _gradient(params, XT, ST, cfg, K)
+    def objective(point):
+        return _objective(_layers(point, cfg.learner_kind, d, K, H), XA, ST, l2)
+
+    analytic = _flat(_gradient(_layers(params, cfg.learner_kind, d, K, H),
+                               XA, ST, l2))
     numeric = np.empty_like(analytic)
     for i in range(params.size):
         step = np.zeros_like(params)
         step[i] = h
-        numeric[i] = (_objective(params + step, XT, ST, cfg, K)
-                      - _objective(params - step, XT, ST, cfg, K)) / (2 * h)
+        numeric[i] = (objective(params + step)
+                      - objective(params - step)) / (2 * h)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
     return float(np.abs(analytic - numeric).max() / scale)

@@ -9,7 +9,7 @@ import yaml
 from mbem import io as mbio
 from mbem.cli import LEARNER_FLAGS, build_parser, main
 from mbem.core import PRIOR_MODES
-from mbem.harness import _cell_data, spec_from_dict
+from mbem.harness import FILE_KEYS, _cell_data, spec_from_dict
 from mbem.learn import LEARNER_KINDS
 from mbem.methods import METHODS
 from mbem.simulate import MARGIN, SKILL_KINDS, WorkerSkillModel
@@ -304,6 +304,20 @@ def sweep_config(fmt, path):
             json.dump(cfg, fh)
         else:
             yaml.safe_dump(cfg, fh)
+
+
+@pytest.mark.parametrize("value", [["a.csv"], 3], ids=["list", "int"])
+def test_sweep_names_a_file_path_that_is_not_a_string(tmp_path, value):
+    config = tmp_path / "sweep.yaml"
+    sweep_config("yaml", config)
+    files = {key: str(tmp_path / f"{key}.csv") for key in FILE_KEYS}
+    with open(config, "a") as fh:
+        yaml.safe_dump({**files, "annotations_file": value}, fh)
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--config", str(config), "--out-dir",
+              str(tmp_path / "out")])
+    assert exit_.value.code == ("mbem sweep: annotations_file: a file path "
+                                f"must be a string, got {value!r}")
 
 
 @pytest.mark.parametrize("fmt", ["json", "yaml"])

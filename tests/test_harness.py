@@ -309,6 +309,17 @@ def test_spec_rejects_input_files_that_are_not_five_paths(paths):
         dataclasses.replace(tiny_spec(), input_files=paths)
 
 
+@pytest.mark.parametrize("value", [["a.csv"], 3], ids=["list", "int"])
+def test_spec_from_dict_rejects_a_file_path_that_is_not_a_string(tmp_path,
+                                                                 value):
+    # A list used to reach the input cache as an unhashable key, and an
+    # int would reach open() as a file descriptor.
+    files = {key: str(tmp_path / f"{key}.csv") for key in harness.FILE_KEYS}
+    message = f"annotations_file: a file path must be a string, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_spec(**{**files, "annotations_file": value})
+
+
 def test_a_bug_in_fit_propagates_out_of_an_mbem_sweep(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("boom")
@@ -489,7 +500,8 @@ def test_shared_fits_change_no_record(monkeypatch, tmp_path, mode):
                 counts["shared"] += len(calls)
                 calls.clear()
                 data = harness._cell_data(spec, r, seed)
-                alone = [harness._run_cell(spec, method, r, seed, data, None)
+                alone = [harness._run_cell(spec, method, r, seed, data, None,
+                                           {})
                          for method in spec.methods]
                 counts["alone"] += len(calls)
                 calls.clear()
@@ -501,3 +513,27 @@ def test_shared_fits_change_no_record(monkeypatch, tmp_path, mode):
     finally:
         harness._file_inputs.cache_clear()
     assert counts["shared"] < counts["alone"]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_unit_evaluates_each_distinct_model_once(monkeypatch, r):
+    models, evaluated = [], []
+    train_method, zero_one_risk = harness.train_method, harness.zero_one_risk
+
+    def train(*args, **kwargs):
+        result = train_method(*args, **kwargs)
+        models.append(result.model)
+        return result
+
+    def risk(model, *args):
+        evaluated.append(model)
+        return zero_one_risk(model, *args)
+
+    monkeypatch.setattr(harness, "train_method", train)
+    monkeypatch.setattr(harness, "zero_one_risk", risk)
+    spec = tiny_spec(methods=list(methods.METHODS))
+    assert all(rec.error is None for rec in harness._run_unit(spec, r, 0))
+    distinct = {id(model) for model in models}
+    if r == 1:   # mv, em and weighted-mv get one model
+        assert len(distinct) < len(models)
+    assert sorted(id(model) for model in evaluated) == sorted([*distinct] * 2)

@@ -11,6 +11,8 @@ from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
 
 from conftest import (
+    fit_oracle,
+    forward_oracle,
     records,
     write_annotations_oracle,
     write_confusions_oracle,
@@ -105,6 +107,26 @@ def test_model_checkpoint_round_trip(tmp_path):
             (model.K, model.d, model.hidden_units)
         assert_array_equal(loaded.parameters, model.parameters)
         assert_array_equal(predict_proba(loaded, X), predict_proba(model, X))
+
+
+@pytest.mark.parametrize("cfg", [LearnerConfig(epochs=30),
+                                 LearnerConfig(learner_kind="one_hidden_layer_mlp",
+                                               hidden_units=5, epochs=30)],
+                         ids=["logistic", "mlp"])
+def test_model_params_file_holds_each_layers_weights_then_its_bias(tmp_path,
+                                                                    cfg):
+    # fit_oracle and forward_oracle read parameters as [W, b] or
+    # [W1, b1, W2, b2], the layout of model_params.csv.
+    X, y = make_synthetic_dataset(60, 3, 4, margin=3.0, seed=1)
+    soft = one_hot(y, 3)
+    mbio.save_model(tmp_path, fit(X, soft, cfg, seed=2))
+    written = np.loadtxt(tmp_path / "model_params.csv")
+    oracle = fit_oracle(X, soft, cfg, seed=2)
+    assert_allclose(written, oracle, rtol=0, atol=1e-12)
+    probs = predict_proba(mbio.load_model(tmp_path), X)
+    expected, _ = forward_oracle(written, X, cfg.learner_kind, 3,
+                                 cfg.hidden_units)
+    assert_allclose(probs, expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("reader", [mbio.read_truth, mbio.read_features,

@@ -7,8 +7,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mbem.learn import (
     LearnerConfig,
     TrainedModel,
+    _flat,
     _gradient,
+    _layers,
     _objective,
+    _with_ones,
     fit,
     gradient_check,
     param_count,
@@ -19,7 +22,7 @@ from mbem.learn import (
 from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
 
-from conftest import fit_oracle, gradient_oracle
+from conftest import fit_oracle, forward_oracle, gradient_oracle
 
 MLP = LearnerConfig(learner_kind="one_hidden_layer_mlp", hidden_units=6)
 
@@ -97,8 +100,11 @@ class TestFit:
                     replace(MLP, learning_rate=0.01, epochs=80)):
             # A full batch draws no shuffles, so fit(epochs=t) stops at the
             # t-th iterate of the one run.
-            losses = [_objective(fit(X, soft, replace(cfg, epochs=t),
-                                     seed=10).parameters, X.T, soft.T, cfg, 3)
+            losses = [_objective(_layers(fit(X, soft, replace(cfg, epochs=t),
+                                             seed=10).parameters,
+                                         cfg.learner_kind, 5, 3,
+                                         cfg.hidden_units),
+                                 _with_ones(X), soft.T, cfg.l2_penalty)
                       for t in range(1, cfg.epochs + 1)]
             assert np.diff(losses).max() <= 1e-9
 
@@ -137,10 +143,30 @@ class TestClassMajorLayout:
         soft = rng.dirichlet(np.ones(4), size=40)
         params = rng.standard_normal(param_count(cfg, 5, 4))
         idx = rng.permutation(40)[:13]
-        XT, ST = np.ascontiguousarray(X.T), np.ascontiguousarray(soft.T)
-        assert_allclose(_gradient(params, XT[:, idx], ST[:, idx], cfg, 4),
+        layers = _layers(params, cfg.learner_kind, 5, 4, cfg.hidden_units)
+        XA, ST = _with_ones(X), np.ascontiguousarray(soft.T)
+        grads = _gradient(layers, XA[:, idx], ST[:, idx], cfg.l2_penalty)
+        assert [g.shape for g in grads] == [W.shape for W in layers]
+        assert_allclose(_flat(grads),
                         gradient_oracle(params, X[idx], soft[idx], cfg, 4),
                         rtol=0, atol=1e-12)
+
+    # The workloads' shapes: the paper's scenario (K=4, d=8, 300
+    # full-batch epochs) and label-heavy's short fits (K=10, d=20, 5
+    # epochs), whose n=5000 sums the gradient over two blocks. Across
+    # seeds 0-3 the largest relative deviation from the oracle was
+    # 4e-14 and 2e-13.
+    @pytest.mark.parametrize("n, K, d, epochs",
+                             [(1600, 4, 8, 300), (5000, 10, 20, 5)],
+                             ids=["paper-k4", "label-heavy"])
+    def test_fit_matches_the_oracle_at_the_workload_shapes(self, n, K, d,
+                                                           epochs):
+        X, y = make_synthetic_dataset(n, K, d, margin=2.0, seed=2)
+        soft = (0.7 * one_hot(y, K)
+                + 0.3 * np.random.default_rng(2).dirichlet(np.ones(K), size=n))
+        cfg = LearnerConfig(epochs=epochs)
+        assert_allclose(fit(X, soft, cfg, seed=5).parameters,
+                        fit_oracle(X, soft, cfg, seed=5), rtol=1e-11, atol=0)
 
 
 class TestPredictProba:
@@ -171,6 +197,22 @@ class TestPredictProba:
             assert probs.min() >= 0
             assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
+    # 12000 examples make three blocks, the last one short, for both
+    # models: 10 x 21 and 16 x 9 weights allow 4761 and 6944 a block.
+    @pytest.mark.parametrize("cfg, d, K", [
+        (LearnerConfig(), 20, 10),
+        (LearnerConfig(learner_kind="one_hidden_layer_mlp", hidden_units=16),
+         8, 4),
+    ], ids=["logistic", "mlp"])
+    def test_blocks_match_the_row_major_oracle(self, rng, cfg, d, K):
+        params = rng.standard_normal(param_count(cfg, d, K))
+        model = TrainedModel(parameters=params, learner_kind=cfg.learner_kind,
+                             K=K, d=d, hidden_units=cfg.hidden_units)
+        X = rng.standard_normal((12000, d))
+        expected, _ = forward_oracle(params, X, cfg.learner_kind, K,
+                                     cfg.hidden_units)
+        assert_allclose(predict_proba(model, X), expected, rtol=0, atol=1e-14)
+
     def test_dimension_mismatch(self):
         cfg = LearnerConfig()
         model = TrainedModel(parameters=np.zeros(param_count(cfg, 4, 2)),
@@ -199,8 +241,9 @@ class TestGradientCheck:
         X = np.ones((8, 3))
         soft = np.full((8, 2), 0.5)
         params = np.zeros(param_count(cfg, 3, 2))
-        grad = _gradient(params, X.T, soft.T, cfg, K=2)
-        assert_array_equal(grad[-2:], 0.0)   # bias block vanishes by symmetry
+        grads = _gradient(_layers(params, cfg.learner_kind, 3, 2, 0),
+                          _with_ones(X), soft.T, cfg.l2_penalty)
+        assert_array_equal(grads[0][:, -1], 0.0)  # bias vanishes by symmetry
 
 
 class TestZeroOneRisk:
