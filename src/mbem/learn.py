@@ -230,12 +230,15 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
     seed's "init" substream and per-epoch shuffles from its "shuffle"
     substream. batch_size=0 (or >= n) runs full-batch steps.
 
-    Raises RuntimeError if the gradient turns non-finite mid-training.
+    Raises ValueError if there is no example to fit, and RuntimeError if
+    the gradient turns non-finite mid-training.
     """
     X = np.asarray(features, dtype=np.float64)
     S = np.asarray(soft, dtype=np.float64)
     if X.ndim != 2 or S.ndim != 2 or X.shape[0] != S.shape[0]:
         raise ValueError("features and soft labels must align on examples")
+    if not len(X):
+        raise ValueError("need at least one example to fit")
     n, d = X.shape
     K = S.shape[1]
     H = cfg.hidden_units if cfg.learner_kind == "one_hidden_layer_mlp" else 0

@@ -115,6 +115,11 @@ class TestFit:
                                                       match="non-finite"):
             fit(1e6 * X, one_hot(y, 2), cfg, seed=12)
 
+    def test_rejects_zero_examples(self):
+        # The mean over no examples would be 0/0.
+        with pytest.raises(ValueError, match="at least one example"):
+            fit(np.zeros((0, 3)), np.zeros((0, 2)), LearnerConfig(), seed=0)
+
     def test_minibatch_path_trains(self):
         X, y = make_synthetic_dataset(300, 2, 4, margin=6.0, seed=13)
         cfg = LearnerConfig(epochs=40, batch_size=32, learning_rate=0.2)
