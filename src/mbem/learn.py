@@ -28,11 +28,10 @@ first H rows of an (H + 1, n) hidden layer whose last row is ones, the
 next layer's input. A layer's gradient, weights and bias together, is
 its (out, n) residual times the transpose of its input, and the 1/n of
 the mean is applied to that small (out, in + 1) gradient, not to the
-residual. The gradient and predict_proba run on blocks of at most a few
-thousand examples (see BLOCK_MACS) and sum or stack the blocks'
-results. A mini-batch gathers columns. TrainedModel keeps the flat [W, b] or [W1, b1, W2, b2]
-parameters, which fit, predict_proba and gradient_check convert, and
-predict_proba still returns the usual (n, K) rows.
+residual. A mini-batch gathers columns. TrainedModel keeps the flat
+[W, b] or [W1, b1, W2, b2] parameters, which fit, predict_proba and
+gradient_check convert, and predict_proba still returns the usual
+(n, K) rows.
 """
 
 from __future__ import annotations
@@ -55,16 +54,6 @@ __all__ = [
 
 LEARNER_KINDS = ("multinomial_logistic", "one_hidden_layer_mlp")
 PROB_FLOOR = 1e-12
-# The most multiply-adds in one matmul of a layer on a block of
-# examples, and the fewest examples a block may hold. OpenBLAS's AVX-512
-# builds (0.3.31 measured) run a product of at most 1e6 multiply-adds
-# through a small-matrix kernel that packs nothing. On a gradient's
-# long, thin (out, n) @ (n, in + 1) product it was 1.5-3x as fast as the
-# general kernel, but with fewer than about 1000 examples a block, the
-# extra calls and sums cost more than that saves. Blocks also bound the
-# memory predict_proba takes.
-BLOCK_MACS = 1_000_000
-MIN_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -114,16 +103,26 @@ def _shapes(kind, d, K, H):
     return [(H, d), (K, H)]
 
 
+def _size(shapes):
+    """The number of flat parameters of layers of these (out, in) shapes,
+    each with its bias."""
+    return sum(out * (inp + 1) for out, inp in shapes)
+
+
 def param_count(cfg: LearnerConfig, d: int, K: int) -> int:
-    return sum(out * (inp + 1) for out, inp in
-               _shapes(cfg.learner_kind, d, K, cfg.hidden_units))
+    return _size(_shapes(cfg.learner_kind, d, K, cfg.hidden_units))
 
 
 def _layers(params, kind, d, K, H):
     """The flat [W, b] or [W1, b1, W2, b2] parameters as one (out, in + 1)
-    matrix per layer, with the layer's bias as its last column."""
+    matrix per layer, with the layer's bias as its last column. Raises
+    ValueError if params is not a vector of exactly that many values."""
+    shapes = _shapes(kind, d, K, H)
+    if params.shape != (_size(shapes),):
+        raise ValueError(f"this model has {_size(shapes)} parameters, "
+                         f"got an array of shape {params.shape}")
     layers, start = [], 0
-    for out, inp in _shapes(kind, d, K, H):
+    for out, inp in shapes:
         W = np.empty((out, inp + 1))
         W[:, :inp] = params[start:start + out * inp].reshape(out, inp)
         W[:, inp] = params[start + out * inp:start + out * (inp + 1)]
@@ -166,16 +165,6 @@ def _forward(layers, XA):
     return scores, inputs
 
 
-def _blocks(layers, n):
-    """Slices that split n examples into blocks small enough that each
-    matmul of a layer on a block takes at most BLOCK_MACS multiply-adds,
-    or one slice where such blocks would hold fewer than MIN_BLOCK."""
-    block = BLOCK_MACS // max(W.size for W in layers)
-    if block < MIN_BLOCK or n <= block:
-        return [slice(None)]
-    return [slice(start, start + block) for start in range(0, n, block)]
-
-
 def _objective(layers, XA, ST, l2):
     probs, _ = _forward(layers, XA)
     return (weighted_loss(probs.T, ST.T)
@@ -185,24 +174,18 @@ def _objective(layers, XA, ST, l2):
 def _gradient(layers, XA, ST, l2):
     """Gradient of _objective with respect to each layer, in its shape,
     for the examples in the columns of XA with soft labels in the columns
-    of ST (K, m), summed over _blocks of examples."""
-    m = XA.shape[1]
-    grads = None
-    for cols in _blocks(layers, m):
-        G, inputs = _forward(layers, XA[:, cols])
-        G -= ST[:, cols]
-        sums = [None] * len(layers)
-        for i in reversed(range(len(layers))):
-            A = inputs[i]
-            sums[i] = G @ A.T
-            if i:
-                G = layers[i][:, :-1].T @ G
-                G *= 1.0 - A[:-1] * A[:-1]
-        grads = sums if grads is None else [g + part for g, part in
-                                            zip(grads, sums)]
-    for grad, W in zip(grads, layers):
-        grad /= m
-        grad += l2 * W
+    of ST (K, m)."""
+    G, inputs = _forward(layers, XA)
+    G -= ST
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        A = inputs[i]
+        grads[i] = G @ A.T
+        grads[i] /= XA.shape[1]
+        grads[i] += l2 * layers[i]
+        if i:
+            G = layers[i][:, :-1].T @ G
+            G *= 1.0 - A[:-1] * A[:-1]
     return grads
 
 
@@ -279,11 +262,10 @@ def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
         )
     layers = _layers(model.parameters, model.learner_kind, model.d, model.K,
                      model.hidden_units)
-    probs = np.empty((X.shape[0], model.K))
-    for rows in _blocks(layers, X.shape[0]):
-        block, _ = _forward(layers, _with_ones(X[rows]))
-        probs[rows] = block.T
-    return probs
+    # Taking [0] frees the layer inputs, among them the (d + 1, n) copy
+    # of the features, before the (n, K) result is allocated.
+    probs = _forward(layers, _with_ones(X))[0]
+    return np.ascontiguousarray(probs.T)
 
 
 def zero_one_risk(model: TrainedModel, features: np.ndarray,

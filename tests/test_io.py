@@ -129,6 +129,16 @@ def test_model_params_file_holds_each_layers_weights_then_its_bias(tmp_path,
     assert_allclose(probs, expected, rtol=0, atol=1e-14)
 
 
+def test_a_model_params_file_with_an_extra_value_is_rejected(tmp_path):
+    X, y = make_synthetic_dataset(60, 3, 4, margin=3.0, seed=1)
+    mbio.save_model(tmp_path, fit(X, one_hot(y, 3), LearnerConfig(epochs=5),
+                                  seed=2))
+    with open(tmp_path / "model_params.csv", "a") as fh:
+        fh.write("0.5\n")
+    with pytest.raises(ValueError, match="this model has 15 parameters"):
+        predict_proba(mbio.load_model(tmp_path), X)
+
+
 @pytest.mark.parametrize("reader", [mbio.read_truth, mbio.read_features,
                                     mbio.read_soft_labels])
 @pytest.mark.parametrize("ids", [[0, 0], [0, 2]], ids=["duplicate", "gap"])

@@ -158,9 +158,8 @@ class TestClassMajorLayout:
 
     # The workloads' shapes: the paper's scenario (K=4, d=8, 300
     # full-batch epochs) and label-heavy's short fits (K=10, d=20, 5
-    # epochs), whose n=5000 sums the gradient over two blocks. Across
-    # seeds 0-3 the largest relative deviation from the oracle was
-    # 4e-14 and 2e-13.
+    # epochs). Across seeds 0-3 the largest relative deviation from the
+    # oracle was 4e-14 and 2e-13.
     @pytest.mark.parametrize("n, K, d, epochs",
                              [(1600, 4, 8, 300), (5000, 10, 20, 5)],
                              ids=["paper-k4", "label-heavy"])
@@ -202,28 +201,21 @@ class TestPredictProba:
             assert probs.min() >= 0
             assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    # 12000 examples make three blocks, the last one short, for both
-    # models: 10 x 21 and 16 x 9 weights allow 4761 and 6944 a block.
-    @pytest.mark.parametrize("cfg, d, K", [
-        (LearnerConfig(), 20, 10),
-        (LearnerConfig(learner_kind="one_hidden_layer_mlp", hidden_units=16),
-         8, 4),
-    ], ids=["logistic", "mlp"])
-    def test_blocks_match_the_row_major_oracle(self, rng, cfg, d, K):
-        params = rng.standard_normal(param_count(cfg, d, K))
-        model = TrainedModel(parameters=params, learner_kind=cfg.learner_kind,
-                             K=K, d=d, hidden_units=cfg.hidden_units)
-        X = rng.standard_normal((12000, d))
-        expected, _ = forward_oracle(params, X, cfg.learner_kind, K,
-                                     cfg.hidden_units)
-        assert_allclose(predict_proba(model, X), expected, rtol=0, atol=1e-14)
-
     def test_dimension_mismatch(self):
         cfg = LearnerConfig()
         model = TrainedModel(parameters=np.zeros(param_count(cfg, 4, 2)),
                              learner_kind=cfg.learner_kind, K=2, d=4)
         with pytest.raises(ValueError, match=r"\(n, 4\)"):
             predict_proba(model, np.ones((3, 5)))
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    def test_rejects_a_parameter_vector_of_the_wrong_length(self, extra):
+        cfg = LearnerConfig()
+        model = TrainedModel(
+            parameters=np.zeros(param_count(cfg, 4, 2) + extra),
+            learner_kind=cfg.learner_kind, K=2, d=4)
+        with pytest.raises(ValueError, match="this model has 10 parameters"):
+            predict_proba(model, np.ones((3, 4)))
 
 
 class TestGradientCheck:
