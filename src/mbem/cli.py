@@ -31,7 +31,6 @@ def _add_learner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2", dest="l2_penalty", type=float)
     p.add_argument("--batch-size", type=int, help="0 means full batch")
     p.add_argument("--hidden-units", type=int)
-    p.add_argument("--init-scale", type=float)
 
 
 def _config(args) -> MbemConfig:

@@ -118,10 +118,14 @@ class SweepSpec:
         if self.d is not None and not self.d >= self.skill.K:
             raise ValueError(f"feature_dim must be at least classes "
                              f"({self.skill.K}), got {self.d}")
-        if (self.input_files is not None
-                and len(self.input_files) != len(FILE_KEYS)):
-            raise ValueError(f"input_files must hold {len(FILE_KEYS)} paths, "
-                             f"got {len(self.input_files)}")
+        if self.input_files is not None:
+            if len(self.input_files) != len(FILE_KEYS):
+                raise ValueError(f"input_files must hold {len(FILE_KEYS)} "
+                                 f"paths, got {len(self.input_files)}")
+            for key, path in zip(FILE_KEYS, self.input_files):
+                if not isinstance(path, str):
+                    raise ValueError(f"{key}: a file path must be a string, "
+                                     f"got {path!r}")
 
 
 @dataclass
@@ -423,9 +427,9 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     seeds; each list holds distinct values. Optional keys: classes, m
     (100), n_test (4000), feature_dim, margin, worker_model {kind,
     gamma}; rounds, prior and smoothing for MbemConfig; learner {kind,
-    l2_penalty, learning_rate, epochs, batch_size, hidden_units,
-    init_scale} for LearnerConfig; and for file mode annotations_file,
-    features_file, truth_file, test_features_file and test_truth_file.
+    l2_penalty, learning_rate, epochs, batch_size, hidden_units} for
+    LearnerConfig; and for file mode annotations_file, features_file,
+    truth_file, test_features_file and test_truth_file.
     A null value, such as an empty YAML block, counts as absent.
     The scenario defaults come from the simulate module: classes, kind
     and gamma from WorkerSkillModel, margin from simulate.MARGIN, and
@@ -448,10 +452,6 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     if 0 < len(absent) < len(FILE_KEYS):
         raise ValueError("file mode needs all five input files; missing "
                          + ", ".join(absent))
-    for key in FILE_KEYS:
-        if key in cfg and not isinstance(cfg[key], str):
-            raise ValueError(f"{key}: a file path must be a string, "
-                             f"got {cfg[key]!r}")
 
     def scalar(kind, key, default=None):
         return _coerce(kind, cfg[key], key) if key in cfg else default

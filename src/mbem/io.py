@@ -14,9 +14,9 @@ Every reader requires at least one row below the header and the file's
 columns (exactly 3 for annotations, 2 for truth and 4 for confusions;
 at least 2 for features and soft labels), and the readers of truth,
 soft label and feature files require example_id to hold each of 0..n-1
-exactly once. Model checkpoints are a parameter CSV (one value per
-line, full precision) plus a JSON sidecar with ``kind, K, d,
-hidden_units``.
+exactly once. Every feature value must be finite. Model checkpoints are
+a parameter CSV (one value per line, full precision) plus a JSON
+sidecar with ``kind, K, d, hidden_units``.
 """
 
 from __future__ import annotations
@@ -169,8 +169,15 @@ def write_features(path, features: np.ndarray) -> None:
 
 
 def read_features(path) -> np.ndarray:
+    """Features in example_id order; ValueError, naming the file and the
+    first example_id, on a value that is not finite."""
     data = _read_rows(path)
-    return data[_id_order(path, data[:, 0]), 1:]
+    X = data[_id_order(path, data[:, 0]), 1:]
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: example_id {finite.argmin()} holds a "
+                         "non-finite feature value")
+    return X
 
 
 def save_model(out_dir, model: TrainedModel) -> None:

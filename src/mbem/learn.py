@@ -54,6 +54,8 @@ __all__ = [
 
 LEARNER_KINDS = ("multinomial_logistic", "one_hidden_layer_mlp")
 PROB_FLOOR = 1e-12
+# Standard deviation of the normal draws that start every fit.
+INIT_SCALE = 0.01
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class LearnerConfig:
     epochs: int = 300
     batch_size: int = 0          # 0 means full batch
     hidden_units: int = 32       # MLP only
-    init_scale: float = 0.01
 
     def __post_init__(self):
         if self.learner_kind not in LEARNER_KINDS:
@@ -82,8 +83,6 @@ class LearnerConfig:
         if (self.learner_kind == "one_hidden_layer_mlp"
                 and not self.hidden_units >= 1):
             raise ValueError("hidden_units must be at least 1")
-        if not np.isfinite(self.init_scale):
-            raise ValueError("init_scale must be finite")
 
 
 @dataclass(eq=False)
@@ -190,7 +189,7 @@ def _gradient(layers, XA, ST, l2):
 
 
 def _init_params(cfg, d, K, rng):
-    return cfg.init_scale * rng.standard_normal(param_count(cfg, d, K))
+    return INIT_SCALE * rng.standard_normal(param_count(cfg, d, K))
 
 
 def weighted_loss(predicted_probs: np.ndarray, weights: np.ndarray) -> float:
@@ -209,9 +208,10 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
         seed) -> TrainedModel:
     """Train a model on soft labels by mini-batch gradient descent.
 
-    Deterministic given (inputs, seed): initialization draws from the
-    seed's "init" substream and per-epoch shuffles from its "shuffle"
-    substream. batch_size=0 (or >= n) runs full-batch steps.
+    Deterministic given (inputs, seed): initialization draws INIT_SCALE
+    times standard normals from the seed's "init" substream, and
+    per-epoch shuffles from its "shuffle" substream. batch_size=0 (or
+    >= n) runs full-batch steps.
 
     Raises ValueError if there is no example to fit, and RuntimeError if
     the gradient turns non-finite mid-training.

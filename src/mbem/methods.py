@@ -104,26 +104,19 @@ class _Fit:
     model: TrainedModel
 
 
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a and b hold equal values, compared on a prefix before the
-    whole."""
-    return (a.shape == b.shape and np.array_equal(a[:16], b[:16])
-            and np.array_equal(a, b))
-
-
 def _fit(features, targets: np.ndarray, cfg: LearnerConfig, seed,
          fits: list[_Fit] | None) -> TrainedModel:
     """learn.fit on features and targets.
 
     fits, if not None, holds the earlier fits of one unit. A fit there
-    on the same features object, cfg, seed and targets gives its model
-    instead of training again; a new fit is added to it. The model
-    parameters and the targets of every fit in fits are read-only, since
-    other methods share them."""
+    on the same features object, cfg and seed, with targets equal in
+    shape and every value, gives its model instead of training again; a
+    new fit is added to it. The model parameters and the targets of
+    every fit in fits are read-only, since other methods share them."""
     seed = as_seed(seed)
     for done in fits or ():
         if (done.features is features and done.cfg == cfg and done.seed == seed
-                and _same(done.targets, targets)):
+                and np.array_equal(done.targets, targets)):
             return done.model
     model = fit(features, targets, cfg, seed)
     if fits is not None:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mbem import learn
 from mbem.core import (
     _EMPTY_ROW_MESSAGE,
     CONFUSION_CLAMP,
@@ -239,8 +240,9 @@ def fit_oracle(X, soft, cfg, seed):
     n, d = X.shape
     K = soft.shape[1]
     seed = as_seed(seed)
-    params = cfg.init_scale * seed.child("init").generator().standard_normal(
-        param_count(cfg, d, K))
+    init = seed.child("init").generator()
+    # Read at call time, so that a test can monkeypatch it.
+    params = learn.INIT_SCALE * init.standard_normal(param_count(cfg, d, K))
     shuffle_rng = seed.child("shuffle").generator()
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
     for _ in range(cfg.epochs):

@@ -1,17 +1,19 @@
 import argparse
 import json
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import yaml
 
+from mbem import cli
 from mbem import io as mbio
 from mbem.cli import LEARNER_FLAGS, build_parser, main
 from mbem.core import PRIOR_MODES
 from mbem.harness import FILE_KEYS, _cell_data, spec_from_dict
-from mbem.learn import LEARNER_KINDS
-from mbem.methods import METHODS
+from mbem.learn import LEARNER_KINDS, LearnerConfig
+from mbem.methods import METHODS, MbemConfig
 from mbem.simulate import MARGIN, SKILL_KINDS, WorkerSkillModel
 
 from conftest import sweep_rows
@@ -174,6 +176,63 @@ def test_train_learner_flags_reach_the_model(simulated, tmp_path):
     assert (meta["kind"], meta["hidden_units"]) == ("one_hidden_layer_mlp", 4)
 
 
+def test_train_names_a_non_finite_feature(simulated, tmp_path):
+    # The learner would otherwise report a non-finite gradient.
+    features = simulated / "features.csv"
+    X = mbio.read_features(features)
+    X[5, 1] = np.inf
+    mbio.write_features(features, X)
+    with pytest.raises(SystemExit) as exit_:
+        train(simulated, tmp_path / "x", "mv")
+    assert exit_.value.code == (f"mbem train --method mv: {features}: "
+                                "example_id 5 holds a non-finite feature value")
+
+
+TRAIN_REQUIRED = ["train", "--annotations", "a.csv", "--features", "f.csv",
+                  "--method", "mv", "--out-dir", "out"]
+# Each config flag of mbem train with a value other than its default, and
+# the MbemConfig or LearnerConfig field and value that it should give.
+CONFIG_FLAGS = [
+    ("--rounds", "3", "rounds", 3),
+    ("--prior", "estimated", "prior_mode", "estimated"),
+    ("--smoothing", "0.5", "smoothing", 0.5),
+    ("--learner", "mlp", "learner_kind", "one_hidden_layer_mlp"),
+    ("--epochs", "7", "epochs", 7),
+    ("--learning-rate", "0.05", "learning_rate", 0.05),
+    ("--l2", "0.01", "l2_penalty", 0.01),
+    ("--batch-size", "16", "batch_size", 16),
+    ("--hidden-units", "4", "hidden_units", 4),
+]
+
+
+def test_every_config_field_has_a_train_flag():
+    assert sorted(name for _, _, name, _ in CONFIG_FLAGS) == sorted(
+        f.name for cls in (MbemConfig, LearnerConfig) for f in fields(cls)
+        if f.name != "learner")
+
+
+@pytest.mark.parametrize("flag,value,name,expected", CONFIG_FLAGS,
+                         ids=[flag for flag, *_ in CONFIG_FLAGS])
+def test_a_train_config_flag_changes_its_field_alone(flag, value, name,
+                                                     expected):
+    default = MbemConfig()
+    if name in {f.name for f in fields(MbemConfig)}:
+        want = replace(default, **{name: expected})
+    else:
+        want = replace(default,
+                       learner=replace(default.learner, **{name: expected}))
+    assert want != default
+    args = build_parser().parse_args(TRAIN_REQUIRED + [flag, value])
+    assert cli._config(args) == want
+
+
+def test_train_has_no_init_scale_flag(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(TRAIN_REQUIRED + ["--init-scale", "0.1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --init-scale 0.1" in capsys.readouterr().err
+
+
 def test_train_method_choices_are_the_method_names():
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
@@ -318,6 +377,31 @@ def test_sweep_names_a_file_path_that_is_not_a_string(tmp_path, value):
               str(tmp_path / "out")])
     assert exit_.value.code == ("mbem sweep: annotations_file: a file path "
                                 f"must be a string, got {value!r}")
+
+
+def test_sweep_reports_each_failed_cell_and_exits_1(simulated, tmp_path,
+                                                   capsys):
+    # File mode has no true confusion matrices for oracle-weighted-em. The
+    # training files double as the test set.
+    names = ("annotations", "features", "truth", "features", "truth")
+    config = tmp_path / "sweep.yaml"
+    config.write_text(yaml.safe_dump({
+        "budget": 100, "redundancies": [1, 2],
+        "methods": ["mv", "oracle-weighted-em"], "seeds": [0],
+        "learner": {"epochs": 5},
+        **{key: str(simulated / f"{name}.csv")
+           for key, name in zip(FILE_KEYS, names)}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out-dir",
+                 str(out)]) == 1
+    error = "ValueError: oracle-weighted-em requires the true confusion matrices"
+    assert capsys.readouterr().err.splitlines() == [
+        f"cell (oracle-weighted-em, r={r}, seed=0) failed: {error}"
+        for r in (1, 2)] + [f"2/4 cells succeeded -> {out}"]
+    assert [(row["method"], row["error"])
+            for row in sweep_rows(out / "sweep.csv")] == [
+        ("mv", ""), ("mv", ""), ("oracle-weighted-em", error),
+        ("oracle-weighted-em", error)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "yaml"])

@@ -5,6 +5,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 import yaml
 
@@ -177,6 +178,29 @@ def test_file_mode_names_a_short_example_by_its_file_example_id(tmp_path,
     assert [rec.error for rec in records] == [None, want, want]
 
 
+def test_file_mode_fails_a_unit_that_needs_more_examples_than_the_file(
+        tmp_path):
+    # The file holds 120 examples: r=1 needs 200 of them, r=2 only 100.
+    spec, _ = file_spec(tmp_path)
+    records = harness.run_sweep(dataclasses.replace(spec, budget=200)).records
+    want = "ValueError: annotation file has only 120 examples, cell needs 200"
+    assert [(rec.r, rec.error) for rec in records] == [
+        (1, want), (1, want), (2, None), (2, None)] * 2
+
+
+def test_file_mode_names_a_non_finite_test_feature(tmp_path):
+    # Every prediction on a NaN row is class 0, which would read as a risk.
+    spec, data = file_spec(tmp_path)
+    test_features = data / "test_features.csv"
+    mbio.write_features(test_features,
+                        np.full_like(mbio.read_features(test_features),
+                                     np.nan))
+    want = (f"ValueError: {test_features}: example_id 0 holds a non-finite "
+            "feature value")
+    records = harness.run_sweep(spec).records
+    assert [rec.error for rec in records] == [want] * 8
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_file_mode_aborts_on_a_missing_input_file(tmp_path, jobs):
     # At jobs=2 a pool worker raises it, and pool.map raises it again here.
@@ -309,15 +333,24 @@ def test_spec_rejects_input_files_that_are_not_five_paths(paths):
         dataclasses.replace(tiny_spec(), input_files=paths)
 
 
-@pytest.mark.parametrize("value", [["a.csv"], 3], ids=["list", "int"])
+@pytest.mark.parametrize("value,replace", [(["a.csv"], False), (3, False),
+                                           (["a.csv"], True)],
+                         ids=["list", "int", "replace"])
 def test_spec_from_dict_rejects_a_file_path_that_is_not_a_string(tmp_path,
-                                                                 value):
+                                                                 value,
+                                                                 replace):
     # A list used to reach the input cache as an unhashable key, and an
-    # int would reach open() as a file descriptor.
+    # int would reach open() as a file descriptor. SweepSpec checks the
+    # paths, so a spec that dataclasses.replace builds is checked too.
     files = {key: str(tmp_path / f"{key}.csv") for key in harness.FILE_KEYS}
     message = f"annotations_file: a file path must be a string, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        tiny_spec(**{**files, "annotations_file": value})
+        if replace:
+            spec = tiny_spec(**files)
+            dataclasses.replace(spec, input_files=(value,
+                                                   *spec.input_files[1:]))
+        else:
+            tiny_spec(**{**files, "annotations_file": value})
 
 
 def test_a_bug_in_fit_propagates_out_of_an_mbem_sweep(monkeypatch):
@@ -357,8 +390,11 @@ def test_spec_rejects_an_empty_list(key):
 
 
 def test_spec_from_dict_rejects_an_unknown_learner_key():
-    with pytest.raises(ValueError, match="epoch_count"):
-        tiny_spec(learner={"epoch_count": 10})
+    # init_scale is a constant of learn, not a setting.
+    for key in ("epoch_count", "init_scale"):
+        message = f"LearnerConfig cannot take field(s) ['{key}']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_spec(learner={key: 0.3})
 
 
 @pytest.mark.parametrize("key,values,repeat", [
@@ -382,6 +418,8 @@ def test_spec_rejects_a_repeated_list_entry(key, values, repeat):
     ({"m": 0}, "m must be at least 1, got 0"),
     ({"n_test": 0}, "n_test must be at least 1, got 0"),
     ({"feature_dim": 1}, "feature_dim must be at least classes (2), got 1"),
+    ({"budget": 1}, "budget 1 cannot fund redundancy 2"),
+    ({"redundancies": [0]}, "budget 120 cannot fund redundancy 0"),
 ])
 def test_spec_from_dict_names_a_bad_top_level_key(edit, message):
     # None drops the key.

@@ -67,11 +67,24 @@ def test_confusions_round_trip(tmp_path, rng):
 def test_features_round_trip_exact(tmp_path):
     synthetic, _ = make_synthetic_dataset(12, 2, 5, margin=3.0, seed=0)
     path = tmp_path / "features.csv"
-    for X in (synthetic, AWKWARD.reshape(4, 3)):
+    # read_features rejects the non-finite values.
+    for X in (synthetic, AWKWARD[np.isfinite(AWKWARD)].reshape(3, 3)):
         mbio.write_features(path, X)
         # Bit patterns, so that a negative zero must come back negative.
         assert_array_equal(mbio.read_features(path).view(np.uint64),
                            X.view(np.uint64))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_features_names_the_first_example_with_a_non_finite_value(
+        tmp_path, value):
+    # Example 1 comes after example 2 in the file.
+    path = tmp_path / "features.csv"
+    path.write_text(f"example_id,x0,x1\n0,1.5,2\n2,{value},0\n"
+                    f"1,0,{value}\n")
+    message = f"{path}: example_id 1 holds a non-finite feature value"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mbio.read_features(path)
 
 
 @pytest.mark.parametrize("writer,oracle,value", [

@@ -291,8 +291,8 @@ NAN = float("nan")
     (LearnerConfig, {"batch_size": -5}, "batch_size must be nonnegative"),
     (LearnerConfig, {"learner_kind": "one_hidden_layer_mlp",
                      "hidden_units": 0}, "hidden_units must be at least 1"),
-    (LearnerConfig, {"init_scale": NAN}, "init_scale must be finite"),
-    (LearnerConfig, {"init_scale": float("inf")}, "init_scale must be finite"),
+    (LearnerConfig, {"epochs": NAN}, "epochs must be at least 1"),
+    (LearnerConfig, {"batch_size": NAN}, "batch_size must be nonnegative"),
     (MbemConfig, {"rounds": 0}, "rounds must be at least 1"),
     (MbemConfig, {"prior_mode": "empirical"}, "unknown prior_mode"),
     (MbemConfig, {"smoothing": -1.0}, "smoothing must be nonnegative"),
