@@ -28,7 +28,6 @@ def _add_learner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner", dest="learner_kind", choices=LEARNER_FLAGS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", type=float)
-    p.add_argument("--l2", dest="l2_penalty", type=float)
     p.add_argument("--batch-size", type=int, help="0 means full batch")
     p.add_argument("--hidden-units", type=int)
 
@@ -167,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--rounds", type=int)
     p.add_argument("--prior", dest="prior_mode", choices=PRIOR_MODES)
-    p.add_argument("--smoothing", type=float)
     p.add_argument("--truth", default=None, help="truth CSV")
     p.add_argument("--worker-confusions", default=None, help="true confusion CSV")
     p.add_argument("--seed", type=int, default=0)

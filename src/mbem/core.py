@@ -241,7 +241,7 @@ def posterior(ann: AnnotationSet, confusions: np.ndarray,
 
 
 def estimate_confusions_and_prior(ann: AnnotationSet, t: np.ndarray,
-                                  smoothing: float = 1.0):
+                                  smoothing: float):
     """Maximum-likelihood confusion matrices and class prior against hard labels t.
 
     conf[a, k, s] = (#{worker a labelled s where t=k} + smoothing)

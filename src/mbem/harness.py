@@ -77,7 +77,7 @@ FILE_KEYS = ("annotations_file", "features_file", "truth_file",
 REQUIRED_KEYS = ("budget", "redundancies", "methods", "seeds")
 CONFIG_KEYS = REQUIRED_KEYS + (
     "classes", "m", "n_test", "feature_dim", "margin", "worker_model",
-    "rounds", "prior", "smoothing", "learner") + FILE_KEYS
+    "rounds", "prior", "learner") + FILE_KEYS
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,8 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
         ann_all, X_all, y_all, X_test, y_test = _file_inputs(
             *spec.input_files)
         if n_train > ann_all.n:
-            raise ValueError(f"annotation file has only {ann_all.n} examples, "
-                             f"cell needs {n_train}")
+            raise ValueError(f"{spec.input_files[0]}: annotation file has "
+                             f"only {ann_all.n} examples, cell needs {n_train}")
         pick_rng = root.child("subset", r).generator()
         keep = np.sort(pick_rng.choice(ann_all.n, size=n_train, replace=False))
         kept = _restrict(ann_all, keep)
@@ -335,11 +335,11 @@ def aggregate(records) -> dict[tuple[str, int], CellAggregate]:
 
 
 def emit_report(result: SweepResult, out_dir) -> None:
-    """Write sweep.csv, aggregate.csv, plotdata_<method>.csv, timing.csv.
+    """Write sweep.csv, aggregate.csv and timing.csv.
 
-    sweep.csv carries only deterministic fields (floats in shortest
-    round-trip form) so reruns are byte-identical; wall-clock times go
-    to timing.csv.
+    sweep.csv and aggregate.csv carry only deterministic fields (floats
+    in shortest round-trip form) so reruns are byte-identical; wall-clock
+    times go to timing.csv.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -351,16 +351,10 @@ def emit_report(result: SweepResult, out_dir) -> None:
                ([rec.method, rec.r, rec.seed, f"{rec.wall_time:.6f}"]
                 for rec in result.records))
 
-    aggs = sorted(result.aggregates.items())
     _write_csv(out / "aggregate.csv", ["method", "r", "mean", "stderr", "n_seeds"],
                ([method, r, repr(agg.mean),
                  "" if agg.stderr is None else repr(agg.stderr), agg.n_seeds]
-                for (method, r), agg in aggs))
-    for method in sorted({method for (method, _), _ in aggs}):
-        _write_csv(out / f"plotdata_{method}.csv", ["r", "mean", "stderr"],
-                   ([r, f"{agg.mean:.6g}",
-                     "" if agg.stderr is None else f"{agg.stderr:.6g}"]
-                    for (meth, r), agg in aggs if meth == method))
+                for (method, r), agg in sorted(result.aggregates.items())))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -426,10 +420,12 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     Required keys: budget, redundancies, methods (from methods.METHODS),
     seeds; each list holds distinct values. Optional keys: classes, m
     (100), n_test (4000), feature_dim, margin, worker_model {kind,
-    gamma}; rounds, prior and smoothing for MbemConfig; learner {kind,
-    l2_penalty, learning_rate, epochs, batch_size, hidden_units} for
-    LearnerConfig; and for file mode annotations_file, features_file,
-    truth_file, test_features_file and test_truth_file.
+    gamma}; rounds and prior for MbemConfig; learner {kind,
+    learning_rate, epochs, batch_size, hidden_units} for LearnerConfig;
+    and for file mode annotations_file, features_file, truth_file,
+    test_features_file and test_truth_file. The learner's l2 weight
+    (learn.L2_PENALTY) and MBEM's confusion smoothing
+    (methods.MBEM_SMOOTHING) are constants, not keys.
     A null value, such as an empty YAML block, counts as absent.
     The scenario defaults come from the simulate module: classes, kind
     and gamma from WorkerSkillModel, margin from simulate.MARGIN, and
@@ -462,8 +458,7 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     learner = _block(cfg, "learner")
     if "kind" in learner:
         learner["learner_kind"] = learner.pop("kind")
-    mbem = {key: cfg[key] for key in ("rounds", "prior", "smoothing")
-            if key in cfg}
+    mbem = {key: cfg[key] for key in ("rounds", "prior") if key in cfg}
     if "prior" in mbem:
         mbem["prior_mode"] = mbem.pop("prior")
     mbem_cfg = _config_from(MbemConfig, mbem,

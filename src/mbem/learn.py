@@ -5,7 +5,8 @@ soft label row,
 
     mean_i  sum_k soft[i, k] * (-log p_k(x_i))  +  l2/2 * ||params||^2,
 
-minimized by plain mini-batch gradient descent with a fixed step size.
+with the fixed weight l2 = L2_PENALTY, minimized by plain mini-batch
+gradient descent with a fixed step size.
 The deliberately simple optimizer keeps runs bit-reproducible and makes
 the analytic gradients easy to verify against finite differences
 (gradient_check). Two hypothesis classes are provided: multinomial
@@ -56,12 +57,13 @@ LEARNER_KINDS = ("multinomial_logistic", "one_hidden_layer_mlp")
 PROB_FLOOR = 1e-12
 # Standard deviation of the normal draws that start every fit.
 INIT_SCALE = 0.01
+# The weight of the objective's l2 term, in every fit.
+L2_PENALTY = 1e-4
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     learner_kind: str = "multinomial_logistic"
-    l2_penalty: float = 1e-4
     learning_rate: float = 0.1
     epochs: int = 300
     batch_size: int = 0          # 0 means full batch
@@ -75,8 +77,6 @@ class LearnerConfig:
             raise ValueError("learning_rate must be positive")
         if not self.epochs >= 1:
             raise ValueError("epochs must be at least 1")
-        if not self.l2_penalty >= 0:
-            raise ValueError("l2_penalty must be nonnegative")
         if not self.batch_size >= 0:
             raise ValueError("batch_size must be nonnegative "
                              "(0 means full batch)")
@@ -240,7 +240,7 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
             order = shuffle_rng.permutation(n)
             batches = (order[start:start + batch] for start in range(0, n, batch))
         for idx in batches:
-            grads = _gradient(layers, XA[:, idx], ST[:, idx], cfg.l2_penalty)
+            grads = _gradient(layers, XA[:, idx], ST[:, idx], L2_PENALTY)
             for W, grad in zip(layers, grads):
                 if not np.isfinite(grad).all():
                     raise RuntimeError(
@@ -293,7 +293,7 @@ def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
     rng = as_seed(seed).child("gradient-check").generator()
     params = _init_params(cfg, d, K, rng) + 0.1 * rng.standard_normal(
         param_count(cfg, d, K))
-    H, l2 = cfg.hidden_units, cfg.l2_penalty
+    H, l2 = cfg.hidden_units, L2_PENALTY
 
     def objective(point):
         return _objective(_layers(point, cfg.learner_kind, d, K, H), XA, ST, l2)

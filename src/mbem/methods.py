@@ -55,13 +55,15 @@ __all__ = [
 HARD_METHODS = ("mv", "em", "oracle-correct", "truth")
 WEIGHTED_METHODS = ("weighted-mv", "weighted-em", "oracle-weighted-em")
 METHODS = HARD_METHODS + WEIGHTED_METHODS + ("mbem",)
+# The pseudo-count that MBEM adds to every confusion count (see
+# core.estimate_confusions_and_prior).
+MBEM_SMOOTHING = 1.0
 
 
 @dataclass(frozen=True)
 class MbemConfig:
     rounds: int = 2
     prior_mode: str = "uniform"     # one of core.PRIOR_MODES
-    smoothing: float = 1.0
     learner: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self):
@@ -69,8 +71,6 @@ class MbemConfig:
             raise ValueError("rounds must be at least 1")
         if self.prior_mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
-        if not self.smoothing >= 0:
-            raise ValueError("smoothing must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -136,11 +136,12 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
     soft labels, with every round's fit drawing from seed itself, so
     round 0 fits weighted-mv's model; (2) takes the model's argmax
     predictions on the training examples as provisional truth; (3)
-    re-estimates all confusion matrices and the class prior against
-    them and recomputes the label posterior, in one
-    core.dawid_skene_update. Artifacts of the final round are returned,
-    together with each round's weighted_loss of the model on the soft
-    labels it was trained on. fits is as in _fit.
+    re-estimates all confusion matrices, with MBEM_SMOOTHING added to
+    every count, and the class prior against them and recomputes the
+    label posterior, in one core.dawid_skene_update. Artifacts of the
+    final round are returned, together with each round's weighted_loss
+    of the model on the soft labels it was trained on. fits is as in
+    _fit.
     """
     soft = majority_vote_init(ann)
     risks = []
@@ -149,7 +150,7 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
         probs = predict_proba(model, features)
         risks.append(weighted_loss(probs, soft))
         soft, conf, prior = dawid_skene_update(ann, hard_labels(probs),
-                                               cfg.smoothing, cfg.prior_mode)
+                                               MBEM_SMOOTHING, cfg.prior_mode)
     return MbemResult(model=model, confusions=conf, prior=prior, soft=soft,
                       per_round_train_risk=risks)
 

@@ -219,7 +219,8 @@ def forward_oracle(params, X, kind, K, H):
 
 
 def gradient_oracle(params, X, soft, cfg, K):
-    """Row-major gradient of the soft-label cross-entropy plus l2 term."""
+    """Row-major gradient of the soft-label cross-entropy plus the l2
+    term, weighted by learn.L2_PENALTY as read at call time."""
     n, d = X.shape
     H = cfg.hidden_units
     probs, hidden = forward_oracle(params, X, cfg.learner_kind, K, H)
@@ -231,7 +232,7 @@ def gradient_oracle(params, X, soft, cfg, K):
         Gh = (G @ W2) * (1.0 - hidden * hidden)
         grad = np.concatenate([(Gh.T @ X).ravel(), Gh.sum(axis=0),
                                (G.T @ hidden).ravel(), G.sum(axis=0)])
-    return grad + cfg.l2_penalty * params
+    return grad + learn.L2_PENALTY * params
 
 
 def fit_oracle(X, soft, cfg, seed):

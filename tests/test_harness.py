@@ -183,7 +183,8 @@ def test_file_mode_fails_a_unit_that_needs_more_examples_than_the_file(
     # The file holds 120 examples: r=1 needs 200 of them, r=2 only 100.
     spec, _ = file_spec(tmp_path)
     records = harness.run_sweep(dataclasses.replace(spec, budget=200)).records
-    want = "ValueError: annotation file has only 120 examples, cell needs 200"
+    want = (f"ValueError: {spec.input_files[0]}: annotation file has only "
+            "120 examples, cell needs 200")
     assert [(rec.r, rec.error) for rec in records] == [
         (1, want), (1, want), (2, None), (2, None)] * 2
 
@@ -374,11 +375,12 @@ def test_spec_from_dict_reads_the_prior_key():
 
 
 def test_spec_from_dict_coerces_yaml_strings():
-    spec = tiny_spec(learner=yaml.safe_load("l2_penalty: 1e-4\nepochs: 7"),
-                     smoothing="0.5", worker_model={"gamma": "0.9"},
+    # YAML reads 5e-2, which has no dot, as a string.
+    spec = tiny_spec(learner=yaml.safe_load("learning_rate: 5e-2\nepochs: 7"),
+                     margin="2.5", worker_model={"gamma": "0.9"},
                      seeds=["0", "1"])
-    assert spec.mbem.learner == LearnerConfig(l2_penalty=1e-4, epochs=7)
-    assert spec.mbem.smoothing == 0.5
+    assert spec.mbem.learner == LearnerConfig(learning_rate=0.05, epochs=7)
+    assert spec.margin == 2.5
     assert spec.skill == WorkerSkillModel(gamma=0.9)
     assert spec.seeds == (0, 1)
 
@@ -390,8 +392,8 @@ def test_spec_rejects_an_empty_list(key):
 
 
 def test_spec_from_dict_rejects_an_unknown_learner_key():
-    # init_scale is a constant of learn, not a setting.
-    for key in ("epoch_count", "init_scale"):
+    # init_scale and l2_penalty are constants of learn, not settings.
+    for key in ("epoch_count", "init_scale", "l2_penalty"):
         message = f"LearnerConfig cannot take field(s) ['{key}']"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_spec(learner={key: 0.3})
@@ -420,6 +422,8 @@ def test_spec_rejects_a_repeated_list_entry(key, values, repeat):
     ({"feature_dim": 1}, "feature_dim must be at least classes (2), got 1"),
     ({"budget": 1}, "budget 1 cannot fund redundancy 2"),
     ({"redundancies": [0]}, "budget 120 cannot fund redundancy 0"),
+    # MBEM's smoothing is the constant methods.MBEM_SMOOTHING.
+    ({"smoothing": 0.5}, "unknown sweep config key(s) ['smoothing']"),
 ])
 def test_spec_from_dict_names_a_bad_top_level_key(edit, message):
     # None drops the key.

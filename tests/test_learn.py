@@ -67,12 +67,14 @@ class TestFit:
         model = fit(X, one_hot(y, 3), LearnerConfig(), seed=1)
         assert zero_one_risk(model, X, y) <= 0.01
 
-    def test_uniform_soft_labels_shrink_to_uniform_predictions(self):
+    def test_uniform_soft_labels_shrink_to_uniform_predictions(self,
+                                                               monkeypatch):
         X, _ = make_synthetic_dataset(500, 2, 4, margin=6.0, seed=2)
         Xt, _ = make_synthetic_dataset(200, 2, 4, margin=6.0, seed=3)
         soft = np.full((500, 2), 0.5)
-        cfg = LearnerConfig(l2_penalty=1e-3, epochs=400)
-        model = fit(X, soft, cfg, seed=4)
+        # Ten times the fixed weight, so that 400 epochs shrink the model.
+        monkeypatch.setattr(learn, "L2_PENALTY", 1e-3)
+        model = fit(X, soft, LearnerConfig(epochs=400), seed=4)
         assert np.abs(model.parameters).max() < 0.05
         assert predict_proba(model, Xt).max() <= 0.5 + 0.05
 
@@ -105,7 +107,7 @@ class TestFit:
                                              seed=10).parameters,
                                          cfg.learner_kind, 5, 3,
                                          cfg.hidden_units),
-                                 _with_ones(X), soft.T, cfg.l2_penalty)
+                                 _with_ones(X), soft.T, learn.L2_PENALTY)
                       for t in range(1, cfg.epochs + 1)]
             assert np.diff(losses).max() <= 1e-9
 
@@ -154,7 +156,7 @@ class TestClassMajorLayout:
         idx = rng.permutation(40)[:13]
         layers = _layers(params, cfg.learner_kind, 5, 4, cfg.hidden_units)
         XA, ST = _with_ones(X), np.ascontiguousarray(soft.T)
-        grads = _gradient(layers, XA[:, idx], ST[:, idx], cfg.l2_penalty)
+        grads = _gradient(layers, XA[:, idx], ST[:, idx], learn.L2_PENALTY)
         assert [g.shape for g in grads] == [W.shape for W in layers]
         assert_allclose(_flat(grads),
                         gradient_oracle(params, X[idx], soft[idx], cfg, 4),
@@ -238,12 +240,12 @@ class TestGradientCheck:
             assert err <= 1e-4
 
     def test_zero_point_uniform_labels_zero_gradient(self):
-        cfg = LearnerConfig(l2_penalty=0.0)
+        cfg = LearnerConfig()
         X = np.ones((8, 3))
         soft = np.full((8, 2), 0.5)
         params = np.zeros(param_count(cfg, 3, 2))
         grads = _gradient(_layers(params, cfg.learner_kind, 3, 2, 0),
-                          _with_ones(X), soft.T, cfg.l2_penalty)
+                          _with_ones(X), soft.T, 0.0)
         assert_array_equal(grads[0][:, -1], 0.0)  # bias vanishes by symmetry
 
 

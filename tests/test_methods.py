@@ -15,6 +15,7 @@ from mbem.core import (
 from mbem.learn import LearnerConfig, fit, predict_proba, weighted_loss, \
     zero_one_risk
 from mbem.methods import (
+    MBEM_SMOOTHING,
     MbemConfig,
     correctly_labeled_mask,
     one_hot,
@@ -92,7 +93,7 @@ class TestRunMbem:
         soft0 = majority_vote_init(ann)
         model = fit(X, soft0, cfg.learner, seed)
         t = hard_labels(predict_proba(model, X))
-        conf, _ = estimate_confusions_and_prior(ann, t, smoothing=cfg.smoothing)
+        conf, _ = estimate_confusions_and_prior(ann, t, MBEM_SMOOTHING)
         soft = posterior(ann, conf, uniform_prior(2))
 
         assert_array_equal(result.model.parameters, model.parameters)
@@ -286,8 +287,9 @@ NAN = float("nan")
     (LearnerConfig, {"learning_rate": 0.0}, "learning_rate must be positive"),
     (LearnerConfig, {"learning_rate": NAN}, "learning_rate must be positive"),
     (LearnerConfig, {"epochs": 0}, "epochs must be at least 1"),
-    (LearnerConfig, {"l2_penalty": -1e-4}, "l2_penalty must be nonnegative"),
-    (LearnerConfig, {"l2_penalty": NAN}, "l2_penalty must be nonnegative"),
+    (MbemConfig, {"rounds": NAN}, "rounds must be at least 1"),
+    (LearnerConfig, {"learner_kind": "one_hidden_layer_mlp",
+                     "hidden_units": NAN}, "hidden_units must be at least 1"),
     (LearnerConfig, {"batch_size": -5}, "batch_size must be nonnegative"),
     (LearnerConfig, {"learner_kind": "one_hidden_layer_mlp",
                      "hidden_units": 0}, "hidden_units must be at least 1"),
@@ -295,8 +297,6 @@ NAN = float("nan")
     (LearnerConfig, {"batch_size": NAN}, "batch_size must be nonnegative"),
     (MbemConfig, {"rounds": 0}, "rounds must be at least 1"),
     (MbemConfig, {"prior_mode": "empirical"}, "unknown prior_mode"),
-    (MbemConfig, {"smoothing": -1.0}, "smoothing must be nonnegative"),
-    (MbemConfig, {"smoothing": NAN}, "smoothing must be nonnegative"),
 ])
 def test_each_config_bound_rejects_a_value_outside_it(cls, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
