@@ -46,8 +46,6 @@ def _config(args) -> MbemConfig:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seed = RngSeed(args.seed)
     skill = WorkerSkillModel(kind=args.skill, gamma=args.gamma, K=args.classes)
     features, truth = make_synthetic_dataset(args.n, args.classes,
@@ -56,6 +54,8 @@ def cmd_simulate(args) -> int:
     confusions = sample_worker_pool(skill, args.m, seed.child("workers"))
     assignment = assign_workers(args.n, args.r, args.m, seed.child("assign"))
     ann = corrupt_labels(truth, assignment, confusions, seed.child("corrupt"))
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     mbio.write_features(out / "features.csv", features)
     mbio.write_truth(out / "truth.csv", truth)
     mbio.write_annotations(out / "annotations.csv", ann)
@@ -67,7 +67,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ann, features, truth = read_inputs(args.annotations, args.features,
                                        args.truth)
     oracle = (mbio.read_confusions(args.worker_confusions)
@@ -119,13 +118,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: a sweep config must be a mapping, "
                          f"got {cfg!r}")
-    if args.budget is not None:
-        cfg["budget"] = args.budget
-    for key in ("seeds", "redundancies", "methods"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key).split(",")
-    spec = spec_from_dict(cfg)
-    result = run_sweep(spec, jobs=args.jobs)
+    result = run_sweep(spec_from_dict(cfg), jobs=args.jobs)
     emit_report(result, args.out_dir)
     failures = [rec for rec in result.records if rec.error]
     for rec in failures:
@@ -183,16 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="fixed-budget redundancy sweep")
     p.add_argument("--config", required=True,
-                   help="YAML or JSON sweep spec (keys: harness.spec_from_dict)")
+                   help="YAML or JSON file that sets the whole sweep "
+                        "(keys: harness.spec_from_dict)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per (r, seed) unit; "
                         "1 runs the sweep in-process")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seeds", default=None, help="comma-separated override")
-    p.add_argument("--redundancies", default=None,
-                   help="comma-separated override")
-    p.add_argument("--methods", default=None, help="comma-separated override")
     p.set_defaults(func=cmd_sweep)
     return parser
 

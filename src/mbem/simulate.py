@@ -89,6 +89,11 @@ def corrupt_labels(truth: np.ndarray, assignment: np.ndarray,
     m, K, _ = conf.shape
     if assignment.size and assignment.max() >= m:
         raise ValueError("assignment references workers beyond the pool")
+    outside = (truth < 0) | (truth >= K)
+    if outside.any():
+        i = int(outside.argmax())
+        raise ValueError(f"example {i} has true label {truth[i]}, outside "
+                         f"[0, {K})")
 
     rng = as_seed(seed).child("corrupt").generator()
     cdf = np.cumsum(conf, axis=2)[assignment, truth[:, None]]   # (n, r, K)

@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mbem.methods import METHODS, MbemConfig
 from mbem.simulate import MARGIN, SKILL_KINDS, WorkerSkillModel
 
 from conftest import sweep_rows
+
+GOLDEN_FILES = Path(__file__).parent / "golden" / "file"
 
 
 @pytest.fixture
@@ -299,14 +302,15 @@ def test_bound_grid_ends_at_the_last_step_not_above_rho(capsys, rho, step,
      "--grid-step must be positive"),
     (["bound", "--rho", "0.1", "--grid-step", "0"],
      "--grid-step must be positive"),
-    (["sweep", "--methods", "mvx"], "unknown method 'mvx'"),
-    (["sweep", "--seeds", "a"], "seeds: cannot read 'a' as int"),
+    (["simulate", "--m", "0"], "need at least one worker"),
+    (["simulate", "--r", "0"], "n, r, m must all be at least 1"),
     (["sweep", "--jobs", "0"], "jobs must be at least 1, got 0"),
     (["sweep", "--jobs", "-2"], "jobs must be at least 1, got -2"),
     (["simulate", "--margin", "nan"], "margin must be finite"),
-    (["sweep", "--seeds", ""], "seeds: cannot read '' as int"),
-    (["sweep", "--redundancies", ""], "redundancies: cannot read '' as int"),
-    (["sweep", "--methods", ""], "unknown method ''"),
+    (["simulate", "--n", "0"], "need at least one example"),
+    (["simulate", "--gamma", "1.5"], "gamma must lie in [0, 1]"),
+    (["simulate", "--feature-dim", "1"],
+     "feature dimension must be at least the class count"),
     (["bound", "--rho", "0.1", "--epsilon", "nan"],
      "need 0 <= rho < 0.5 and epsilon >= 0"),
     (["bound", "--rho", "0.1", "--grid-step", "nan"],
@@ -315,6 +319,11 @@ def test_bound_grid_ends_at_the_last_step_not_above_rho(capsys, rho, step,
      "need 0 <= rho < 0.5 and epsilon >= 0"),
     (["bound", "--rho", "-0.1", "--grid-step", "0.1"],
      "need 0 <= rho < 0.5 and epsilon >= 0"),
+    # The training files read cleanly (truth.csv doubles as a one-column
+    # features file); the method then finds no --truth.
+    (["train", "--annotations", str(GOLDEN_FILES / "annotations.csv"),
+      "--features", str(GOLDEN_FILES / "truth.csv"), "--method", "truth"],
+     "truth requires the true labels"),
 ])
 def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
                                                      message):
@@ -323,10 +332,24 @@ def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
     if argv[0] == "sweep":
         sweep_config("yaml", tmp_path / "sweep.yaml")
         argv = argv + ["--config", str(tmp_path / "sweep.yaml")]
+    where = f" --method {argv[argv.index('--method') + 1]}" if (
+        argv[0] == "train") else ""
     with pytest.raises(SystemExit) as exit_:
         main(argv)
-    assert exit_.value.code == f"mbem {argv[0]}: {message}"
+    assert exit_.value.code == f"mbem {argv[0]}{where}: {message}"
     assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+# Every sweep setting comes from the config file.
+@pytest.mark.parametrize("flag", ["--budget", "--seeds", "--redundancies",
+                                  "--methods"])
+def test_sweep_has_no_override_flag(capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["sweep", "--config", "c.yaml",
+                                   "--out-dir", "out", flag, "1"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,text,message", [
@@ -417,26 +440,3 @@ def test_sweep_end_to_end(tmp_path, fmt):
     assert sorted(path.name for path in out.iterdir()) == [
         "aggregate.csv", "sweep.csv", "timing.csv"]
 
-
-def test_sweep_overrides(tmp_path):
-    config = tmp_path / "sweep.yaml"
-    sweep_config("yaml", config)
-    out = tmp_path / "out"
-    code = main(["sweep", "--config", str(config), "--out-dir", str(out),
-                 "--methods", "truth", "--redundancies", "1",
-                 "--seeds", "0"])
-    assert code == 0
-    rows = sweep_rows(out / "sweep.csv")
-    assert len(rows) == 1
-    assert rows[0]["method"] == "truth"
-
-
-def test_sweep_budget_override(tmp_path):
-    config = tmp_path / "sweep.yaml"
-    sweep_config("yaml", config)
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(config), "--out-dir", str(out),
-                 "--methods", "truth", "--seeds", "0",
-                 "--budget", "301"]) == 0
-    assert [(row["r"], row["n_train"]) for row in sweep_rows(out / "sweep.csv")
-            ] == [("1", "301"), ("2", "150")]

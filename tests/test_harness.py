@@ -424,6 +424,8 @@ def test_spec_rejects_a_repeated_list_entry(key, values, repeat):
     ({"redundancies": [0]}, "budget 120 cannot fund redundancy 0"),
     # MBEM's smoothing is the constant methods.MBEM_SMOOTHING.
     ({"smoothing": 0.5}, "unknown sweep config key(s) ['smoothing']"),
+    ({"methods": ["mvx"]}, "unknown method 'mvx'"),
+    ({"methods": [""]}, "unknown method ''"),
 ])
 def test_spec_from_dict_names_a_bad_top_level_key(edit, message):
     # None drops the key.
@@ -474,6 +476,8 @@ def test_spec_from_dict_reads_a_null_block_as_absent(key, block, message):
     ({"classes": "2.5"}, "classes: cannot read '2.5' as int"),
     ({"learner": yaml.safe_load("epochs: yes")},
      "learner.epochs: cannot read True as int"),
+    ({"seeds": [""]}, "seeds: cannot read '' as int"),
+    ({"redundancies": [""]}, "redundancies: cannot read '' as int"),
 ])
 def test_spec_from_dict_names_a_value_it_cannot_coerce(edit, message):
     # An integer key takes an integral value only; 100.7 is not read as 100.

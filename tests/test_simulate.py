@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -81,6 +83,15 @@ class TestCorruption:
         conf = np.tile(np.eye(3), (4, 1, 1))
         ann = corrupt_labels(truth, assign_workers(40, 2, 4, seed=1), conf, seed=2)
         assert_array_equal(ann.labels, truth[ann.example_ids])
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_rejects_a_true_label_outside_the_classes(self, label):
+        # -1 would draw from class K-1's row; K would raise an IndexError.
+        conf = np.tile(np.eye(3), (2, 1, 1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"example 1 has true label {label}, outside [0, 3)")):
+            corrupt_labels([0, label, 2], np.zeros((3, 1), dtype=int), conf,
+                           seed=0)
 
     def test_uniform_workers_balance_labels(self):
         n = 10000
