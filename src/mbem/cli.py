@@ -12,10 +12,9 @@ from pathlib import Path
 import yaml
 
 from . import io as mbio
-from .core import PRIOR_MODES
 from .harness import emit_report, read_inputs, run_sweep, spec_from_dict
 from .learn import LearnerConfig
-from .methods import METHODS, MbemConfig, train_method
+from .methods import METHODS, train_method
 from .seeding import RngSeed
 from .simulate import MARGIN, SKILL_KINDS, WorkerSkillModel, \
     assign_workers, corrupt_labels, make_synthetic_dataset, sample_worker_pool
@@ -32,17 +31,13 @@ def _add_learner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-units", type=int)
 
 
-def _config(args) -> MbemConfig:
-    """MbemConfig from the config flags given on the command line."""
+def _config(args) -> LearnerConfig:
+    """LearnerConfig from the learner flags given on the command line."""
     given = dict(vars(args))
     if "learner_kind" in given:
         given["learner_kind"] = LEARNER_FLAGS[given["learner_kind"]]
-
-    def pick(cls):
-        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
-
-    return MbemConfig(**pick(MbemConfig),
-                      learner=LearnerConfig(**pick(LearnerConfig)))
+    return LearnerConfig(**{f.name: given[f.name]
+                            for f in fields(LearnerConfig) if f.name in given})
 
 
 def cmd_simulate(args) -> int:
@@ -69,8 +64,14 @@ def cmd_train(args) -> int:
     out = Path(args.out_dir)
     ann, features, truth = read_inputs(args.annotations, args.features,
                                        args.truth)
-    oracle = (mbio.read_confusions(args.worker_confusions)
-              if args.worker_confusions else None)
+    oracle = None
+    if args.worker_confusions:
+        oracle = mbio.read_confusions(args.worker_confusions)
+        m, K = oracle.shape[:2]
+        if m < ann.m or K != ann.K:
+            raise ValueError(f"{args.worker_confusions} has {m} workers and "
+                             f"{K} classes, but {args.annotations} has "
+                             f"{ann.m} workers and {ann.K} classes")
     result = train_method(args.method, features, ann, _config(args),
                           RngSeed(args.seed), truth=truth,
                           oracle_confusions=oracle)
@@ -150,15 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    # A config flag stores under its field name, and only when given, so
-    # the MbemConfig and LearnerConfig dataclasses hold every default.
+    # A learner flag stores under its field name, and only when given, so
+    # the LearnerConfig dataclass holds every default.
     p = sub.add_parser("train", help="train one method on an annotation file",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--annotations", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--prior", dest="prior_mode", choices=PRIOR_MODES)
     p.add_argument("--truth", default=None, help="truth CSV")
     p.add_argument("--worker-confusions", default=None, help="true confusion CSV")
     p.add_argument("--seed", type=int, default=0)
@@ -187,13 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Bad input (ValueError) or a diverging learner
-    (RuntimeError) exits with a message naming the subcommand, and
-    train's method; any other exception propagates."""
+    """Run one subcommand. Bad input (ValueError), a file that cannot be
+    read or written (OSError) or a diverging learner (RuntimeError) exits
+    with a message naming the subcommand, and train's method; any other
+    exception propagates."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         where = f" --method {args.method}" if args.command == "train" else ""
         raise SystemExit(f"mbem {args.command}{where}: {exc}")
 

@@ -57,14 +57,12 @@ __all__ = [
 ROW_SUM_TOL = 1e-9
 # posterior's floor on confusion entries (and 1 - it, the ceiling).
 CONFUSION_CLAMP = 1e-6
-PRIOR_MODES = ("uniform", "estimated")
 
 # classic_em's fixed settings: at most EM_MAX_ITERS updates, stopping
 # once the argmax labels repeat; unsmoothed confusion estimates and a
 # uniform class prior.
 EM_MAX_ITERS = 100
 EM_SMOOTHING = 0.0
-EM_PRIOR_MODE = "uniform"
 
 _EMPTY_ROW_MESSAGE = (
     "confusion estimate with smoothing=0 has worker classes with no "
@@ -289,14 +287,12 @@ def hard_labels(soft: np.ndarray) -> np.ndarray:
 # (perfbench/spans.py) wraps every __all__ function, and a wrapped update
 # would stand between classic_em and its posterior calls, which is how
 # the tracer counts EM iterations.
-def dawid_skene_update(ann: AnnotationSet, t: np.ndarray, smoothing: float,
-                       prior_mode: str):
-    """One Dawid-Skene update against hard labels t: estimate confusions
-    and prior, then recompute the label posterior. Returns (posterior,
-    confusions, prior); prior_mode "uniform" replaces the estimated
-    prior by the uniform one."""
-    conf, q_hat = estimate_confusions_and_prior(ann, t, smoothing=smoothing)
-    prior = uniform_prior(ann.K) if prior_mode == "uniform" else q_hat
+def dawid_skene_update(ann: AnnotationSet, t: np.ndarray, smoothing: float):
+    """One Dawid-Skene update against hard labels t: estimate the
+    confusions, then recompute the label posterior with a uniform class
+    prior. Returns (posterior, confusions, prior)."""
+    conf, _ = estimate_confusions_and_prior(ann, t, smoothing=smoothing)
+    prior = uniform_prior(ann.K)
     return posterior(ann, conf, prior), conf, prior
 
 
@@ -317,8 +313,7 @@ def classic_em(ann: AnnotationSet):
     """
     t = hard_labels(majority_vote_init(ann))
     for _ in range(EM_MAX_ITERS):
-        soft, conf, prior = dawid_skene_update(ann, t, EM_SMOOTHING,
-                                               EM_PRIOR_MODE)
+        soft, conf, prior = dawid_skene_update(ann, t, EM_SMOOTHING)
         new_t = hard_labels(soft)
         if np.array_equal(new_t, t):
             break

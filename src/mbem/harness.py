@@ -34,7 +34,8 @@ worker that gets no unit reads nothing. Each unit subsamples floor(N / r)
 of those examples and r of their annotations. A read or check that fails
 does so in its unit by the rule above: a ValueError or RuntimeError fails
 the unit's cells, and the next unit reads the files again; any other
-error, such as a missing file, aborts the sweep.
+error, such as a missing file, aborts the sweep (mbem sweep then exits
+with the error's message).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import functools
 import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ import numpy as np
 from . import io as mbio
 from .core import AnnotationSet
 from .learn import LearnerConfig, zero_one_risk
-from .methods import METHODS, MbemConfig, train_method
+from .methods import METHODS, train_method
 from .seeding import RngSeed
 from .simulate import MARGIN, WorkerSkillModel, assign_workers, corrupt_labels, \
     make_synthetic_dataset, sample_worker_pool, subsample_redundancy
@@ -77,7 +78,7 @@ FILE_KEYS = ("annotations_file", "features_file", "truth_file",
 REQUIRED_KEYS = ("budget", "redundancies", "methods", "seeds")
 CONFIG_KEYS = REQUIRED_KEYS + (
     "classes", "m", "n_test", "feature_dim", "margin", "worker_model",
-    "rounds", "prior", "learner") + FILE_KEYS
+    "learner") + FILE_KEYS
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class SweepSpec:
     d: int | None          # None: make_synthetic_dataset's default
     margin: float
     seeds: tuple[int, ...]
-    mbem: MbemConfig = field(default_factory=MbemConfig)
+    learner: LearnerConfig = field(default_factory=LearnerConfig)
     # the five file-mode paths in FILE_KEYS order; None: synthetic data
     input_files: tuple[str, ...] | None = None
 
@@ -256,7 +257,7 @@ def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
     X, y, ann, conf_true, X_test, y_test = data
     start = time.perf_counter()
     try:
-        model = train_method(method, X, ann, spec.mbem,
+        model = train_method(method, X, ann, spec.learner,
                              RngSeed(seed).child("fit", r), truth=y,
                              oracle_confusions=conf_true, fits=fits).model
         # TrainedModel compares by identity, so a shared model is
@@ -386,9 +387,9 @@ def _config_from(cls, values: Mapping, block: str = "", **given):
     the fields in given, which values may not set; omitted fields default.
     A value that cannot take its field's type raises a ValueError naming
     it as block + field name (block is "learner." for learner.epochs)."""
-    # Each field with a plain default takes that default's type.
+    # Each field takes its default's type.
     types = {f.name: type(f.default) for f in fields(cls)
-             if f.default is not MISSING and f.name not in given}
+             if f.name not in given}
     unknown = sorted(set(values) - set(types))
     if unknown:
         raise ValueError(f"{cls.__name__} cannot take field(s) {unknown}")
@@ -420,12 +421,12 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     Required keys: budget, redundancies, methods (from methods.METHODS),
     seeds; each list holds distinct values. Optional keys: classes, m
     (100), n_test (4000), feature_dim, margin, worker_model {kind,
-    gamma}; rounds and prior for MbemConfig; learner {kind,
-    learning_rate, epochs, batch_size, hidden_units} for LearnerConfig;
-    and for file mode annotations_file, features_file, truth_file,
-    test_features_file and test_truth_file. The learner's l2 weight
-    (learn.L2_PENALTY) and MBEM's confusion smoothing
-    (methods.MBEM_SMOOTHING) are constants, not keys.
+    gamma}; learner {kind, learning_rate, epochs, batch_size,
+    hidden_units} for LearnerConfig; and for file mode annotations_file,
+    features_file, truth_file, test_features_file and test_truth_file.
+    These are constants, not keys: the learner's l2 weight
+    (learn.L2_PENALTY), and MBEM's smoothing (methods.MBEM_SMOOTHING),
+    rounds (methods.MBEM_ROUNDS) and uniform class prior.
     A null value, such as an empty YAML block, counts as absent.
     The scenario defaults come from the simulate module: classes, kind
     and gamma from WorkerSkillModel, margin from simulate.MARGIN, and
@@ -458,12 +459,7 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     learner = _block(cfg, "learner")
     if "kind" in learner:
         learner["learner_kind"] = learner.pop("kind")
-    mbem = {key: cfg[key] for key in ("rounds", "prior") if key in cfg}
-    if "prior" in mbem:
-        mbem["prior_mode"] = mbem.pop("prior")
-    mbem_cfg = _config_from(MbemConfig, mbem,
-                            learner=_config_from(LearnerConfig, learner,
-                                                 "learner."))
+    learner = _config_from(LearnerConfig, learner, "learner.")
     return SweepSpec(
         budget=scalar(int, "budget"),
         redundancies=_listed(cfg, "redundancies", int),
@@ -474,6 +470,6 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
         d=scalar(int, "feature_dim"),
         margin=scalar(float, "margin", MARGIN),
         seeds=_listed(cfg, "seeds", int),
-        mbem=mbem_cfg,
+        learner=learner,
         input_files=None if absent else tuple(cfg[key] for key in FILE_KEYS),
     )

@@ -139,10 +139,17 @@ def write_confusions(path, confusions: np.ndarray) -> None:
 
 def read_confusions(path) -> np.ndarray:
     """An (m, K, K) row-stochastic stack; ValueError, naming the file,
-    unless each (worker_id, k, s) below (m, K, K) appears exactly once
-    and every row sums to 1."""
+    unless every worker_id, k and s is an integer, each (worker_id, k, s)
+    below (m, K, K) appears exactly once and every row sums to 1."""
     data = _read_rows(path, 4)
-    index = data[:, :3].astype(np.int64)
+    ids = data[:, :3]
+    integral = (np.isfinite(ids) & (ids == np.round(ids))).all(axis=1)
+    if not integral.all():
+        row = integral.argmin()
+        raise ValueError(f"{path}: data row {row + 1} holds a worker_id, k "
+                         "or s that is not an integer: "
+                         + ",".join(f"{v:g}" for v in data[row]))
+    index = ids.astype(np.int64)
     if index.min() < 0:
         raise ValueError(f"{path}: negative worker_id, k or s")
     m, K = int(index[:, 0].max()) + 1, int(index[:, 1:].max()) + 1

@@ -1,6 +1,6 @@
 """Training methods: the model-bootstrapped EM loop and all baselines.
 
-run_mbem alternates two steps for a fixed number of rounds: train the
+run_mbem alternates two steps for MBEM_ROUNDS rounds: train the
 classifier on the current soft labels, then re-estimate every worker's
 confusion matrix by treating the model's argmax predictions as ground
 truth and recompute the label posterior. Because the comparison is
@@ -24,12 +24,11 @@ round-0 model, and at r=1 mv, em and weighted-mv share it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    PRIOR_MODES,
     AnnotationSet,
     dawid_skene_update,
     hard_labels,
@@ -42,7 +41,6 @@ from .seeding import RngSeed, as_seed
 
 __all__ = [
     "METHODS",
-    "MbemConfig",
     "MethodResult",
     "MbemResult",
     "train_method",
@@ -58,19 +56,8 @@ METHODS = HARD_METHODS + WEIGHTED_METHODS + ("mbem",)
 # The pseudo-count that MBEM adds to every confusion count (see
 # core.estimate_confusions_and_prior).
 MBEM_SMOOTHING = 1.0
-
-
-@dataclass(frozen=True)
-class MbemConfig:
-    rounds: int = 2
-    prior_mode: str = "uniform"     # one of core.PRIOR_MODES
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
-
-    def __post_init__(self):
-        if not self.rounds >= 1:
-            raise ValueError("rounds must be at least 1")
-        if self.prior_mode not in PRIOR_MODES:
-            raise ValueError(f"unknown prior_mode {self.prior_mode!r}")
+# MBEM's number of fit-and-relabel rounds.
+MBEM_ROUNDS = 2
 
 
 @dataclass(eq=False)
@@ -83,7 +70,6 @@ class MethodResult:
 
 @dataclass(eq=False)
 class MbemResult(MethodResult):
-    prior: np.ndarray
     per_round_train_risk: list[float]
 
 
@@ -126,32 +112,32 @@ def _fit(features, targets: np.ndarray, cfg: LearnerConfig, seed,
     return model
 
 
-def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: MbemConfig,
+def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: LearnerConfig,
              seed, fits: list[_Fit] | None = None) -> MbemResult:
     """Alternate posterior-weighted training with model-based confusion
-    re-estimation for cfg.rounds rounds.
+    re-estimation for MBEM_ROUNDS rounds.
 
     The posterior starts at the per-example label frequencies. Each
     round then: (1) retrains the learner from scratch on the current
     soft labels, with every round's fit drawing from seed itself, so
     round 0 fits weighted-mv's model; (2) takes the model's argmax
     predictions on the training examples as provisional truth; (3)
-    re-estimates all confusion matrices, with MBEM_SMOOTHING added to
-    every count, and the class prior against them and recomputes the
-    label posterior, in one core.dawid_skene_update. Artifacts of the
-    final round are returned, together with each round's weighted_loss
-    of the model on the soft labels it was trained on. fits is as in
-    _fit.
+    re-estimates all confusion matrices against them, with
+    MBEM_SMOOTHING added to every count, and recomputes the label
+    posterior with a uniform class prior, in one dawid_skene_update.
+    Artifacts of the final round are returned, together with each
+    round's weighted_loss of the model on the soft labels it was trained
+    on. fits is as in _fit.
     """
     soft = majority_vote_init(ann)
     risks = []
-    for t in range(cfg.rounds):
-        model = _fit(features, soft, cfg.learner, seed, fits)
+    for _ in range(MBEM_ROUNDS):
+        model = _fit(features, soft, cfg, seed, fits)
         probs = predict_proba(model, features)
         risks.append(weighted_loss(probs, soft))
-        soft, conf, prior = dawid_skene_update(ann, hard_labels(probs),
-                                               MBEM_SMOOTHING, cfg.prior_mode)
-    return MbemResult(model=model, confusions=conf, prior=prior, soft=soft,
+        soft, conf, _ = dawid_skene_update(ann, hard_labels(probs),
+                                           MBEM_SMOOTHING)
+    return MbemResult(model=model, confusions=conf, soft=soft,
                       per_round_train_risk=risks)
 
 
@@ -171,7 +157,7 @@ def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
 
 
 def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
-                          cfg: MbemConfig, seed, *,
+                          cfg: LearnerConfig, seed, *,
                           oracle_confusions: np.ndarray | None = None,
                           fits: list[_Fit] | None = None) -> MethodResult:
     """One posterior-weighted fit. weighted-mv weights by the raw label
@@ -182,7 +168,7 @@ def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
     The fit draws from seed itself; fits is as in _fit."""
     soft, conf = _label_posterior(ann, mode, WEIGHTED_METHODS,
                                   oracle_confusions)
-    model = _fit(features, soft, cfg.learner, seed, fits)
+    model = _fit(features, soft, cfg, seed, fits)
     return MethodResult(model=model, soft=soft, confusions=conf)
 
 
@@ -196,7 +182,7 @@ def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
 
 
 def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
-                      cfg: MbemConfig, seed, *,
+                      cfg: LearnerConfig, seed, *,
                       truth: np.ndarray | None = None,
                       fits: list[_Fit] | None = None) -> MethodResult:
     """Aggregate-then-train baselines.
@@ -223,12 +209,12 @@ def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
     else:
         soft, conf = _label_posterior(ann, mode, HARD_METHODS)
         labels = hard_labels(soft)
-    model = _fit(features, one_hot(labels, ann.K), cfg.learner, seed, fits)
+    model = _fit(features, one_hot(labels, ann.K), cfg, seed, fits)
     return MethodResult(model=model, soft=soft, confusions=conf)
 
 
 def train_method(method: str, features: np.ndarray, ann: AnnotationSet,
-                 cfg: MbemConfig, seed, *, truth: np.ndarray | None = None,
+                 cfg: LearnerConfig, seed, *, truth: np.ndarray | None = None,
                  oracle_confusions: np.ndarray | None = None,
                  fits: list[_Fit] | None = None) -> MethodResult:
     """Train one of METHODS for the CLI or the sweep harness; a method

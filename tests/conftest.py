@@ -9,7 +9,6 @@ from mbem.core import (
     _EMPTY_ROW_MESSAGE,
     CONFUSION_CLAMP,
     EM_MAX_ITERS,
-    EM_PRIOR_MODE,
     EM_SMOOTHING,
     AnnotationSet,
     check_confusions,
@@ -149,7 +148,7 @@ def classic_em_tol_oracle(ann, tol=1e-8):
     soft = majority_vote_init(ann)
     for _ in range(EM_MAX_ITERS):
         new_soft, conf, prior = dawid_skene_update(ann, hard_labels(soft),
-                                                   EM_SMOOTHING, EM_PRIOR_MODE)
+                                                   EM_SMOOTHING)
         delta = np.abs(new_soft - soft).max()
         soft = new_soft
         if delta < tol:

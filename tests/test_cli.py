@@ -11,10 +11,9 @@ import yaml
 from mbem import cli
 from mbem import io as mbio
 from mbem.cli import LEARNER_FLAGS, build_parser, main
-from mbem.core import PRIOR_MODES
 from mbem.harness import FILE_KEYS, _cell_data, spec_from_dict
 from mbem.learn import LEARNER_KINDS, LearnerConfig
-from mbem.methods import METHODS, MbemConfig
+from mbem.methods import METHODS
 from mbem.simulate import MARGIN, SKILL_KINDS, WorkerSkillModel
 
 from conftest import sweep_rows
@@ -171,6 +170,30 @@ def test_train_turns_a_diverging_learner_into_the_exit_message(simulated,
         train(simulated, tmp_path / "x", "mbem", "--learning-rate", "1e300")
 
 
+# The annotation file has 6 workers and 2 classes. A confusion file may
+# hold more workers than that, but not fewer, and it needs the same classes.
+@pytest.mark.parametrize("m,K", [(3, 2), (6, 3)], ids=["workers", "classes"])
+def test_train_names_both_files_when_the_worker_confusions_do_not_fit(
+        simulated, tmp_path, m, K):
+    workers = tmp_path / "workers.csv"
+    mbio.write_confusions(workers, np.tile(np.eye(K), (m, 1, 1)))
+    with pytest.raises(SystemExit) as exit_:
+        train(simulated, tmp_path / "x", "oracle-weighted-em",
+              "--worker-confusions", str(workers))
+    assert exit_.value.code == (
+        f"mbem train --method oracle-weighted-em: {workers} has {m} workers "
+        f"and {K} classes, but {simulated / 'annotations.csv'} has 6 "
+        "workers and 2 classes")
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_takes_worker_confusions_with_more_workers(simulated, tmp_path):
+    workers = tmp_path / "workers.csv"
+    mbio.write_confusions(workers, np.tile(np.eye(2), (9, 1, 1)))
+    assert train(simulated, tmp_path / "x", "oracle-weighted-em",
+                 "--worker-confusions", str(workers)) == 0
+
+
 def test_train_learner_flags_reach_the_model(simulated, tmp_path):
     out = tmp_path / "mlp"
     assert train(simulated, out, "mv", "--learner", "mlp",
@@ -194,10 +217,8 @@ def test_train_names_a_non_finite_feature(simulated, tmp_path):
 TRAIN_REQUIRED = ["train", "--annotations", "a.csv", "--features", "f.csv",
                   "--method", "mv", "--out-dir", "out"]
 # Each config flag of mbem train with a value other than its default, and
-# the MbemConfig or LearnerConfig field and value that it should give.
+# the LearnerConfig field and value that it should give.
 CONFIG_FLAGS = [
-    ("--rounds", "3", "rounds", 3),
-    ("--prior", "estimated", "prior_mode", "estimated"),
     ("--learner", "mlp", "learner_kind", "one_hidden_layer_mlp"),
     ("--epochs", "7", "epochs", 7),
     ("--learning-rate", "0.05", "learning_rate", 0.05),
@@ -208,34 +229,37 @@ CONFIG_FLAGS = [
 
 def test_every_config_field_has_a_train_flag():
     assert sorted(name for _, _, name, _ in CONFIG_FLAGS) == sorted(
-        f.name for cls in (MbemConfig, LearnerConfig) for f in fields(cls)
-        if f.name != "learner")
+        f.name for f in fields(LearnerConfig))
 
 
 @pytest.mark.parametrize("flag,value,name,expected", CONFIG_FLAGS,
                          ids=[flag for flag, *_ in CONFIG_FLAGS])
 def test_a_train_config_flag_changes_its_field_alone(flag, value, name,
                                                      expected):
-    default = MbemConfig()
-    if name in {f.name for f in fields(MbemConfig)}:
-        want = replace(default, **{name: expected})
-    else:
-        want = replace(default,
-                       learner=replace(default.learner, **{name: expected}))
+    default = LearnerConfig()
+    want = replace(default, **{name: expected})
     assert want != default
     args = build_parser().parse_args(TRAIN_REQUIRED + [flag, value])
     assert cli._config(args) == want
 
 
 # The learner's initial scale and l2 weight and MBEM's confusion smoothing
-# are the constants learn.INIT_SCALE, learn.L2_PENALTY and
-# methods.MBEM_SMOOTHING.
-@pytest.mark.parametrize("flag", ["--init-scale", "--l2", "--smoothing"])
-def test_train_has_no_flag_for_a_fixed_setting(capsys, flag):
+# and round count are the constants learn.INIT_SCALE, learn.L2_PENALTY,
+# methods.MBEM_SMOOTHING and methods.MBEM_ROUNDS, and MBEM's class prior
+# is uniform.
+FIXED_SETTINGS = [("--init-scale", "0.1"), ("--l2", "0.1"),
+                  ("--smoothing", "0.1"), ("--rounds", "3"),
+                  ("--prior", "estimated")]
+
+
+@pytest.mark.parametrize("flag,value", FIXED_SETTINGS,
+                         ids=[flag for flag, _ in FIXED_SETTINGS])
+def test_train_has_no_flag_for_a_fixed_setting(capsys, flag, value):
     with pytest.raises(SystemExit) as exit_:
-        build_parser().parse_args(TRAIN_REQUIRED + [flag, "0.1"])
+        build_parser().parse_args(TRAIN_REQUIRED + [flag, value])
     assert exit_.value.code == 2
-    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+    assert (f"unrecognized arguments: {flag} {value}"
+            in capsys.readouterr().err)
 
 
 def test_train_method_choices_are_the_method_names():
@@ -246,14 +270,12 @@ def test_train_method_choices_are_the_method_names():
     assert tuple(method.choices) == METHODS
 
 
-def test_prior_and_skill_choices_are_the_core_and_simulator_names():
+def test_skill_choices_are_the_simulator_names():
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
-    flags = {(command, action.dest): tuple(action.choices or ())
-             for command in ("train", "simulate")
-             for action in sub.choices[command]._actions}
-    assert flags["train", "prior_mode"] == PRIOR_MODES
-    assert flags["simulate", "skill"] == SKILL_KINDS
+    skill = next(action for action in sub.choices["simulate"]._actions
+                 if action.dest == "skill")
+    assert tuple(skill.choices) == SKILL_KINDS
 
 
 def test_learner_flags_name_the_learner_kinds():
@@ -324,12 +346,19 @@ def test_bound_grid_ends_at_the_last_step_not_above_rho(capsys, rho, step,
     (["train", "--annotations", str(GOLDEN_FILES / "annotations.csv"),
       "--features", str(GOLDEN_FILES / "truth.csv"), "--method", "truth"],
      "truth requires the true labels"),
+    # A missing file exits with its message, not a traceback.
+    (["train", "--annotations", "nope.csv", "--features", "nope.csv",
+      "--method", "mv"], "nope.csv not found."),
+    (["sweep", "--config", "nope.yaml"],
+     "[Errno 2] No such file or directory: 'nope.yaml'"),
 ])
-def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys, argv,
+def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys,
+                                                     monkeypatch, argv,
                                                      message):
+    monkeypatch.chdir(tmp_path)
     if argv[0] != "bound":
         argv = argv + ["--out-dir", str(tmp_path / "out")]
-    if argv[0] == "sweep":
+    if argv[0] == "sweep" and "--config" not in argv:
         sweep_config("yaml", tmp_path / "sweep.yaml")
         argv = argv + ["--config", str(tmp_path / "sweep.yaml")]
     where = f" --method {argv[argv.index('--method') + 1]}" if (

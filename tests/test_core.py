@@ -9,7 +9,6 @@ from mbem.core import (
     check_confusions,
     check_prior,
     classic_em,
-    dawid_skene_update,
     estimate_confusions_and_prior,
     hard_labels,
     majority_vote_init,
@@ -368,9 +367,8 @@ class TestClassicEm:
         ann = AnnotationSet.from_records(records, n=10, m=2, K=3)
         soft, _, _ = classic_em(ann)
         assert_array_equal(hard_labels(soft), truth)
-        # the estimated prior of one update on these labels, as MBEM takes it
-        _, _, prior = dawid_skene_update(ann, hard_labels(soft), 0.0,
-                                         "estimated")
+        # the prior estimated against these labels
+        _, prior = estimate_confusions_and_prior(ann, hard_labels(soft), 0.0)
         assert_allclose(prior, [0.6, 0.2, 0.2], atol=1e-15)
 
     def test_deterministic(self, rng):

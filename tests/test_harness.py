@@ -13,7 +13,6 @@ from mbem import core, harness, methods
 from mbem import io as mbio
 from mbem.cli import main
 from mbem.learn import LearnerConfig
-from mbem.methods import MbemConfig
 from mbem.simulate import WorkerSkillModel
 
 from conftest import sweep_rows
@@ -366,12 +365,16 @@ def test_a_bug_in_fit_propagates_out_of_an_mbem_sweep(monkeypatch):
 def test_spec_from_dict_takes_config_defaults_from_the_dataclasses():
     spec = harness.spec_from_dict({"budget": 100, "redundancies": [1],
                                    "methods": ["mv"], "seeds": [0]})
-    assert spec.mbem == MbemConfig()
-    assert spec.mbem.learner == LearnerConfig()
+    assert spec.learner == LearnerConfig()
 
 
-def test_spec_from_dict_reads_the_prior_key():
-    assert tiny_spec(prior="estimated").mbem.prior_mode == "estimated"
+# MBEM's round count and class prior are fixed (methods.MBEM_ROUNDS, and
+# a uniform prior in every round), so a config cannot set them.
+@pytest.mark.parametrize("key,value", [("rounds", 3), ("prior", "estimated")])
+def test_spec_from_dict_rejects_a_removed_mbem_key(key, value):
+    message = f"unknown sweep config key(s) ['{key}']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_spec(**{key: value})
 
 
 def test_spec_from_dict_coerces_yaml_strings():
@@ -379,7 +382,7 @@ def test_spec_from_dict_coerces_yaml_strings():
     spec = tiny_spec(learner=yaml.safe_load("learning_rate: 5e-2\nepochs: 7"),
                      margin="2.5", worker_model={"gamma": "0.9"},
                      seeds=["0", "1"])
-    assert spec.mbem.learner == LearnerConfig(learning_rate=0.05, epochs=7)
+    assert spec.learner == LearnerConfig(learning_rate=0.05, epochs=7)
     assert spec.margin == 2.5
     assert spec.skill == WorkerSkillModel(gamma=0.9)
     assert spec.seeds == (0, 1)
@@ -488,7 +491,7 @@ def test_spec_from_dict_names_a_value_it_cannot_coerce(edit, message):
 def test_spec_from_dict_reads_an_integral_float_as_an_int():
     spec = tiny_spec(budget=120.0, seeds=[0.0, "1"],
                      learner={"epochs": 10.0})
-    assert (spec.budget, spec.seeds, spec.mbem.learner.epochs) == (
+    assert (spec.budget, spec.seeds, spec.learner.epochs) == (
         120, (0, 1), 10)
     assert spec == tiny_spec()
 

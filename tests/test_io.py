@@ -203,6 +203,18 @@ def test_read_confusions_rejects_malformed_files(tmp_path, rows):
         mbio.read_confusions(path)
 
 
+def test_read_confusions_names_the_first_row_with_a_non_integral_index(
+        tmp_path):
+    # Truncated to integers, these rows would load as worker 0's matrix.
+    path = tmp_path / "workers.csv"
+    path.write_text("worker_id,k,s,prob\n0,0,0,1\n0.5,0,1,0\n"
+                    "0.5,1,0,0\n0.5,1,1,1\n0,0,1,0\n")
+    message = (f"{path}: data row 2 holds a worker_id, k or s that is not "
+               "an integer: 0.5,0,1,0")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mbio.read_confusions(path)
+
+
 # Each file is one column short of what its reader needs.
 SHORT_FILES = {
     mbio.read_annotations: "example_id,worker_id\n0,0\n",

@@ -15,8 +15,8 @@ from mbem.core import (
 from mbem.learn import LearnerConfig, fit, predict_proba, weighted_loss, \
     zero_one_risk
 from mbem.methods import (
+    MBEM_ROUNDS,
     MBEM_SMOOTHING,
-    MbemConfig,
     correctly_labeled_mask,
     one_hot,
     run_hard_baseline,
@@ -34,7 +34,6 @@ from mbem.simulate import (
 )
 
 FAST = LearnerConfig(epochs=150)
-CFG = MbemConfig(learner=FAST)
 
 
 def make_cell(n, K, d, m, gamma, r, seed, margin=6.0, confusions=None):
@@ -58,7 +57,7 @@ def hammers_and_spammers(n_hammers, n_spammers, K):
 class TestRunMbem:
     def test_identity_workers_recover_identity_confusions(self):
         X, y, ann, _ = make_cell(n=2000, K=3, d=6, m=5, gamma=1.0, r=1, seed=0)
-        result = run_mbem(X, ann, MbemConfig(rounds=1, learner=FAST), seed=1)
+        result = run_mbem(X, ann, FAST, seed=1)
         error = np.abs(result.confusions - np.eye(3)).max()
         assert error <= 0.02
 
@@ -67,57 +66,63 @@ class TestRunMbem:
         conf_true = hammers_and_spammers(10, 10, K)
         X, y, ann, _ = make_cell(n=10000, K=K, d=10, m=m, gamma=0.5, r=1,
                                  seed=2, confusions=conf_true)
-        result = run_mbem(X, ann, CFG, seed=3)
+        result = run_mbem(X, ann, FAST, seed=3)
         diags = result.confusions[:, np.arange(K), np.arange(K)].mean(axis=1)
         assert diags[:10].min() >= 0.9            # hammers
         assert diags[10:].max() <= 1.0 / K + 0.1  # spammers
 
     def test_second_round_does_not_hurt(self):
-        risks = {1: [], 2: []}
+        # weighted-mv's model is MBEM's round-0 model.
+        risks = {"weighted-mv": [], "mbem": []}
         X_test, y_test = make_synthetic_dataset(4000, 5, 10, 6.0, RngSeed(77))
         for seed in range(5):
             X, y, ann, _ = make_cell(n=6000, K=5, d=10, m=20, gamma=0.2, r=1,
                                      seed=100 + seed)
-            for rounds in (1, 2):
-                cfg = MbemConfig(rounds=rounds, learner=FAST)
-                result = run_mbem(X, ann, cfg, seed=seed)
-                risks[rounds].append(zero_one_risk(result.model, X_test, y_test))
-        assert np.median(risks[2]) <= np.median(risks[1]) + 0.005
+            for method in risks:
+                model = train_method(method, X, ann, FAST, seed).model
+                risks[method].append(zero_one_risk(model, X_test, y_test))
+        assert (np.median(risks["mbem"])
+                <= np.median(risks["weighted-mv"]) + 0.005)
 
-    def test_single_round_equals_manual_composition(self):
+    @staticmethod
+    def manual_rounds(X, ann, seed):
+        """MBEM_ROUNDS rounds of fit, relabel and update, composed from
+        their parts: (model, confusions, soft, per-round risks)."""
+        soft, risks = majority_vote_init(ann), []
+        for _ in range(MBEM_ROUNDS):
+            model = fit(X, soft, FAST, seed)
+            probs = predict_proba(model, X)
+            risks.append(weighted_loss(probs, soft))
+            conf, _ = estimate_confusions_and_prior(ann, hard_labels(probs),
+                                                    MBEM_SMOOTHING)
+            soft = posterior(ann, conf, uniform_prior(ann.K))
+        return model, conf, soft, risks
+
+    def test_rounds_equal_manual_composition(self):
         X, y, ann, _ = make_cell(n=300, K=2, d=4, m=4, gamma=0.5, r=2, seed=4)
         seed = RngSeed(5)
-        cfg = MbemConfig(rounds=1, learner=FAST)
-        result = run_mbem(X, ann, cfg, seed)
-
-        soft0 = majority_vote_init(ann)
-        model = fit(X, soft0, cfg.learner, seed)
-        t = hard_labels(predict_proba(model, X))
-        conf, _ = estimate_confusions_and_prior(ann, t, MBEM_SMOOTHING)
-        soft = posterior(ann, conf, uniform_prior(2))
-
+        result = run_mbem(X, ann, FAST, seed)
+        model, conf, soft, _ = self.manual_rounds(X, ann, seed)
         assert_array_equal(result.model.parameters, model.parameters)
         assert_array_equal(result.confusions, conf)
         assert_array_equal(result.soft, soft)
 
     def test_round_risk_is_the_weighted_loss_on_the_training_labels(self):
         X, y, ann, _ = make_cell(n=300, K=2, d=4, m=4, gamma=0.5, r=2, seed=4)
-        cfg = MbemConfig(rounds=1, learner=FAST)
-        result = run_mbem(X, ann, cfg, seed=5)
-        assert result.per_round_train_risk == [
-            weighted_loss(predict_proba(result.model, X),
-                          majority_vote_init(ann))]
+        result = run_mbem(X, ann, FAST, seed=5)
+        assert (result.per_round_train_risk
+                == self.manual_rounds(X, ann, RngSeed(5))[3])
 
     def test_soft_labels_stay_on_simplex(self):
         X, y, ann, _ = make_cell(n=200, K=3, d=5, m=6, gamma=0.3, r=2, seed=6)
-        result = run_mbem(X, ann, MbemConfig(rounds=3, learner=FAST), seed=7)
+        result = run_mbem(X, ann, FAST, seed=7)
         assert result.soft.min() >= 0
         assert_allclose(result.soft.sum(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.5, r=1, seed=8)
-        a = run_mbem(X, ann, CFG, seed=9)
-        b = run_mbem(X, ann, CFG, seed=9)
+        a = run_mbem(X, ann, FAST, seed=9)
+        b = run_mbem(X, ann, FAST, seed=9)
         assert_array_equal(a.model.parameters, b.model.parameters)
         assert_array_equal(a.confusions, b.confusions)
         assert_array_equal(a.soft, b.soft)
@@ -125,40 +130,28 @@ class TestRunMbem:
 
     def test_learner_failure_reaches_the_caller(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=10)
-        bad = MbemConfig(learner=LearnerConfig(learning_rate=1e12, epochs=60))
+        bad = LearnerConfig(learning_rate=1e12, epochs=60)
         with np.errstate(all="ignore"), pytest.raises(
                 RuntimeError, match="^non-finite training gradient"):
             run_mbem(1e6 * X, ann, bad, seed=11)
-
-    def test_estimated_prior_mode(self):
-        X, y, ann, _ = make_cell(n=400, K=2, d=4, m=4, gamma=1.0, r=1, seed=12)
-        cfg = MbemConfig(prior_mode="estimated", learner=FAST)
-        result = run_mbem(X, ann, cfg, seed=13)
-        # perfect workers: estimated prior tracks the class balance
-        assert_allclose(result.prior, np.bincount(y, minlength=2) / 400,
-                        atol=0.02)
-
-    def test_unknown_prior_mode_rejected(self):
-        with pytest.raises(ValueError, match="prior_mode"):
-            MbemConfig(prior_mode="empirical")
 
 
 class TestWeightedBaselines:
     def test_weighted_mv_at_r1_is_raw_onehot_training(self):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=1, seed=20)
         seed = RngSeed(21)
-        model = run_weighted_baseline(X, ann, "weighted-mv", CFG, seed).model
+        model = run_weighted_baseline(X, ann, "weighted-mv", FAST, seed).model
         raw = one_hot(ann.labels[np.argsort(ann.example_ids)], 3)
-        reference = fit(X, raw, CFG.learner, seed)
+        reference = fit(X, raw, FAST, seed)
         assert_array_equal(model.parameters, reference.parameters)
 
     def test_oracle_with_identity_confusions_matches_truth_training(self):
         X, y, ann, conf = make_cell(n=300, K=2, d=4, m=4, gamma=1.0, r=2,
                                     seed=22)
         seed = RngSeed(23)
-        model = run_weighted_baseline(X, ann, "oracle-weighted-em", CFG, seed,
+        model = run_weighted_baseline(X, ann, "oracle-weighted-em", FAST, seed,
                                       oracle_confusions=conf).model
-        reference = fit(X, one_hot(y, 2), CFG.learner, seed)
+        reference = fit(X, one_hot(y, 2), FAST, seed)
         # the 1e-6 confusion clamp perturbs the targets, not the argmax
         assert_allclose(model.parameters, reference.parameters, atol=1e-3)
         Xt, _ = make_synthetic_dataset(500, 2, 4, 6.0, RngSeed(24))
@@ -167,29 +160,29 @@ class TestWeightedBaselines:
 
     def test_weighted_em_uses_classic_em_posterior_bitwise(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.3, r=3, seed=25)
-        soft = train_method("weighted-em", X, ann, CFG, RngSeed(25)).soft
+        soft = train_method("weighted-em", X, ann, FAST, RngSeed(25)).soft
         reference, _, _ = classic_em(ann)
         assert_array_equal(soft, reference)
 
     def test_oracle_mode_requires_confusions(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=26)
         with pytest.raises(ValueError, match="true confusion"):
-            run_weighted_baseline(X, ann, "oracle-weighted-em", CFG, seed=27)
+            run_weighted_baseline(X, ann, "oracle-weighted-em", FAST, seed=27)
 
     def test_unknown_mode_rejected(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=28)
         with pytest.raises(ValueError, match="mode"):
-            run_weighted_baseline(X, ann, "bogus", CFG, seed=29)
+            run_weighted_baseline(X, ann, "bogus", FAST, seed=29)
 
 
 class TestHardBaselines:
     def test_identity_workers_make_all_modes_equal_truth_training(self):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=1.0, r=3, seed=30)
         seed = RngSeed(31)
-        reference = fit(X, one_hot(y, 3), CFG.learner, seed)
+        reference = fit(X, one_hot(y, 3), FAST, seed)
         for mode, kwargs in (("mv", {}), ("em", {}),
                              ("oracle-correct", {"truth": y})):
-            model = run_hard_baseline(X, ann, mode, CFG, seed, **kwargs).model
+            model = run_hard_baseline(X, ann, mode, FAST, seed, **kwargs).model
             assert_array_equal(model.parameters, reference.parameters)
 
     def test_all_spammers_keep_about_half_binary(self):
@@ -203,11 +196,11 @@ class TestHardBaselines:
     def test_oracle_correct_requires_truth_and_survivors(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=33)
         with pytest.raises(ValueError, match="true labels"):
-            run_hard_baseline(X, ann, "oracle-correct", CFG, seed=34)
+            run_hard_baseline(X, ann, "oracle-correct", FAST, seed=34)
         wrong = 1 - ann.labels  # every annotation disagrees with this "truth"
         ann_wrong_truth = wrong[np.argsort(ann.example_ids)]
         with pytest.raises(ValueError, match="no example"):
-            run_hard_baseline(X, ann, "oracle-correct", CFG, seed=35,
+            run_hard_baseline(X, ann, "oracle-correct", FAST, seed=35,
                               truth=ann_wrong_truth)
 
     def test_oracle_correct_trains_on_its_rows_alone(self):
@@ -215,18 +208,18 @@ class TestHardBaselines:
         rows = correctly_labeled_mask(ann, y)
         assert 0 < rows.sum() < rows.size
         seed = RngSeed(37)
-        reference = fit(X[rows], one_hot(y[rows], 3), CFG.learner, seed)
+        reference = fit(X[rows], one_hot(y[rows], 3), FAST, seed)
         fits = []
         for given in (None, fits):
-            model = train_method("oracle-correct", X, ann, CFG, seed, truth=y,
+            model = train_method("oracle-correct", X, ann, FAST, seed, truth=y,
                                  fits=given).model
             assert_array_equal(model.parameters, reference.parameters)
         # truth trains on every row, so it cannot take oracle-correct's fit.
-        truth = train_method("truth", X, ann, CFG, seed, truth=y,
+        truth = train_method("truth", X, ann, FAST, seed, truth=y,
                              fits=fits).model
         assert len(fits) == 2 and truth is not fits[0].model
         assert_array_equal(truth.parameters,
-                           fit(X, one_hot(y, 3), CFG.learner, seed).parameters)
+                           fit(X, one_hot(y, 3), FAST, seed).parameters)
 
     def test_majority_vote_beats_lone_spammer(self):
         # every example labelled by two hammers and one spammer
@@ -236,7 +229,7 @@ class TestHardBaselines:
         X, y = make_synthetic_dataset(n, K, 6, 6.0, root.child("data"))
         assignment = np.tile([0, 1, 2], (n, 1))
         ann = corrupt_labels(y, assignment, conf, root.child("corrupt"))
-        aggregated = hard_labels(train_method("mv", X, ann, CFG, root).soft)
+        aggregated = hard_labels(train_method("mv", X, ann, FAST, root).soft)
         spammer_labels = ann.labels[ann.worker_ids == 2]
         spammer_error = (spammer_labels != y).mean()
         assert (aggregated != y).mean() <= spammer_error
@@ -247,32 +240,33 @@ class TestHardBaselines:
 class TestSharedFits:
     def test_weighted_mv_fits_mbem_round_0(self):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=2, seed=40)
-        seed, cfg = RngSeed(41), MbemConfig(rounds=1, learner=FAST)
+        seed = RngSeed(41)
         fits = []
-        weighted = train_method("weighted-mv", X, ann, cfg, seed,
+        weighted = train_method("weighted-mv", X, ann, FAST, seed,
                                 fits=fits).model
-        # With one round, MBEM's model is its round-0 model.
-        assert_array_equal(run_mbem(X, ann, cfg, seed).model.parameters,
-                           weighted.parameters)
-        assert run_mbem(X, ann, cfg, seed, fits).model is weighted
-        assert len(fits) == 1
+        shared = run_mbem(X, ann, FAST, seed, fits).model
+        # Round 0 took weighted-mv's fit, and each later round added one.
+        assert fits[0].model is weighted and len(fits) == MBEM_ROUNDS
+        assert shared is fits[-1].model
+        assert_array_equal(run_mbem(X, ann, FAST, seed).model.parameters,
+                           shared.parameters)
 
     def test_at_r1_mv_em_and_weighted_mv_fit_one_model(self):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=1, seed=42)
         seed = RngSeed(43)
         fits = []
-        shared = [train_method(method, X, ann, CFG, seed, fits=fits).model
+        shared = [train_method(method, X, ann, FAST, seed, fits=fits).model
                   for method in ("mv", "em", "weighted-mv")]
         assert shared[1] is shared[0] and shared[2] is shared[0]
         assert len(fits) == 1
         for method in ("em", "weighted-mv"):
-            alone = train_method(method, X, ann, CFG, seed).model
+            alone = train_method(method, X, ann, FAST, seed).model
             assert_array_equal(alone.parameters, shared[0].parameters)
 
     def test_shared_arrays_are_read_only(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.5, r=2, seed=46)
         # weighted-mv's posterior is the targets of its fit.
-        result = train_method("weighted-mv", X, ann, CFG, RngSeed(47),
+        result = train_method("weighted-mv", X, ann, FAST, RngSeed(47),
                               fits=[])
         for arr in (result.model.parameters, result.soft, *ann.classic_em):
             with pytest.raises(ValueError, match="read-only"):
@@ -287,7 +281,7 @@ NAN = float("nan")
     (LearnerConfig, {"learning_rate": 0.0}, "learning_rate must be positive"),
     (LearnerConfig, {"learning_rate": NAN}, "learning_rate must be positive"),
     (LearnerConfig, {"epochs": 0}, "epochs must be at least 1"),
-    (MbemConfig, {"rounds": NAN}, "rounds must be at least 1"),
+    (LearnerConfig, {"learning_rate": -0.1}, "learning_rate must be positive"),
     (LearnerConfig, {"learner_kind": "one_hidden_layer_mlp",
                      "hidden_units": NAN}, "hidden_units must be at least 1"),
     (LearnerConfig, {"batch_size": -5}, "batch_size must be nonnegative"),
@@ -295,8 +289,6 @@ NAN = float("nan")
                      "hidden_units": 0}, "hidden_units must be at least 1"),
     (LearnerConfig, {"epochs": NAN}, "epochs must be at least 1"),
     (LearnerConfig, {"batch_size": NAN}, "batch_size must be nonnegative"),
-    (MbemConfig, {"rounds": 0}, "rounds must be at least 1"),
-    (MbemConfig, {"prior_mode": "empirical"}, "unknown prior_mode"),
 ])
 def test_each_config_bound_rejects_a_value_outside_it(cls, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

@@ -92,7 +92,7 @@ def test_mbem_estimates_worker_quality_from_one_label_per_example():
         per_seed = []
         for seed in (0, 1, 2):
             X, y, ann, confusions, _, _ = harness._cell_data(spec, 1, seed)
-            fitted = run_mbem(X, ann, spec.mbem, RngSeed(seed).child("fit", 1))
+            fitted = run_mbem(X, ann, spec.learner, RngSeed(seed).child("fit", 1))
             per_seed.append([
                 tv_error(estimates, confusions, ann, y) for estimates in (
                     fitted.confusions,
