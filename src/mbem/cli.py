@@ -16,8 +16,7 @@ from .harness import emit_report, read_inputs, run_sweep, spec_from_dict
 from .learn import LearnerConfig
 from .methods import METHODS, train_method
 from .seeding import RngSeed
-from .simulate import MARGIN, SKILL_KINDS, WorkerSkillModel, \
-    assign_workers, corrupt_labels, make_synthetic_dataset, sample_worker_pool
+from .simulate import SKILL_KINDS, Scenario, WorkerSkillModel, simulate_unit
 from .theory import beta_eps_closed_form, bound_factor, optimal_redundancy
 
 LEARNER_FLAGS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_mlp"}
@@ -41,14 +40,12 @@ def _config(args) -> LearnerConfig:
 
 
 def cmd_simulate(args) -> int:
-    seed = RngSeed(args.seed)
-    skill = WorkerSkillModel(kind=args.skill, gamma=args.gamma, K=args.classes)
-    features, truth = make_synthetic_dataset(args.n, args.classes,
-                                             args.feature_dim, args.margin,
-                                             seed.child("data"))
-    confusions = sample_worker_pool(skill, args.m, seed.child("workers"))
-    assignment = assign_workers(args.n, args.r, args.m, seed.child("assign"))
-    ann = corrupt_labels(truth, assignment, confusions, seed.child("corrupt"))
+    scenario = Scenario(
+        skill=WorkerSkillModel(kind=args.skill, gamma=args.gamma,
+                               K=args.classes),
+        d=args.feature_dim, margin=args.margin, m=args.m)
+    features, truth, ann, confusions = simulate_unit(scenario, args.n,
+                                                     args.r, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mbio.write_features(out / "features.csv", features)
@@ -61,6 +58,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.worker_confusions and args.method != "oracle-weighted-em":
+        raise ValueError("--worker-confusions is read by oracle-weighted-em "
+                         "only")
     out = Path(args.out_dir)
     ann, features, truth = read_inputs(args.annotations, args.features,
                                        args.truth)
@@ -140,12 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic crowdsourced dataset")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--classes", type=int, default=WorkerSkillModel.K)
-    p.add_argument("--feature-dim", type=int, default=None,
+    p.add_argument("--feature-dim", type=int, default=Scenario.d,
                    help="default: twice --classes")
-    p.add_argument("--margin", type=float, default=MARGIN)
+    p.add_argument("--margin", type=float, default=Scenario.margin)
     p.add_argument("--skill", choices=SKILL_KINDS, default=WorkerSkillModel.kind)
     p.add_argument("--gamma", type=float, default=WorkerSkillModel.gamma)
-    p.add_argument("--m", type=int, default=20)
+    p.add_argument("--m", type=int, default=Scenario.m)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)

@@ -4,10 +4,11 @@ Workers are modelled by row-stochastic K x K confusion matrices: entry
 [k, s] is the probability that the worker reports class s when the true
 class is k. This module holds the label-side machinery shared by every
 aggregation method: majority-vote initialization, the label posterior
-given confusion estimates, the maximum-likelihood confusion/prior
-estimator against a set of hard labels, and the classic (model-free)
-EM aggregator built from those two updates. dawid_skene_update chains
-the two, and both classic_em and MBEM's relabel step run through it.
+given confusion estimates under a uniform class prior, the
+maximum-likelihood confusion/prior estimator against a set of hard
+labels, and the classic (model-free) EM aggregator built from those two
+updates. dawid_skene_update chains the two, and both classic_em and
+MBEM's relabel step run through it.
 classic_em has no settings, so its result is a function of the
 AnnotationSet alone: the set computes it on first use and keeps it
 (AnnotationSet.classic_em), and every method that needs it shares one
@@ -51,7 +52,6 @@ __all__ = [
     "estimate_confusions_and_prior",
     "classic_em",
     "hard_labels",
-    "uniform_prior",
 ]
 
 ROW_SUM_TOL = 1e-9
@@ -153,17 +153,13 @@ class AnnotationSet:
         return layers
 
     @cached_property
-    def classic_em(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """classic_em(self): (soft_labels, confusions, prior), run once.
+    def classic_em(self) -> tuple[np.ndarray, np.ndarray]:
+        """classic_em(self): (soft_labels, confusions), run once.
         Every reader gets the same arrays, which are read-only."""
         result = classic_em(self)
         for arr in result:
             arr.flags.writeable = False
         return result
-
-
-def uniform_prior(K: int) -> np.ndarray:
-    return np.full(K, 1.0 / K)
 
 
 # The bounds in check_confusions and check_prior are negated >=/<= tests,
@@ -204,28 +200,26 @@ def majority_vote_init(ann: AnnotationSet) -> np.ndarray:
     return counts / counts.sum(axis=1)[:, None]
 
 
-def posterior(ann: AnnotationSet, confusions: np.ndarray,
-              prior: np.ndarray) -> np.ndarray:
-    """Posterior distribution of each true label given its annotations.
+def posterior(ann: AnnotationSet, confusions: np.ndarray) -> np.ndarray:
+    """Posterior distribution of each true label given its annotations,
+    under a uniform class prior.
 
-    Row i is proportional to prior[k] * prod_j conf[w_ij, k, z_ij] over
-    the annotations (w_ij, z_ij) of example i, normalized over k. The
-    product is accumulated in log space so long annotation lists cannot
-    underflow. Confusion entries are first clipped to [CONFUSION_CLAMP,
-    1 - CONFUSION_CLAMP] and each row renormalised, so every row of the
-    result is finite; a class with zero prior gets zero posterior.
+    Row i is proportional to prod_j conf[w_ij, k, z_ij] over the
+    annotations (w_ij, z_ij) of example i, normalized over k. The
+    product is accumulated in log space, from log(1 / K), so long
+    annotation lists cannot underflow. Confusion entries are first
+    clipped to [CONFUSION_CLAMP, 1 - CONFUSION_CLAMP] and each row
+    renormalised, so every row of the result is finite.
     """
     conf = np.clip(check_confusions(confusions), CONFUSION_CLAMP,
                    1.0 - CONFUSION_CLAMP)
     conf = conf / conf.sum(axis=-1, keepdims=True)
-    prior = check_prior(prior)
     if conf.shape[0] < ann.m or conf.shape[1] != ann.K:
         raise ValueError("confusion stack does not cover this annotation set")
 
     # Row w * K + z of the table is log conf[w, :, z].
     table = np.log(conf).transpose(0, 2, 1).reshape(-1, ann.K)
-    with np.errstate(divide="ignore"):
-        rows = np.tile(np.log(prior), (ann.n, 1))
+    rows = np.full((ann.n, ann.K), np.log(1.0 / ann.K))
     for ex, wz in ann._layers:
         if ex is None:
             rows += np.take(table, wz, axis=0)
@@ -290,10 +284,9 @@ def hard_labels(soft: np.ndarray) -> np.ndarray:
 def dawid_skene_update(ann: AnnotationSet, t: np.ndarray, smoothing: float):
     """One Dawid-Skene update against hard labels t: estimate the
     confusions, then recompute the label posterior with a uniform class
-    prior. Returns (posterior, confusions, prior)."""
+    prior. Returns (posterior, confusions)."""
     conf, _ = estimate_confusions_and_prior(ann, t, smoothing=smoothing)
-    prior = uniform_prior(ann.K)
-    return posterior(ann, conf, prior), conf, prior
+    return posterior(ann, conf), conf
 
 
 def classic_em(ann: AnnotationSet):
@@ -304,7 +297,7 @@ def classic_em(ann: AnnotationSet):
     update depends on the labels alone, so once a round's argmax labels
     equal the labels that produced it, every later round would repeat it
     bit for bit: the loop stops there, or after EM_MAX_ITERS rounds.
-    Returns (soft_labels, confusions, prior) from the final round.
+    Returns (soft_labels, confusions) from the final round.
     Callers that share one set read ann.classic_em, which runs this once.
 
     With one label per example this degenerates as expected: every
@@ -313,9 +306,9 @@ def classic_em(ann: AnnotationSet):
     """
     t = hard_labels(majority_vote_init(ann))
     for _ in range(EM_MAX_ITERS):
-        soft, conf, prior = dawid_skene_update(ann, t, EM_SMOOTHING)
+        soft, conf = dawid_skene_update(ann, t, EM_SMOOTHING)
         new_t = hard_labels(soft)
         if np.array_equal(new_t, t):
             break
         t = new_t
-    return soft, conf, prior
+    return soft, conf

@@ -4,8 +4,9 @@ Given a total annotation budget N, each redundancy level r trains on
 floor(N / r) examples carrying r labels each. The sweep runs one unit
 per (r, seed), which builds that pair's data once and trains every
 method on it; em and weighted-em share one classic EM run, which the
-unit's AnnotationSet caches. The training data draws from substreams
-keyed by (r, seed). The test set and worker pool draw from substreams
+unit's AnnotationSet caches. A synthetic unit draws its training data
+with simulate.simulate_unit, as `mbem simulate --n floor(N / r) --r r
+--seed seed` does. The test set and worker pool draw from substreams
 keyed by the seed alone, so every redundancy level of a seed sees the
 same ones, but each unit draws them again rather than sharing them.
 Every fit of a unit, whatever its method or MBEM round, draws from the
@@ -55,8 +56,8 @@ from .core import AnnotationSet
 from .learn import LearnerConfig, zero_one_risk
 from .methods import METHODS, train_method
 from .seeding import RngSeed
-from .simulate import MARGIN, WorkerSkillModel, assign_workers, corrupt_labels, \
-    make_synthetic_dataset, sample_worker_pool, subsample_redundancy
+from .simulate import Scenario, WorkerSkillModel, make_synthetic_dataset, \
+    simulate_unit, subsample_redundancy
 
 __all__ = [
     "SweepSpec",
@@ -86,11 +87,8 @@ class SweepSpec:
     budget: int
     redundancies: tuple[int, ...]
     methods: tuple[str, ...]
-    skill: WorkerSkillModel
-    m: int
+    scenario: Scenario
     n_test: int
-    d: int | None          # None: make_synthetic_dataset's default
-    margin: float
     seeds: tuple[int, ...]
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     # the five file-mode paths in FILE_KEYS order; None: synthetic data
@@ -110,15 +108,9 @@ class SweepSpec:
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
                 raise ValueError(f"{name} repeats {repeats[0]!r}")
-        # Each bound is a negated test, so that NaN fails it.
-        if not np.isfinite(self.margin):
-            raise ValueError(f"margin must be finite, got {self.margin}")
-        for key, value in (("m", self.m), ("n_test", self.n_test)):
-            if not value >= 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
-        if self.d is not None and not self.d >= self.skill.K:
-            raise ValueError(f"feature_dim must be at least classes "
-                             f"({self.skill.K}), got {self.d}")
+        # A negated test, so that NaN fails it.
+        if not self.n_test >= 1:
+            raise ValueError(f"n_test must be at least 1, got {self.n_test}")
         if self.input_files is not None:
             if len(self.input_files) != len(FILE_KEYS):
                 raise ValueError(f"input_files must hold {len(FILE_KEYS)} "
@@ -230,14 +222,11 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
         ann = subsample_redundancy(kept, r, root.child("labels", r))
         return X_all[keep], y_all[keep], ann, None, X_test, y_test
 
-    K = spec.skill.K
-    X, y = make_synthetic_dataset(n_train, K, spec.d, spec.margin,
-                                  root.child("train-data", r))
-    X_test, y_test = make_synthetic_dataset(spec.n_test, K, spec.d, spec.margin,
+    scenario = spec.scenario
+    X, y, ann, conf_true = simulate_unit(scenario, n_train, r, root)
+    X_test, y_test = make_synthetic_dataset(spec.n_test, scenario.skill.K,
+                                            scenario.d, scenario.margin,
                                             root.child("test-data"))
-    conf_true = sample_worker_pool(spec.skill, spec.m, root.child("workers"))
-    assignment = assign_workers(n_train, r, spec.m, root.child("assign", r))
-    ann = corrupt_labels(y, assignment, conf_true, root.child("corrupt", r))
     return X, y, ann, conf_true, X_test, y_test
 
 
@@ -419,19 +408,21 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     """Build a SweepSpec from a parsed config mapping.
 
     Required keys: budget, redundancies, methods (from methods.METHODS),
-    seeds; each list holds distinct values. Optional keys: classes, m
-    (100), n_test (4000), feature_dim, margin, worker_model {kind,
-    gamma}; learner {kind, learning_rate, epochs, batch_size,
-    hidden_units} for LearnerConfig; and for file mode annotations_file,
-    features_file, truth_file, test_features_file and test_truth_file.
+    seeds; each list holds distinct values. Optional keys: classes, m,
+    feature_dim, margin and worker_model {kind, gamma}, which make up
+    the simulate.Scenario; n_test (4000); learner {kind, learning_rate,
+    epochs, batch_size, hidden_units} for LearnerConfig; and for file
+    mode annotations_file, features_file, truth_file, test_features_file
+    and test_truth_file. File mode checks the scenario keys and n_test
+    but does not use them.
     These are constants, not keys: the learner's l2 weight
     (learn.L2_PENALTY), and MBEM's smoothing (methods.MBEM_SMOOTHING),
     rounds (methods.MBEM_ROUNDS) and uniform class prior.
     A null value, such as an empty YAML block, counts as absent.
-    The scenario defaults come from the simulate module: classes, kind
-    and gamma from WorkerSkillModel, margin from simulate.MARGIN, and
-    feature_dim is 2 * classes. Values are coerced to their fields'
-    types, an integer only from an integral value. A key outside
+    The scenario defaults are those of `mbem simulate` too: classes,
+    kind and gamma come from WorkerSkillModel, and m, margin and
+    feature_dim (2 * classes) from Scenario. Values are coerced to their
+    fields' types, an integer only from an integral value. A key outside
     CONFIG_KEYS, a missing required key, an unknown worker_model or
     learner key, a block that is not a mapping and a value that cannot
     take its type each raise ValueError naming it, and so do a margin
@@ -460,15 +451,15 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     if "kind" in learner:
         learner["learner_kind"] = learner.pop("kind")
     learner = _config_from(LearnerConfig, learner, "learner.")
+    scenario = Scenario(skill=skill, d=scalar(int, "feature_dim", Scenario.d),
+                        margin=scalar(float, "margin", Scenario.margin),
+                        m=scalar(int, "m", Scenario.m))
     return SweepSpec(
         budget=scalar(int, "budget"),
         redundancies=_listed(cfg, "redundancies", int),
         methods=_listed(cfg, "methods", str),
-        skill=skill,
-        m=scalar(int, "m", 100),
+        scenario=scenario,
         n_test=scalar(int, "n_test", 4000),
-        d=scalar(int, "feature_dim"),
-        margin=scalar(float, "margin", MARGIN),
         seeds=_listed(cfg, "seeds", int),
         learner=learner,
         input_files=None if absent else tuple(cfg[key] for key in FILE_KEYS),

@@ -139,16 +139,22 @@ def write_confusions(path, confusions: np.ndarray) -> None:
 
 def read_confusions(path) -> np.ndarray:
     """An (m, K, K) row-stochastic stack; ValueError, naming the file,
-    unless every worker_id, k and s is an integer, each (worker_id, k, s)
-    below (m, K, K) appears exactly once and every row sums to 1."""
+    unless every worker_id, k and s is an integer that fits int64, each
+    (worker_id, k, s) below (m, K, K) appears exactly once and every row
+    sums to 1."""
     data = _read_rows(path, 4)
     ids = data[:, :3]
-    integral = (np.isfinite(ids) & (ids == np.round(ids))).all(axis=1)
-    if not integral.all():
-        row = integral.argmin()
-        raise ValueError(f"{path}: data row {row + 1} holds a worker_id, k "
-                         "or s that is not an integer: "
-                         + ",".join(f"{v:g}" for v in data[row]))
+    integral = np.isfinite(ids) & (ids == np.round(ids))
+    # int64's bounds, -2**63 and 2**63, are exact in float64.
+    in_range = (ids >= -2.0 ** 63) & (ids < 2.0 ** 63)
+    for ok, fault in ((integral, "is not an integer"),
+                      (in_range, "does not fit int64")):
+        ok = ok.all(axis=1)
+        if not ok.all():
+            row = ok.argmin()
+            raise ValueError(f"{path}: data row {row + 1} holds a worker_id, "
+                             f"k or s that {fault}: "
+                             + ",".join(f"{v:g}" for v in data[row]))
     index = ids.astype(np.int64)
     if index.min() < 0:
         raise ValueError(f"{path}: negative worker_id, k or s")

@@ -34,7 +34,6 @@ from .core import (
     hard_labels,
     majority_vote_init,
     posterior,
-    uniform_prior,
 )
 from .learn import LearnerConfig, TrainedModel, fit, predict_proba, weighted_loss
 from .seeding import RngSeed, as_seed
@@ -135,8 +134,8 @@ def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: LearnerConfig,
         model = _fit(features, soft, cfg, seed, fits)
         probs = predict_proba(model, features)
         risks.append(weighted_loss(probs, soft))
-        soft, conf, _ = dawid_skene_update(ann, hard_labels(probs),
-                                           MBEM_SMOOTHING)
+        soft, conf = dawid_skene_update(ann, hard_labels(probs),
+                                        MBEM_SMOOTHING)
     return MbemResult(model=model, confusions=conf, soft=soft,
                       per_round_train_risk=risks)
 
@@ -150,10 +149,10 @@ def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
     if method in ("mv", "weighted-mv"):
         return majority_vote_init(ann), None
     if method in ("em", "weighted-em"):
-        return ann.classic_em[:2]
+        return ann.classic_em
     if oracle_confusions is None:
         raise ValueError(f"{method} requires the true confusion matrices")
-    return posterior(ann, oracle_confusions, uniform_prior(ann.K)), None
+    return posterior(ann, oracle_confusions), None
 
 
 def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,

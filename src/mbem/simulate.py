@@ -10,6 +10,10 @@ The feature generator is a deliberately simple stand-in for real image
 data: class centroids are scaled one-hot vectors plus unit Gaussian noise,
 which is linearly separable in expectation once the margin scale is a few
 noise standard deviations.
+
+A Scenario fixes everything about the simulated data but its size. Its
+defaults are those of `mbem simulate` and of a synthetic sweep, and both
+draw a sweep unit's training data through simulate_unit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .seeding import as_seed
 
 __all__ = [
     "WorkerSkillModel",
+    "Scenario",
+    "simulate_unit",
     "sample_worker_pool",
     "assign_workers",
     "corrupt_labels",
@@ -31,9 +37,6 @@ __all__ = [
 ]
 
 SKILL_KINDS = ("hammer_spammer", "classwise_hammer_spammer")
-# With WorkerSkillModel's defaults and d=None, the default scenario of
-# both `mbem simulate` and `mbem sweep`.
-MARGIN = 6.0
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,47 @@ class WorkerSkillModel:
             raise ValueError("gamma must lie in [0, 1]")
         if self.K < 2:
             raise ValueError("need at least two classes")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A simulated crowdsourcing scenario: a pool of m workers drawn from
+    skill, and features of dimension d (None: 2 * skill.K) around class
+    centroids that are margin times a one-hot vector."""
+
+    skill: WorkerSkillModel = WorkerSkillModel()
+    d: int | None = None
+    margin: float = 6.0
+    m: int = 100
+
+    def __post_init__(self):
+        # Each bound is a negated test, so that NaN fails it.
+        if not np.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
+        if not self.m >= 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
+        if self.d is not None and not self.d >= self.skill.K:
+            raise ValueError(f"feature_dim must be at least classes "
+                             f"({self.skill.K}), got {self.d}")
+
+
+def simulate_unit(scenario: Scenario, n: int, r: int, seed):
+    """The training data of sweep unit (r, seed): n examples with r labels
+    each from the scenario's pool, as (features, truth, annotations, the
+    pool's (m, K, K) confusion matrices).
+
+    The examples draw from the ("train-data", r) stream of seed, the pool
+    from "workers", the assignment from ("assign", r) and the labels from
+    ("corrupt", r), so every r of a seed shares one pool.
+    """
+    root = as_seed(seed)
+    X, y = make_synthetic_dataset(n, scenario.skill.K, scenario.d,
+                                  scenario.margin, root.child("train-data", r))
+    confusions = sample_worker_pool(scenario.skill, scenario.m,
+                                    root.child("workers"))
+    assignment = assign_workers(n, r, scenario.m, root.child("assign", r))
+    ann = corrupt_labels(y, assignment, confusions, root.child("corrupt", r))
+    return X, y, ann, confusions
 
 
 def sample_worker_pool(model: WorkerSkillModel, m: int, seed) -> np.ndarray:

@@ -12,7 +12,6 @@ from mbem.core import (
     EM_SMOOTHING,
     AnnotationSet,
     check_confusions,
-    check_prior,
     dawid_skene_update,
     hard_labels,
     majority_vote_init,
@@ -26,11 +25,6 @@ def random_confusions(rng, m, K, floor=0.02):
     """Row-stochastic matrices with every entry bounded away from 0."""
     conf = floor + rng.random((m, K, K))
     return conf / conf.sum(axis=2, keepdims=True)
-
-
-def random_prior(rng, K, floor=0.05):
-    p = floor + rng.random(K)
-    return p / p.sum()
 
 
 def random_instance(rng, n, m, K, r_max, variable_r=True):
@@ -49,14 +43,14 @@ def records(ann):
                     ann.labels.tolist()))
 
 
-def posterior_oracle(ann, conf, prior):
-    """Direct per-example evaluation of prior[k] * prod conf[w, k, z]."""
+def posterior_oracle(ann, conf):
+    """Direct per-example evaluation of (1 / K) * prod conf[w, k, z]."""
     rows = []
     records = list(zip(ann.example_ids, ann.worker_ids, ann.labels))
     for i in range(ann.n):
         probs = []
         for k in range(ann.K):
-            p = float(prior[k])
+            p = 1.0 / ann.K
             for e, w, z in records:
                 if e == i:
                     p *= float(conf[w][k][z])
@@ -99,25 +93,17 @@ def majority_vote_add_at(ann):
     return counts / totals[:, None]
 
 
-def posterior_add_at(ann, confusions, prior):
+def posterior_add_at(ann, confusions):
     conf = np.clip(check_confusions(confusions), CONFUSION_CLAMP,
                    1.0 - CONFUSION_CLAMP)
     conf = conf / conf.sum(axis=-1, keepdims=True)
-    prior = check_prior(prior)
     if conf.shape[0] < ann.m or conf.shape[1] != ann.K:
         raise ValueError("confusion stack does not cover this annotation set")
 
     lik = conf[ann.worker_ids, :, ann.labels]  # (records, K)
-    with np.errstate(divide="ignore"):
-        log_rows = np.tile(np.log(prior), (ann.n, 1))
-        np.add.at(log_rows, ann.example_ids, np.log(lik))
+    log_rows = np.tile(np.log(np.full(ann.K, 1.0 / ann.K)), (ann.n, 1))
+    np.add.at(log_rows, ann.example_ids, np.log(lik))
     shift = log_rows.max(axis=1)
-    dead = ~np.isfinite(shift)
-    if dead.any():
-        raise ValueError(
-            f"example {int(np.flatnonzero(dead)[0])} has zero posterior mass "
-            "for every class; enable clamping or fix the confusion estimates"
-        )
     rows = np.exp(log_rows - shift[:, None])
     return rows / rows.sum(axis=1, keepdims=True)
 
@@ -147,13 +133,13 @@ def classic_em_tol_oracle(ann, tol=1e-8):
     the argmax labels until no posterior entry moves by tol or more."""
     soft = majority_vote_init(ann)
     for _ in range(EM_MAX_ITERS):
-        new_soft, conf, prior = dawid_skene_update(ann, hard_labels(soft),
-                                                   EM_SMOOTHING)
+        new_soft, conf = dawid_skene_update(ann, hard_labels(soft),
+                                            EM_SMOOTHING)
         delta = np.abs(new_soft - soft).max()
         soft = new_soft
         if delta < tol:
             break
-    return soft, conf, prior
+    return soft, conf
 
 
 def _write_rows_oracle(path, header, rows):

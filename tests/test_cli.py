@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from numpy.testing import assert_array_equal
 
 from mbem import cli
 from mbem import io as mbio
@@ -14,7 +15,7 @@ from mbem.cli import LEARNER_FLAGS, build_parser, main
 from mbem.harness import FILE_KEYS, _cell_data, spec_from_dict
 from mbem.learn import LEARNER_KINDS, LearnerConfig
 from mbem.methods import METHODS
-from mbem.simulate import MARGIN, SKILL_KINDS, WorkerSkillModel
+from mbem.simulate import SKILL_KINDS, Scenario
 
 from conftest import sweep_rows
 
@@ -35,12 +36,18 @@ MINIMAL_SWEEP = {"budget": 100, "redundancies": [1], "methods": ["mv"],
                  "seeds": [0]}
 
 
-def test_simulate_defaults_are_a_minimal_sweeps_scenario():
-    args = build_parser().parse_args(["simulate", "--out-dir", "x"])
-    spec = spec_from_dict(MINIMAL_SWEEP)
-    assert spec.skill == WorkerSkillModel() == WorkerSkillModel(
-        kind=args.skill, gamma=args.gamma, K=args.classes)
-    assert spec.margin == args.margin == MARGIN
+def test_simulate_defaults_are_a_minimal_sweeps_scenario(monkeypatch,
+                                                        tmp_path):
+    scenarios, simulate_unit = [], cli.simulate_unit
+
+    def recorded(scenario, *args):
+        scenarios.append(scenario)
+        return simulate_unit(scenario, *args)
+
+    monkeypatch.setattr(cli, "simulate_unit", recorded)
+    assert main(["simulate", "--n", "10", "--out-dir", str(tmp_path)]) == 0
+    assert scenarios == [Scenario()]
+    assert spec_from_dict(MINIMAL_SWEEP).scenario == Scenario()
 
 
 def test_simulate_and_sweep_share_the_default_feature_dimension(tmp_path):
@@ -50,6 +57,38 @@ def test_simulate_and_sweep_share_the_default_feature_dimension(tmp_path):
     spec = spec_from_dict({**MINIMAL_SWEEP, "classes": 5})
     X = _cell_data(spec, 1, 0)[0]
     assert features.shape[1] == X.shape[1] == 10
+
+
+# Every scenario flag differs from its default.
+SCENARIO_FLAGS = ["--classes", "3", "--feature-dim", "5", "--margin", "2.5",
+                  "--skill", "classwise_hammer_spammer", "--gamma", "0.4",
+                  "--m", "7"]
+SCENARIO_KEYS = {"classes": 3, "feature_dim": 5, "margin": 2.5, "m": 7,
+                 "worker_model": {"kind": "classwise_hammer_spammer",
+                                  "gamma": 0.4}}
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_simulate_writes_the_training_data_of_a_sweep_unit(tmp_path, r,
+                                                           seed):
+    spec = spec_from_dict({**MINIMAL_SWEEP, **SCENARIO_KEYS, "budget": 60})
+    assert spec.scenario != Scenario()
+    X, y, ann, confusions = _cell_data(spec, r, seed)[:4]
+    assert main(["simulate", "--n", str(60 // r), "--r", str(r), "--seed",
+                 str(seed), *SCENARIO_FLAGS, "--out-dir", str(tmp_path)]) == 0
+    assert_array_equal(mbio.read_features(tmp_path / "features.csv"), X,
+                       strict=True)
+    assert_array_equal(mbio.read_truth(tmp_path / "truth.csv"), y,
+                       strict=True)
+    written = mbio.read_annotations(tmp_path / "annotations.csv")
+    for name in ("example_ids", "worker_ids", "labels"):
+        assert_array_equal(getattr(written, name), getattr(ann, name),
+                           strict=True)
+    # workers.csv holds 12 significant digits
+    rounded = [float(f"{v:.12g}") for v in confusions.ravel()]
+    assert_array_equal(mbio.read_confusions(tmp_path / "workers.csv"),
+                       np.reshape(rounded, confusions.shape), strict=True)
 
 
 def test_simulate_outputs_are_consistent(simulated):
@@ -324,15 +363,15 @@ def test_bound_grid_ends_at_the_last_step_not_above_rho(capsys, rho, step,
      "--grid-step must be positive"),
     (["bound", "--rho", "0.1", "--grid-step", "0"],
      "--grid-step must be positive"),
-    (["simulate", "--m", "0"], "need at least one worker"),
+    (["simulate", "--m", "0"], "m must be at least 1, got 0"),
     (["simulate", "--r", "0"], "n, r, m must all be at least 1"),
     (["sweep", "--jobs", "0"], "jobs must be at least 1, got 0"),
     (["sweep", "--jobs", "-2"], "jobs must be at least 1, got -2"),
-    (["simulate", "--margin", "nan"], "margin must be finite"),
+    (["simulate", "--margin", "nan"], "margin must be finite, got nan"),
     (["simulate", "--n", "0"], "need at least one example"),
     (["simulate", "--gamma", "1.5"], "gamma must lie in [0, 1]"),
     (["simulate", "--feature-dim", "1"],
-     "feature dimension must be at least the class count"),
+     "feature_dim must be at least classes (2), got 1"),
     (["bound", "--rho", "0.1", "--epsilon", "nan"],
      "need 0 <= rho < 0.5 and epsilon >= 0"),
     (["bound", "--rho", "0.1", "--grid-step", "nan"],
@@ -351,6 +390,11 @@ def test_bound_grid_ends_at_the_last_step_not_above_rho(capsys, rho, step,
       "--method", "mv"], "nope.csv not found."),
     (["sweep", "--config", "nope.yaml"],
      "[Errno 2] No such file or directory: 'nope.yaml'"),
+    # Only oracle-weighted-em reads the true confusion matrices; the
+    # command fails before it reads any file.
+    (["train", "--annotations", "nope.csv", "--features", "nope.csv",
+      "--method", "mv", "--worker-confusions", "nope.csv"],
+     "--worker-confusions is read by oracle-weighted-em only"),
 ])
 def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys,
                                                      monkeypatch, argv,

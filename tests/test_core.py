@@ -13,7 +13,6 @@ from mbem.core import (
     hard_labels,
     majority_vote_init,
     posterior,
-    uniform_prior,
 )
 
 from conftest import (
@@ -25,7 +24,6 @@ from conftest import (
     posterior_oracle,
     random_confusions,
     random_instance,
-    random_prior,
     records,
 )
 
@@ -76,31 +74,28 @@ class TestPosterior:
     def test_perfect_worker_forces_delta(self):
         ann = AnnotationSet.from_records([(0, 0, 0)], n=1, m=1, K=2)
         # the fixed confusion clamp leaves exactly its 1e-6 leak
-        assert_allclose(posterior(ann, IDENTITY2, uniform_prior(2)),
+        assert_allclose(posterior(ann, IDENTITY2),
                         [[1 - 1e-6, 1e-6]], rtol=0, atol=1e-15)
 
-    def test_uninformative_worker_returns_prior(self, rng):
-        prior = np.array([0.3, 0.7])
+    def test_uninformative_worker_returns_prior(self):
+        # the prior is uniform
         for labels in ([(0, 0, 0)], [(0, 0, 1)], [(0, 0, 0), (0, 0, 1)]):
             ann = AnnotationSet.from_records(labels, n=1, m=1, K=2)
-            assert_allclose(posterior(ann, UNINFORMATIVE2, prior),
-                            [prior], atol=1e-12)
+            assert_allclose(posterior(ann, UNINFORMATIVE2), [[0.5, 0.5]],
+                            atol=1e-12)
 
     def test_two_worker_hand_value(self):
         conf = np.array([[[0.8, 0.2], [0.3, 0.7]],
                          [[0.6, 0.4], [0.4, 0.6]]])
         ann = AnnotationSet.from_records([(0, 0, 0), (0, 1, 1)], n=1, m=2, K=2)
-        assert_allclose(posterior(ann, conf, uniform_prior(2)),
-                        [[0.64, 0.36]], atol=1e-12)
+        assert_allclose(posterior(ann, conf), [[0.64, 0.36]], atol=1e-12)
 
-    def test_identity_unanimous_one_hot_any_prior(self, rng):
+    def test_identity_unanimous_one_hot(self):
         for K in (2, 3):
             conf = np.tile(np.eye(K), (3, 1, 1))
-            prior = random_prior(rng, K)
             ann = AnnotationSet.from_records(
                 [(0, w, 1) for w in range(3)], n=1, m=3, K=K)
-            assert_allclose(posterior(ann, conf, prior), np.eye(K)[[1]],
-                            atol=1e-4)
+            assert_allclose(posterior(ann, conf), np.eye(K)[[1]], atol=1e-4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
@@ -110,9 +105,8 @@ class TestPosterior:
         m = int(rng.integers(1, 4))
         ann = random_instance(rng, n, m, K, r_max)
         conf = random_confusions(rng, m, K)
-        prior = random_prior(rng, K)
-        expected = posterior_oracle(ann, conf, prior)
-        assert np.abs(posterior(ann, conf, prior) - expected).max() <= 1e-12
+        expected = posterior_oracle(ann, conf)
+        assert np.abs(posterior(ann, conf) - expected).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -120,21 +114,17 @@ class TestPosterior:
         rng = np.random.default_rng(seed)
         n, m, K = 6, 4, int(rng.integers(2, 5))
         ann = random_instance(rng, n, m, K, 4)
-        soft = posterior(ann, random_confusions(rng, m, K), random_prior(rng, K))
+        soft = posterior(ann, random_confusions(rng, m, K))
         assert soft.min() >= 0
         assert_allclose(soft.sum(axis=1), 1.0, atol=1e-9)
-        # exact 0/1 rows, contradicting labels and a zero prior entry
-        # leave every row finite and on the simplex
+        # exact 0/1 rows and contradicting labels leave every row finite
+        # and on the simplex
         hard = np.eye(K)[rng.integers(0, K, size=(m, K))]
-        zero_prior = random_prior(rng, K)
-        zero_prior[rng.integers(0, K)] = 0.0
-        zero_prior /= zero_prior.sum()
         for conf in (hard, np.tile(np.eye(K), (m, 1, 1))):
-            for prior in (random_prior(rng, K), zero_prior):
-                soft = posterior(ann, conf, prior)
-                assert np.isfinite(soft).all()
-                assert soft.min() >= 0
-                assert_allclose(soft.sum(axis=1), 1.0, atol=1e-9)
+            soft = posterior(ann, conf)
+            assert np.isfinite(soft).all()
+            assert soft.min() >= 0
+            assert_allclose(soft.sum(axis=1), 1.0, atol=1e-9)
         mv = majority_vote_init(ann)
         assert mv.min() >= 0
         assert_allclose(mv.sum(axis=1), 1.0, atol=1e-9)
@@ -146,7 +136,6 @@ class TestPosterior:
         n, m = 5, 3
         ann = random_instance(rng, n, m, K, 3)
         conf = random_confusions(rng, m, K)
-        prior = random_prior(rng, K)
         perm = rng.permutation(K)          # new class k holds old class perm[k]
         inv = np.argsort(perm)
         ann_p = AnnotationSet(n=ann.n, m=ann.m, K=K,
@@ -154,8 +143,8 @@ class TestPosterior:
                               worker_ids=ann.worker_ids,
                               labels=inv[ann.labels])
         conf_p = conf[:, perm][:, :, perm]
-        base = posterior(ann, conf, prior)
-        permuted = posterior(ann_p, conf_p, prior[perm])
+        base = posterior(ann, conf)
+        permuted = posterior(ann_p, conf_p)
         assert_allclose(permuted, base[:, perm], atol=1e-12)
 
 
@@ -222,19 +211,13 @@ class TestKernelsMatchAddAt:
     def test_posterior(self, rng, layout):
         ann = LAYOUTS[layout](rng)
         conf = random_confusions(rng, ann.m, ann.K)
-        prior = random_prior(rng, ann.K)
-        zero_prior = prior.copy()
-        zero_prior[1] = 0.0
-        zero_prior /= zero_prior.sum()
-        # a zero prior entry is the only exact zero that reaches the log
-        for p in (prior, zero_prior):
-            assert_array_equal(posterior(ann, conf, p),
-                               posterior_add_at(ann, conf, p), strict=True)
+        assert_array_equal(posterior(ann, conf), posterior_add_at(ann, conf),
+                           strict=True)
         # the clamp keeps exact zeros in the confusions away from the log
         conf[:, 0, 1] = 0.0
         conf /= conf.sum(axis=2, keepdims=True)
-        assert_array_equal(posterior(ann, conf, prior),
-                           posterior_add_at(ann, conf, prior), strict=True)
+        assert_array_equal(posterior(ann, conf), posterior_add_at(ann, conf),
+                           strict=True)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_estimate(self, rng, layout):
@@ -257,7 +240,8 @@ class TestKernelsMatchAddAt:
         # stopping on repeated labels saves the last update of the
         # tolerance loop, which could only reproduce the one before it
         ann = LAYOUTS[layout](rng)
-        for a, b in zip(classic_em(ann), classic_em_tol_oracle(ann)):
+        for a, b in zip(classic_em(ann), classic_em_tol_oracle(ann),
+                        strict=True):
             assert_array_equal(a, b, strict=True)
 
     def test_classic_em_builds_the_record_index_once(self, rng, monkeypatch):
@@ -296,7 +280,7 @@ class TestClassicEm:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, conf, _ = classic_em(ann)
+            _, conf = classic_em(ann)
         visited = np.zeros((m, K), dtype=bool)
         for i, w, z in records:
             visited[w, z] = True   # r=1: the argmax label equals the annotation
@@ -309,14 +293,14 @@ class TestClassicEm:
         truth = np.array([0, 1, 1, 0])
         records = [(i, w, int(truth[i])) for i in range(4) for w in range(2)]
         ann = AnnotationSet.from_records(records, n=4, m=2, K=2)
-        soft, _, _ = classic_em(ann)
+        soft, _ = classic_em(ann)
         assert_allclose(soft, np.eye(2)[truth], atol=1e-6)
 
     def test_matches_straightline_oracle(self):
         ann = AnnotationSet.from_records(
             [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 0), (2, 0, 1), (2, 1, 1)],
             n=3, m=2, K=2)
-        soft, conf, prior = classic_em(ann)
+        soft, conf = classic_em(ann)
 
         # independent re-implementation of the two update equations
         triples = records(ann)
@@ -365,7 +349,7 @@ class TestClassicEm:
         truth = np.array([0, 0, 0, 1, 2, 2, 0, 1, 0, 0])
         records = [(i, w, int(truth[i])) for i in range(10) for w in range(2)]
         ann = AnnotationSet.from_records(records, n=10, m=2, K=3)
-        soft, _, _ = classic_em(ann)
+        soft, _ = classic_em(ann)
         assert_array_equal(hard_labels(soft), truth)
         # the prior estimated against these labels
         _, prior = estimate_confusions_and_prior(ann, hard_labels(soft), 0.0)

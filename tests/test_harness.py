@@ -383,8 +383,8 @@ def test_spec_from_dict_coerces_yaml_strings():
                      margin="2.5", worker_model={"gamma": "0.9"},
                      seeds=["0", "1"])
     assert spec.learner == LearnerConfig(learning_rate=0.05, epochs=7)
-    assert spec.margin == 2.5
-    assert spec.skill == WorkerSkillModel(gamma=0.9)
+    assert spec.scenario.margin == 2.5
+    assert spec.scenario.skill == WorkerSkillModel(gamma=0.9)
     assert spec.seeds == (0, 1)
 
 

@@ -215,6 +215,21 @@ def test_read_confusions_names_the_first_row_with_a_non_integral_index(
         mbio.read_confusions(path)
 
 
+@pytest.mark.parametrize("row", ["1e20,0,0,1", "0,-1e20,0,1",
+                                 "0,0,9.3e18,1"])
+def test_read_confusions_names_a_row_whose_index_does_not_fit_int64(
+        tmp_path, row):
+    # Cast to int64, 1e20 would wrap, with numpy's cast warning, to a
+    # negative index.
+    path = tmp_path / "workers.csv"
+    path.write_text(f"worker_id,k,s,prob\n0,0,0,1\n{row}\n")
+    shown = ",".join(f"{float(v):g}" for v in row.split(","))
+    message = (f"{path}: data row 2 holds a worker_id, k or s that does not "
+               f"fit int64: {shown}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mbio.read_confusions(path)
+
+
 # Each file is one column short of what its reader needs.
 SHORT_FILES = {
     mbio.read_annotations: "example_id,worker_id\n0,0\n",

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mbem.core import uniform_prior
 from mbem.seeding import RngSeed
 from mbem.simulate import WorkerSkillModel, sample_worker_pool
 from mbem.theory import (
@@ -14,6 +13,8 @@ from mbem.theory import (
     bound_factor,
     optimal_redundancy,
 )
+
+UNIFORM2 = np.array([0.5, 0.5])
 
 
 def symmetric_pool(rho, m):
@@ -126,7 +127,7 @@ class TestOptimalRedundancy:
 
 class TestBetaGeneral:
     def test_matches_closed_form_identical_workers(self):
-        prior = uniform_prior(2)
+        prior = UNIFORM2
         for rho in (0.05, 0.2, 0.35):
             for m in (2, 5, 10):
                 for r in (1, 2, 3):
@@ -138,19 +139,19 @@ class TestBetaGeneral:
 
     def test_identity_confusions_give_zero(self):
         pool = symmetric_pool(0.0, 3)
-        est = beta_general_binary(pool, pool, uniform_prior(2), 2)
+        est = beta_general_binary(pool, pool, UNIFORM2, 2)
         assert est.value == 0.0
 
     def test_uninformative_estimates_give_half(self):
         true_pool = symmetric_pool(0.2, 4)
         flat = np.full((4, 2, 2), 0.5)
-        est = beta_general_binary(true_pool, flat, uniform_prior(2), 3)
+        est = beta_general_binary(true_pool, flat, UNIFORM2, 3)
         assert_allclose(est.value, 0.5, atol=1e-12)
 
     def test_monte_carlo_regime_agrees_with_closed_form(self):
         rho, m, r = 0.25, 12, 7   # 12^7 ~ 3.6e7 forces sampling
         pool = symmetric_pool(rho, m)
-        est = beta_general_binary(pool, pool, uniform_prior(2), r, seed=5,
+        est = beta_general_binary(pool, pool, UNIFORM2, r, seed=5,
                                   mc_tuples=20000)
         assert est.stderr is not None
         want = beta_eps_closed_form(rho, 0.0, r)
@@ -171,7 +172,7 @@ class TestBetaGeneral:
         assert int((pool[:, 0, 0] == 1.0).sum()) == hammers
         got = {}
         for r, beta, factor in zip((1, 3), betas, factors):
-            est = beta_general_binary(pool, pool, uniform_prior(2), r)
+            est = beta_general_binary(pool, pool, UNIFORM2, r)
             assert est.stderr is None
             assert est.value == pytest.approx(beta, rel=1e-12, abs=0)
             assert est.value == pytest.approx(0.5 * (1 - hammers / 100) ** r,
@@ -188,4 +189,4 @@ class TestBetaGeneral:
     def test_rejects_large_r(self):
         pool = symmetric_pool(0.1, 2)
         with pytest.raises(ValueError, match="redundancy"):
-            beta_general_binary(pool, pool, uniform_prior(2), 13)
+            beta_general_binary(pool, pool, UNIFORM2, 13)
