@@ -22,14 +22,6 @@ from .theory import beta_eps_closed_form, bound_factor, optimal_redundancy
 LEARNER_FLAGS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_mlp"}
 
 
-def _add_learner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learner", dest="learner_kind", choices=LEARNER_FLAGS)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int, help="0 means full batch")
-    p.add_argument("--hidden-units", type=int)
-
-
 def _config(args) -> LearnerConfig:
     """LearnerConfig from the learner flags given on the command line."""
     given = dict(vars(args))
@@ -162,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-confusions", default=None, help="true confusion CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    _add_learner_flags(p)
+    p.add_argument("--learner", dest="learner_kind", choices=LEARNER_FLAGS)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--batch-size", type=int, help="0 means full batch")
+    p.add_argument("--hidden-units", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bound", help="tabulate the redundancy bound factor")

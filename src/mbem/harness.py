@@ -31,12 +31,13 @@ reads them on the first unit it runs, checks that they agree, and keeps
 them for its later units in one cache, keyed by the five paths and
 cleared when run_sweep returns: run_sweep's own process at jobs=1, and
 each pool worker at jobs > 1, so the parent then reads nothing and a
-worker that gets no unit reads nothing. Each unit subsamples floor(N / r)
-of those examples and r of their annotations. A read or check that fails
-does so in its unit by the rule above: a ValueError or RuntimeError fails
-the unit's cells, and the next unit reads the files again; any other
-error, such as a missing file, aborts the sweep (mbem sweep then exits
-with the error's message).
+worker that gets no unit reads nothing. Each unit draws floor(N / r) of
+those examples, and simulate.subsample_redundancy, the unit's one cut,
+keeps r annotations of each. A read or check that fails does so in its
+unit by the rule above: a ValueError or RuntimeError fails the unit's
+cells, and the next unit reads the files again; any other error, such
+as a missing file, aborts the sweep (mbem sweep then exits with the
+error's message).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mbio
-from .core import AnnotationSet
 from .learn import LearnerConfig, zero_one_risk
 from .methods import METHODS, train_method
 from .seeding import RngSeed
@@ -146,17 +146,6 @@ class SweepResult:
     aggregates: dict[tuple[str, int], CellAggregate]
 
 
-def _restrict(ann: AnnotationSet, keep: np.ndarray) -> AnnotationSet:
-    """AnnotationSet over the examples in keep, re-indexed to 0..len-1."""
-    remap = np.full(ann.n, -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    mask = remap[ann.example_ids] >= 0
-    return AnnotationSet(n=keep.size, m=ann.m, K=ann.K,
-                         example_ids=remap[ann.example_ids[mask]],
-                         worker_ids=ann.worker_ids[mask],
-                         labels=ann.labels[mask])
-
-
 def _same(what: str, file_a, a: int, file_b, b: int) -> None:
     """Raise, naming both files, unless their counts a and b agree."""
     if a != b:
@@ -214,12 +203,11 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
                              f"only {ann_all.n} examples, cell needs {n_train}")
         pick_rng = root.child("subset", r).generator()
         keep = np.sort(pick_rng.choice(ann_all.n, size=n_train, replace=False))
-        kept = _restrict(ann_all, keep)
-        short = keep[kept.redundancy_counts() < r]
-        if short.size:
-            raise ValueError(f"{spec.input_files[0]}: example {short[0]} has "
-                             f"fewer than {r} annotations")
-        ann = subsample_redundancy(kept, r, root.child("labels", r))
+        try:
+            ann = subsample_redundancy(ann_all, keep, r,
+                                       root.child("labels", r))
+        except ValueError as exc:
+            raise ValueError(f"{spec.input_files[0]}: {exc}") from None
         return X_all[keep], y_all[keep], ann, None, X_test, y_test
 
     scenario = spec.scenario

@@ -14,9 +14,10 @@ Every reader requires at least one row below the header and the file's
 columns (exactly 3 for annotations, 2 for truth and 4 for confusions;
 at least 2 for features and soft labels), and the readers of truth,
 soft label and feature files require example_id to hold each of 0..n-1
-exactly once. Every feature value must be finite. Model checkpoints are
-a parameter CSV (one value per line, full precision) plus a JSON
-sidecar with ``kind, K, d, hidden_units``.
+exactly once. A confusion file needs one row per entry of the (m, K, K)
+table that its largest worker_id, k and s span. Every feature value must
+be finite. Model checkpoints are a parameter CSV (one value per line,
+full precision) plus a JSON sidecar with ``kind, K, d, hidden_units``.
 """
 
 from __future__ import annotations
@@ -138,10 +139,10 @@ def write_confusions(path, confusions: np.ndarray) -> None:
 
 
 def read_confusions(path) -> np.ndarray:
-    """An (m, K, K) row-stochastic stack; ValueError, naming the file,
-    unless every worker_id, k and s is an integer that fits int64, each
-    (worker_id, k, s) below (m, K, K) appears exactly once and every row
-    sums to 1."""
+    """An (m, K, K) row-stochastic stack, m and K one above the largest
+    worker_id and k or s; ValueError, naming the file, unless each of those
+    is an integer that fits int64, the file has one row per (worker_id, k,
+    s) below (m, K, K), so m * K * K rows, and every row sums to 1."""
     data = _read_rows(path, 4)
     ids = data[:, :3]
     integral = np.isfinite(ids) & (ids == np.round(ids))
@@ -159,6 +160,10 @@ def read_confusions(path) -> np.ndarray:
     if index.min() < 0:
         raise ValueError(f"{path}: negative worker_id, k or s")
     m, K = int(index[:, 0].max()) + 1, int(index[:, 1:].max()) + 1
+    # Before the count table, so that one large index cannot size it.
+    if m * K * K != len(data):
+        raise ValueError(f"{path}: {len(data)} data rows, not one per entry "
+                         f"of (m, K, K) = ({m}, {K}, {K})")
     seen = np.bincount(np.ravel_multi_index(index.T, (m, K, K)),
                        minlength=m * K * K).reshape(m, K, K)
     if (seen != 1).any():

@@ -167,35 +167,42 @@ def make_synthetic_dataset(n: int, K: int, d: int | None, margin: float, seed):
     return features, truth
 
 
-def subsample_redundancy(ann: AnnotationSet, r: int, seed) -> AnnotationSet:
-    """Keep r annotations per example, chosen uniformly without replacement.
+def subsample_redundancy(ann: AnnotationSet, examples: np.ndarray, r: int,
+                         seed) -> AnnotationSet:
+    """The given examples of ann, numbered 0..len-1 in their order, each
+    keeping r of its annotations chosen uniformly without replacement: a
+    budget sweep's cut of a pre-collected annotation file.
 
-    Supports budget sweeps over a pre-collected annotation file whose
-    native redundancy exceeds r. Every example must carry at least r
-    annotations.
-
-    The rule: every record draws one 32-bit key from the ("subsample", r)
-    stream of seed, in record order, and each example keeps the r records
-    with the smallest keys (on a repeated key, the earlier record). The
-    kept records stay in their original order.
+    Every record of those examples draws one 32-bit key from the
+    ("subsample", r) stream of seed, in record order, and each example
+    keeps the r records with the smallest keys (on a repeated key, the
+    earlier record), in their original order. The ValueError for an
+    example with fewer than r annotations names it by its index in ann,
+    which is the file's example_id.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    counts = ann.redundancy_counts()
-    if counts.min() < r:
-        short = int(np.flatnonzero(counts < r)[0])
-        raise ValueError(f"example {short} has fewer than {r} annotations")
+    examples = np.asarray(examples, dtype=np.int64)
+    remap = np.full(ann.n, -1, dtype=np.int64)
+    remap[examples] = np.arange(examples.size)
+    ids = remap[ann.example_ids]
+    records = np.flatnonzero(ids >= 0)
+    ids = ids[records]
+    counts = np.bincount(ids, minlength=examples.size)
+    short = np.flatnonzero(counts < r)
+    if short.size:
+        raise ValueError(f"example {examples[short[0]]} has fewer than {r} "
+                         f"annotations")
     rng = as_seed(seed).child("subsample", r).generator()
 
     # Exact integer keys, example in the high bits: examples never
     # interleave, and a stable sort settles repeated draws by record order.
-    keys = (ann.example_ids << 32) | rng.integers(0, 1 << 32, len(ann),
-                                                  dtype=np.int64)
+    keys = (ids << 32) | rng.integers(0, 1 << 32, ids.size, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     starts = np.cumsum(counts) - counts
-    rank = np.arange(len(ann)) - np.repeat(starts, counts)
+    rank = np.arange(ids.size) - np.repeat(starts, counts)
     keep = np.sort(order[rank < r])
-    return AnnotationSet(n=ann.n, m=ann.m, K=ann.K,
-                         example_ids=ann.example_ids[keep],
-                         worker_ids=ann.worker_ids[keep],
-                         labels=ann.labels[keep])
+    kept = records[keep]
+    return AnnotationSet(n=examples.size, m=ann.m, K=ann.K,
+                         example_ids=ids[keep], worker_ids=ann.worker_ids[kept],
+                         labels=ann.labels[kept])

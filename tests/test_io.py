@@ -215,6 +215,18 @@ def test_read_confusions_names_the_first_row_with_a_non_integral_index(
         mbio.read_confusions(path)
 
 
+def test_read_confusions_checks_the_row_count_before_sizing_its_table(
+        tmp_path):
+    # Sized from the largest worker_id, the count table would hold
+    # 100001 * 2 * 2 entries for three rows.
+    path = tmp_path / "workers.csv"
+    path.write_text("worker_id,k,s,prob\n0,0,0,1\n100000,0,0,1\n0,0,1,0\n")
+    message = (f"{path}: 3 data rows, not one per entry of (m, K, K) = "
+               "(100001, 2, 2)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mbio.read_confusions(path)
+
+
 @pytest.mark.parametrize("row", ["1e20,0,0,1", "0,-1e20,0,1",
                                  "0,0,9.3e18,1"])
 def test_read_confusions_names_a_row_whose_index_does_not_fit_int64(

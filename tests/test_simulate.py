@@ -160,22 +160,28 @@ class TestSubsample:
         workers = np.tile(np.arange(4), (6, 1))
         labels = np.ones((6, 4), dtype=int)
         ann = AnnotationSet.from_tables(workers, labels, m=4, K=2)
-        sub = subsample_redundancy(ann, 2, seed=0)
+        sub = subsample_redundancy(ann, np.arange(ann.n), 2, seed=0)
         assert_array_equal(sub.redundancy_counts(), np.full(6, 2))
         original = set(records(ann))
         assert all(rec in original for rec in records(sub))
 
     def test_requires_enough_annotations(self):
-        ann = AnnotationSet.from_records([(0, 0, 0)], n=1, m=1, K=2)
-        with pytest.raises(ValueError, match="fewer than 2"):
-            subsample_redundancy(ann, 2, seed=0)
+        # Examples 1 and 2 carry one annotation each; only a given one
+        # counts, and the message names it by its index in the pool.
+        ann = AnnotationSet.from_records(
+            [(0, 0, 0), (1, 0, 1), (0, 1, 1), (2, 1, 0)], n=3, m=2, K=2)
+        for examples, short in (([0, 1, 2], 1), ([2, 0], 2)):
+            message = f"example {short} has fewer than 2 annotations"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                subsample_redundancy(ann, examples, 2, seed=0)
+        subsample_redundancy(ann, [0], 2, seed=0)
 
     def test_deterministic(self):
         workers = np.tile(np.arange(5), (8, 1))
         labels = (workers + 1) % 2
         ann = AnnotationSet.from_tables(workers, labels, m=5, K=2)
-        a = subsample_redundancy(ann, 3, seed=RngSeed(1))
-        b = subsample_redundancy(ann, 3, seed=RngSeed(1))
+        a = subsample_redundancy(ann, np.arange(ann.n), 3, seed=RngSeed(1))
+        b = subsample_redundancy(ann, np.arange(ann.n), 3, seed=RngSeed(1))
         assert records(a) == records(b)
 
     @pytest.mark.parametrize("low,r", [(1, 1), (3, 1), (3, 2), (3, 3)])
@@ -188,12 +194,31 @@ class TestSubsample:
                             example_ids=example_ids,
                             worker_ids=np.arange(example_ids.size),
                             labels=example_ids % 2)
-        sub = subsample_redundancy(ann, r, seed=RngSeed(5))
-        assert_array_equal(sub.redundancy_counts(), np.full(40, r))
-        kept = sub.worker_ids
-        assert np.unique(kept).size == kept.size
-        assert_array_equal(ann.example_ids[kept], sub.example_ids)
-        assert_array_equal(np.diff(kept) > 0, True)   # original order
+        # The whole pool, and a proper subset in shuffled order.
+        for examples in (np.arange(40), rng.permutation(40)[:25]):
+            sub = subsample_redundancy(ann, examples, r, seed=RngSeed(5))
+            assert_array_equal(sub.redundancy_counts(),
+                               np.full(examples.size, r))
+            kept = sub.worker_ids
+            assert np.unique(kept).size == kept.size
+            assert_array_equal(ann.example_ids[kept],
+                               examples[sub.example_ids])
+            assert_array_equal(np.diff(kept) > 0, True)   # original order
+
+        # Keys follow the records, not the examples' numbering: sorting the
+        # subset keeps the same records, and those are the ones kept from
+        # the set restricted to the subset beforehand.
+        ordered = np.sort(examples)
+        in_order = subsample_redundancy(ann, ordered, r, seed=RngSeed(5))
+        assert_array_equal(in_order.worker_ids, kept)
+        mask = np.isin(example_ids, ordered)
+        restricted = AnnotationSet(
+            n=ordered.size, m=ann.m, K=2,
+            example_ids=np.searchsorted(ordered, example_ids[mask]),
+            worker_ids=ann.worker_ids[mask], labels=ann.labels[mask])
+        assert records(subsample_redundancy(
+            restricted, np.arange(ordered.size), r, seed=RngSeed(5))) == \
+            records(in_order)
 
     def test_r_equal_to_every_count_returns_the_input(self, rng):
         workers = rng.integers(0, 6, size=(10, 4))
@@ -204,7 +229,7 @@ class TestSubsample:
                                  worker_ids=ann.worker_ids[p],
                                  labels=ann.labels[p])
         for full in (ann, shuffled):
-            sub = subsample_redundancy(full, 4, seed=RngSeed(2))
+            sub = subsample_redundancy(full, np.arange(10), 4, seed=RngSeed(2))
             assert records(sub) == records(full)
 
     @pytest.mark.parametrize("r", [1, 2])
@@ -217,7 +242,8 @@ class TestSubsample:
         draws = 4000
         kept = np.zeros(15)
         for seed in range(draws):
-            kept[subsample_redundancy(ann, r, seed=RngSeed(seed)).worker_ids] += 1
+            kept[subsample_redundancy(ann, np.arange(4), r,
+                                      seed=RngSeed(seed)).worker_ids] += 1
         p = r / counts[example_ids]
         se = np.sqrt(p * (1 - p) / draws)
         assert np.all(np.abs(kept / draws - p) <= 5 * se)
