@@ -106,10 +106,9 @@ class AnnotationSet:
         ):
             if arr.size and (arr.min() < 0 or arr.max() >= bound):
                 raise ValueError(f"{name} out of range [0, {bound})")
-        counts = np.bincount(self.example_ids, minlength=self.n)
-        if self.n and counts.min() == 0:
-            missing = int(np.flatnonzero(counts == 0)[0])
-            raise ValueError(f"example {missing} has no annotations")
+        missing = np.flatnonzero(self.redundancy_counts() == 0)
+        if missing.size:
+            raise ValueError(f"example {missing[0]} has no annotations")
 
     def __len__(self):
         return self.example_ids.size
@@ -138,10 +137,10 @@ class AnnotationSet:
         return np.bincount(self.example_ids, minlength=self.n)
 
     @cached_property
-    def _layers(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    def _layers(self) -> list[tuple[np.ndarray | slice, np.ndarray]]:
         """[(examples, rows)] per rank j: layer j pairs each example with
-        more than j records (None when that is all n examples) with the
-        flat row worker_id * K + label of its j-th record, in record order."""
+        more than j records (slice(None) when that is all n) with the flat
+        row worker_id * K + label of its j-th record, in record order."""
         order = np.argsort(self.example_ids, kind="stable")
         counts = self.redundancy_counts()
         starts = np.cumsum(counts) - counts
@@ -149,7 +148,8 @@ class AnnotationSet:
         layers = []
         for j in range(int(counts.max(initial=0))):
             ex = np.flatnonzero(counts > j)
-            layers.append((None if ex.size == self.n else ex, rows[starts[ex] + j]))
+            layers.append((slice(None) if ex.size == self.n else ex,
+                           rows[starts[ex] + j]))
         return layers
 
     @cached_property
@@ -221,10 +221,7 @@ def posterior(ann: AnnotationSet, confusions: np.ndarray) -> np.ndarray:
     table = np.log(conf).transpose(0, 2, 1).reshape(-1, ann.K)
     rows = np.full((ann.n, ann.K), np.log(1.0 / ann.K))
     for ex, wz in ann._layers:
-        if ex is None:
-            rows += np.take(table, wz, axis=0)
-        else:
-            rows[ex] += np.take(table, wz, axis=0)
+        rows[ex] += np.take(table, wz, axis=0)
     # the max over the short class axis as K column maxima: same bits, faster
     rows -= reduce(np.maximum, rows.T)[:, None]
     np.exp(rows, out=rows)
@@ -240,33 +237,30 @@ def estimate_confusions_and_prior(ann: AnnotationSet, t: np.ndarray,
                   / (#{worker a annotations where t=k} + K * smoothing)
     prior[k]      = fraction of t equal to k.
 
-    smoothing=0 gives the exact count-ratio estimate; worker classes
-    that then have no annotations are returned as uniform rows and
-    flagged with a RuntimeWarning. Workers never seen in ann get
-    all-uniform matrices.
+    A row whose denominator is 0 (possible only at smoothing=0, for a
+    worker class with no annotations) is returned uniform and flagged
+    with a RuntimeWarning. Workers never seen in ann get all-uniform
+    matrices.
     """
     t = np.asarray(t, dtype=np.int64)
     if t.shape != (ann.n,):
         raise ValueError("t must supply one hard label per example")
     if ann.n and (t.min() < 0 or t.max() >= ann.K):
         raise ValueError("hard labels out of range")
-    if smoothing < 0:
+    if not smoothing >= 0:
         raise ValueError("smoothing must be nonnegative")
 
     K = ann.K
     num = np.bincount((ann.worker_ids * K + t[ann.example_ids]) * K + ann.labels,
                       minlength=ann.m * K * K).reshape(ann.m, K, K).astype(np.float64)
-    den = num.sum(axis=2)
-
-    if smoothing > 0:
-        conf = (num + smoothing) / (den + ann.K * smoothing)[:, :, None]
-    else:
-        conf = np.empty_like(num)
-        seen = den > 0
-        np.divide(num, den[:, :, None], out=conf, where=seen[:, :, None])
-        conf[~seen] = 1.0 / ann.K
-        if not seen.all():
-            warnings.warn(_EMPTY_ROW_MESSAGE, RuntimeWarning, stacklevel=2)
+    den = num.sum(axis=2) + K * smoothing
+    num += smoothing
+    with np.errstate(invalid="ignore"):
+        conf = num / den[:, :, None]
+    empty = den == 0
+    if empty.any():
+        conf[empty] = 1.0 / K
+        warnings.warn(_EMPTY_ROW_MESSAGE, RuntimeWarning, stacklevel=2)
 
     prior = np.bincount(t, minlength=ann.K) / max(ann.n, 1)
     return conf, prior

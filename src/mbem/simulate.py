@@ -169,9 +169,9 @@ def make_synthetic_dataset(n: int, K: int, d: int | None, margin: float, seed):
 
 def subsample_redundancy(ann: AnnotationSet, examples: np.ndarray, r: int,
                          seed) -> AnnotationSet:
-    """The given examples of ann, numbered 0..len-1 in their order, each
-    keeping r of its annotations chosen uniformly without replacement: a
-    budget sweep's cut of a pre-collected annotation file.
+    """The given examples of ann (distinct indices in [0, ann.n)), numbered
+    0..len-1 in their order, each keeping r of its annotations chosen
+    uniformly without replacement: a budget sweep's cut of an annotation file.
 
     Every record of those examples draws one 32-bit key from the
     ("subsample", r) stream of seed, in record order, and each example
@@ -183,16 +183,21 @@ def subsample_redundancy(ann: AnnotationSet, examples: np.ndarray, r: int,
     if r < 1:
         raise ValueError("r must be at least 1")
     examples = np.asarray(examples, dtype=np.int64)
+    outside = examples[(examples < 0) | (examples >= ann.n)]
+    if outside.size:
+        raise ValueError(f"example index {outside[0]} outside [0, {ann.n})")
     remap = np.full(ann.n, -1, dtype=np.int64)
     remap[examples] = np.arange(examples.size)
+    repeated = examples[remap[examples] != np.arange(examples.size)]
+    if repeated.size:
+        raise ValueError(f"example index {repeated[0]} given more than once")
     ids = remap[ann.example_ids]
     records = np.flatnonzero(ids >= 0)
     ids = ids[records]
     counts = np.bincount(ids, minlength=examples.size)
     short = np.flatnonzero(counts < r)
     if short.size:
-        raise ValueError(f"example {examples[short[0]]} has fewer than {r} "
-                         f"annotations")
+        raise ValueError(f"example {examples[short[0]]} has fewer than {r} annotations")
     rng = as_seed(seed).child("subsample", r).generator()
 
     # Exact integer keys, example in the high bits: examples never

@@ -168,12 +168,23 @@ class TestEstimate:
         conf, _ = estimate_confusions_and_prior(ann, [0], smoothing=1)
         assert_allclose(conf[0, 1], [1 / 3, 1 / 3, 1 / 3])
         assert_allclose(conf[0, 2], [1 / 3, 1 / 3, 1 / 3])
+        assert_array_equal(conf, estimate_add_at(ann, [0], smoothing=1)[0],
+                           strict=True)
 
     def test_unvisited_class_flagged_without_smoothing(self):
         ann = AnnotationSet.from_records([(0, 0, 0)], n=1, m=1, K=2)
         with pytest.warns(RuntimeWarning, match="no annotations"):
             conf, _ = estimate_confusions_and_prior(ann, [0], smoothing=0)
         assert_allclose(conf[0, 1], [0.5, 0.5])
+        with pytest.warns(RuntimeWarning, match="no annotations"):
+            want, _ = estimate_add_at(ann, [0], smoothing=0)
+        assert_array_equal(conf, want, strict=True)
+
+    @pytest.mark.parametrize("smoothing", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_smoothing(self, smoothing):
+        ann = AnnotationSet.from_records([(0, 0, 0)], n=1, m=1, K=2)
+        with pytest.raises(ValueError, match="smoothing must be nonnegative"):
+            estimate_confusions_and_prior(ann, [0], smoothing=smoothing)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4))
@@ -201,6 +212,7 @@ LAYOUTS = {
     "variable-r": lambda rng: random_instance(rng, 300, 9, 5, 9),
     "shuffled": lambda rng: _shuffled(random_instance(rng, 300, 9, 5, 9), rng),
     "r1": lambda rng: random_instance(rng, 300, 9, 5, 1),
+    "uniform-r3": lambda rng: random_instance(rng, 300, 9, 5, 3, variable_r=False),
 }
 
 

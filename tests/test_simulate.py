@@ -168,10 +168,15 @@ class TestSubsample:
     def test_requires_enough_annotations(self):
         # Examples 1 and 2 carry one annotation each; only a given one
         # counts, and the message names it by its index in the pool.
+        # Indices outside the pool or repeated fail before that check.
         ann = AnnotationSet.from_records(
             [(0, 0, 0), (1, 0, 1), (0, 1, 1), (2, 1, 0)], n=3, m=2, K=2)
-        for examples, short in (([0, 1, 2], 1), ([2, 0], 2)):
-            message = f"example {short} has fewer than 2 annotations"
+        for examples, message in (
+                ([0, 1, 2], "example 1 has fewer than 2 annotations"),
+                ([2, 0], "example 2 has fewer than 2 annotations"),
+                ([-1], "example index -1 outside [0, 3)"),
+                ([0, 3], "example index 3 outside [0, 3)"),
+                ([0, 0], "example index 0 given more than once")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 subsample_redundancy(ann, examples, 2, seed=0)
         subsample_redundancy(ann, [0], 2, seed=0)
