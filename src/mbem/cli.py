@@ -14,7 +14,7 @@ import yaml
 from . import io as mbio
 from .harness import emit_report, read_inputs, run_sweep, spec_from_dict
 from .learn import LearnerConfig
-from .methods import METHODS, train_method
+from .methods import METHODS, Unit, train_method
 from .seeding import RngSeed
 from .simulate import SKILL_KINDS, Scenario, WorkerSkillModel, simulate_unit
 from .theory import beta_eps_closed_form, bound_factor, optimal_redundancy
@@ -64,9 +64,9 @@ def cmd_train(args) -> int:
             raise ValueError(f"{args.worker_confusions} has {m} workers and "
                              f"{K} classes, but {args.annotations} has "
                              f"{ann.m} workers and {ann.K} classes")
-    result = train_method(args.method, features, ann, _config(args),
-                          RngSeed(args.seed), truth=truth,
-                          oracle_confusions=oracle)
+    unit = Unit(features, ann, _config(args), RngSeed(args.seed), truth=truth,
+                oracle_confusions=oracle)
+    result = train_method(args.method, unit)
     mbio.save_model(out, result.model)
     if result.soft is not None:
         mbio.write_soft_labels(out / "posteriors.csv", result.soft)

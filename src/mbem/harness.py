@@ -9,12 +9,12 @@ with simulate.simulate_unit, as `mbem simulate --n floor(N / r) --r r
 --seed seed` does. The test set and worker pool draw from substreams
 keyed by the seed alone, so every redundancy level of a seed sees the
 same ones, but each unit draws them again rather than sharing them.
-Every fit of a unit, whatever its method or MBEM round, draws from the
-one substream ("fit", r) of seed. Two methods that train on the same
-features and targets therefore get the same model, and the unit keeps
-one list of its fits, which methods._fit reads: a repeated fit returns
-the earlier model. Results do not depend on execution order, on which
-methods the spec lists or on the number of worker processes. A
+_cell_data builds the pair's data into one methods.Unit, whose every
+fit, whatever its method or MBEM round, draws from the one substream
+("fit", r) of seed. Two methods that train on the same targets
+therefore get the same model, and Unit.fit returns the earlier model
+instead of training it again. Results do not depend on execution order,
+on which methods the spec lists or on the number of worker processes. A
 ValueError (bad data) or RuntimeError (a diverging learner) fails its
 cells and the sweep goes on; any other exception aborts it. A row of
 timing.csv covers that method's training and evaluation only (and
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import io as mbio
 from .learn import LearnerConfig, zero_one_risk
-from .methods import METHODS, train_method
+from .methods import METHODS, Unit, train_method
 from .seeding import RngSeed
 from .simulate import Scenario, WorkerSkillModel, make_synthetic_dataset, \
     simulate_unit, subsample_redundancy
@@ -192,7 +192,8 @@ def _file_inputs(annotations, features, truth, test_features, test_truth):
 
 
 def _cell_data(spec: SweepSpec, r: int, seed: int):
-    """(X, y, ann, conf_true|None, X_test, y_test) for one (r, seed) unit."""
+    """(unit, X_test, y_test) for one (r, seed) unit, whose every fit
+    draws from the substream ("fit", r) of seed."""
     n_train = spec.budget // r
     root = RngSeed(seed)
     if spec.input_files is not None:
@@ -208,14 +209,16 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
                                        root.child("labels", r))
         except ValueError as exc:
             raise ValueError(f"{spec.input_files[0]}: {exc}") from None
-        return X_all[keep], y_all[keep], ann, None, X_test, y_test
-
-    scenario = spec.scenario
-    X, y, ann, conf_true = simulate_unit(scenario, n_train, r, root)
-    X_test, y_test = make_synthetic_dataset(spec.n_test, scenario.skill.K,
-                                            scenario.d, scenario.margin,
-                                            root.child("test-data"))
-    return X, y, ann, conf_true, X_test, y_test
+        X, y, conf_true = X_all[keep], y_all[keep], None
+    else:
+        scenario = spec.scenario
+        X, y, ann, conf_true = simulate_unit(scenario, n_train, r, root)
+        X_test, y_test = make_synthetic_dataset(
+            spec.n_test, scenario.skill.K, scenario.d, scenario.margin,
+            root.child("test-data"))
+    unit = Unit(X, ann, spec.learner, root.child("fit", r), truth=y,
+                oracle_confusions=conf_true)
+    return unit, X_test, y_test
 
 
 def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
@@ -226,22 +229,21 @@ def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
 
 
 def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
-              data, fits: list | None, risks: dict) -> CellRecord:
-    """Train and evaluate one method on its unit's data, sharing the
-    unit's fits (None: none). risks maps each model the unit evaluated
-    to its (test_risk, train_risk). Bad data and a diverging learner
+              data, risks: dict) -> CellRecord:
+    """Train and evaluate one method on data, _cell_data's (unit,
+    X_test, y_test). The methods of a unit share its fits (see
+    methods.Unit.fit), and risks maps each model the unit evaluated to
+    its (test_risk, train_risk). Bad data and a diverging learner
     (ValueError, RuntimeError) give an error record."""
-    X, y, ann, conf_true, X_test, y_test = data
+    unit, X_test, y_test = data
     start = time.perf_counter()
     try:
-        model = train_method(method, X, ann, spec.learner,
-                             RngSeed(seed).child("fit", r), truth=y,
-                             oracle_confusions=conf_true, fits=fits).model
+        model = train_method(method, unit).model
         # TrainedModel compares by identity, so a shared model is
         # evaluated once.
         if model not in risks:
             risks[model] = (zero_one_risk(model, X_test, y_test),
-                            zero_one_risk(model, X, y))
+                            zero_one_risk(model, unit.features, unit.truth))
         test_risk, train_risk = risks[model]
         return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
                           test_risk=test_risk, train_risk=train_risk,
@@ -251,14 +253,14 @@ def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
 
 
 def _run_unit(spec: SweepSpec, r: int, seed: int) -> list[CellRecord]:
-    """One record per method of spec, in spec order, all on one dataset."""
+    """One record per method of spec, in spec order, all on one unit."""
     try:
         data = _cell_data(spec, r, seed)
     except (ValueError, RuntimeError) as exc:
         return [_failed(spec, method, r, seed, exc, 0.0)
                 for method in spec.methods]
-    fits, risks = [], {}
-    return [_run_cell(spec, method, r, seed, data, fits, risks)
+    risks = {}
+    return [_run_cell(spec, method, r, seed, data, risks)
             for method in spec.methods]
 
 
@@ -351,7 +353,7 @@ def _coerce(kind, value, key: str):
     message = f"{key}: cannot read {value!r} as {kind.__name__}"
     try:
         out = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(message) from None
     if isinstance(value, bool) or (kind is int and out != value
                                    and not isinstance(value, str)):
@@ -436,6 +438,9 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
                          "worker_model.",
                         K=scalar(int, "classes", WorkerSkillModel.K))
     learner = _block(cfg, "learner")
+    if "learner_kind" in learner:
+        raise ValueError("unknown learner key learner.learner_kind; "
+                         "the learner's kind is learner.kind")
     if "kind" in learner:
         learner["learner_kind"] = learner.pop("kind")
     learner = _config_from(LearnerConfig, learner, "learner.")

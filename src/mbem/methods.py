@@ -14,17 +14,19 @@ weights from majority vote or EM, and two oracles that see the true
 confusion matrices or the true labels. em and weighted-em read classic
 EM from the AnnotationSet, which runs it once and keeps the result.
 
-Every fit goes through _fit with the seed it is given, whatever the
-method or MBEM round, so two fits on the same features and targets give
-the same model. The sweep passes each method of an (r, seed) unit the
-same seed and one list of the unit's fits, and _fit returns a model from
-that list instead of training it again: weighted-mv's model is MBEM's
-round-0 model, and at r=1 mv, em and weighted-mv share it too.
+Every method takes one Unit: the features and annotations of a dataset,
+the learner config, the seed every fit draws from, and the true labels
+and worker confusions when they are known. A method fits through
+Unit.fit, which returns the unit's earlier model for equal targets
+instead of training it again, so the methods of one unit share their
+fits: weighted-mv's model is MBEM's round-0 model, and at r=1 mv, em and
+weighted-mv share it too. oracle-correct alone trains on a row subset
+and calls fit directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,12 +38,13 @@ from .core import (
     posterior,
 )
 from .learn import LearnerConfig, TrainedModel, fit, predict_proba, weighted_loss
-from .seeding import RngSeed, as_seed
+from .seeding import RngSeed
 
 __all__ = [
     "METHODS",
     "MethodResult",
     "MbemResult",
+    "Unit",
     "train_method",
     "run_mbem",
     "run_weighted_baseline",
@@ -79,96 +82,83 @@ def one_hot(labels: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
-class _Fit:
-    """One fit of a unit: what it trained on, and the model."""
-    features: object
+@dataclass(frozen=True, eq=False)
+class Unit:
+    """One dataset that methods train on. Every fit draws from seed;
+    truth and oracle_confusions are None when unknown."""
+    features: np.ndarray
+    ann: AnnotationSet
     cfg: LearnerConfig
-    seed: RngSeed
-    targets: np.ndarray
-    model: TrainedModel
+    seed: RngSeed | int
+    truth: np.ndarray | None = None
+    oracle_confusions: np.ndarray | None = None
+    # (targets, model) of each fit so far
+    _memo: list = field(default_factory=list, init=False, repr=False)
 
-
-def _fit(features, targets: np.ndarray, cfg: LearnerConfig, seed,
-         fits: list[_Fit] | None) -> TrainedModel:
-    """learn.fit on features and targets.
-
-    fits, if not None, holds the earlier fits of one unit. A fit there
-    on the same features object, cfg and seed, with targets equal in
-    shape and every value, gives its model instead of training again; a
-    new fit is added to it. The model parameters and the targets of
-    every fit in fits are read-only, since other methods share them."""
-    seed = as_seed(seed)
-    for done in fits or ():
-        if (done.features is features and done.cfg == cfg and done.seed == seed
-                and np.array_equal(done.targets, targets)):
-            return done.model
-    model = fit(features, targets, cfg, seed)
-    if fits is not None:
+    def fit(self, targets: np.ndarray) -> TrainedModel:
+        """fit on the unit's features, or the model of an earlier fit on
+        targets equal in shape and every value. A new model's parameters
+        and its targets become read-only, since other methods share
+        them."""
+        for done, model in self._memo:
+            if np.array_equal(done, targets):
+                return model
+        model = fit(self.features, targets, self.cfg, self.seed)
         model.parameters.flags.writeable = False
         targets.flags.writeable = False
-        fits.append(_Fit(features, cfg, seed, targets, model))
-    return model
+        self._memo.append((targets, model))
+        return model
 
 
-def run_mbem(features: np.ndarray, ann: AnnotationSet, cfg: LearnerConfig,
-             seed, fits: list[_Fit] | None = None) -> MbemResult:
+def run_mbem(unit: Unit) -> MbemResult:
     """Alternate posterior-weighted training with model-based confusion
     re-estimation for MBEM_ROUNDS rounds.
 
     The posterior starts at the per-example label frequencies. Each
     round then: (1) retrains the learner from scratch on the current
-    soft labels, with every round's fit drawing from seed itself, so
-    round 0 fits weighted-mv's model; (2) takes the model's argmax
-    predictions on the training examples as provisional truth; (3)
-    re-estimates all confusion matrices against them, with
-    MBEM_SMOOTHING added to every count, and recomputes the label
-    posterior with a uniform class prior, in one dawid_skene_update.
-    Artifacts of the final round are returned, together with each
-    round's weighted_loss of the model on the soft labels it was trained
-    on. fits is as in _fit.
+    soft labels, through unit.fit, so round 0 fits weighted-mv's model;
+    (2) takes the model's argmax predictions on the training examples as
+    provisional truth; (3) re-estimates all confusion matrices against
+    them, with MBEM_SMOOTHING added to every count, and recomputes the
+    label posterior with a uniform class prior, in one
+    dawid_skene_update. Artifacts of the final round are returned,
+    together with each round's weighted_loss of the model on the soft
+    labels it was trained on.
     """
-    soft = majority_vote_init(ann)
+    soft = majority_vote_init(unit.ann)
     risks = []
     for _ in range(MBEM_ROUNDS):
-        model = _fit(features, soft, cfg, seed, fits)
-        probs = predict_proba(model, features)
+        model = unit.fit(soft)
+        probs = predict_proba(model, unit.features)
         risks.append(weighted_loss(probs, soft))
-        soft, conf = dawid_skene_update(ann, hard_labels(probs),
+        soft, conf = dawid_skene_update(unit.ann, hard_labels(probs),
                                         MBEM_SMOOTHING)
     return MbemResult(model=model, confusions=conf, soft=soft,
                       per_round_train_risk=risks)
 
 
-def _label_posterior(ann: AnnotationSet, method: str, modes: tuple[str, ...],
-                     oracle_confusions: np.ndarray | None = None):
+def _label_posterior(unit: Unit, method: str, modes: tuple[str, ...]):
     """(soft, confusions or None) by majority vote, classic EM (cached on
-    ann) or the true confusion matrices; method must be one of modes."""
+    unit.ann) or the unit's true confusion matrices; method must be one
+    of modes."""
     if method not in modes:
         raise ValueError(f"mode must be one of {modes}, got {method!r}")
     if method in ("mv", "weighted-mv"):
-        return majority_vote_init(ann), None
+        return majority_vote_init(unit.ann), None
     if method in ("em", "weighted-em"):
-        return ann.classic_em
-    if oracle_confusions is None:
+        return unit.ann.classic_em
+    if unit.oracle_confusions is None:
         raise ValueError(f"{method} requires the true confusion matrices")
-    return posterior(ann, oracle_confusions), None
+    return posterior(unit.ann, unit.oracle_confusions), None
 
 
-def run_weighted_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
-                          cfg: LearnerConfig, seed, *,
-                          oracle_confusions: np.ndarray | None = None,
-                          fits: list[_Fit] | None = None) -> MethodResult:
-    """One posterior-weighted fit. weighted-mv weights by the raw label
-    frequencies; weighted-em by the final posterior of classic EM;
-    oracle-weighted-em by the posterior under the true confusion
-    matrices with a uniform prior.
-
-    The fit draws from seed itself; fits is as in _fit."""
-    soft, conf = _label_posterior(ann, mode, WEIGHTED_METHODS,
-                                  oracle_confusions)
-    model = _fit(features, soft, cfg, seed, fits)
-    return MethodResult(model=model, soft=soft, confusions=conf)
+def run_weighted_baseline(unit: Unit, mode: str) -> MethodResult:
+    """One posterior-weighted fit, through unit.fit. weighted-mv weights
+    by the raw label frequencies; weighted-em by the final posterior of
+    classic EM; oracle-weighted-em by the posterior under the true
+    confusion matrices with a uniform prior."""
+    soft, conf = _label_posterior(unit, mode, WEIGHTED_METHODS)
+    return MethodResult(model=unit.fit(soft), soft=soft, confusions=conf)
 
 
 def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
@@ -180,53 +170,46 @@ def correctly_labeled_mask(ann: AnnotationSet, truth: np.ndarray) -> np.ndarray:
     return hit
 
 
-def run_hard_baseline(features: np.ndarray, ann: AnnotationSet, mode: str,
-                      cfg: LearnerConfig, seed, *,
-                      truth: np.ndarray | None = None,
-                      fits: list[_Fit] | None = None) -> MethodResult:
+def run_hard_baseline(unit: Unit, mode: str) -> MethodResult:
     """Aggregate-then-train baselines.
 
     mv/em aggregate the annotations to one label per example and train
     on the resulting one-hot targets. truth trains on the true labels;
     oracle-correct does too, restricted to examples where at least one
     annotation matches the truth, and fails if no example survives.
-    Both require truth. The fit draws from seed itself; fits is as in
-    _fit.
+    Both require the unit's truth. oracle-correct fits its rows with the
+    unit's cfg and seed directly; the others fit through unit.fit.
     """
     soft = conf = None
     if mode in ("oracle-correct", "truth"):
-        if truth is None:
+        if unit.truth is None:
             raise ValueError(f"{mode} requires the true labels")
-        labels = np.asarray(truth, dtype=np.int64)
+        labels = np.asarray(unit.truth, dtype=np.int64)
         if mode == "oracle-correct":
-            rows = correctly_labeled_mask(ann, labels)
+            rows = correctly_labeled_mask(unit.ann, labels)
             if not rows.any():
                 raise ValueError("no example has a correct annotation; "
                                  "nothing to train on")
-            features = np.asarray(features, dtype=np.float64)[rows]
-            labels = labels[rows]
+            features = np.asarray(unit.features, dtype=np.float64)[rows]
+            model = fit(features, one_hot(labels[rows], unit.ann.K), unit.cfg,
+                        unit.seed)
+            return MethodResult(model=model, soft=None, confusions=None)
     else:
-        soft, conf = _label_posterior(ann, mode, HARD_METHODS)
+        soft, conf = _label_posterior(unit, mode, HARD_METHODS)
         labels = hard_labels(soft)
-    model = _fit(features, one_hot(labels, ann.K), cfg, seed, fits)
+    model = unit.fit(one_hot(labels, unit.ann.K))
     return MethodResult(model=model, soft=soft, confusions=conf)
 
 
-def train_method(method: str, features: np.ndarray, ann: AnnotationSet,
-                 cfg: LearnerConfig, seed, *, truth: np.ndarray | None = None,
-                 oracle_confusions: np.ndarray | None = None,
-                 fits: list[_Fit] | None = None) -> MethodResult:
-    """Train one of METHODS for the CLI or the sweep harness; a method
-    that needs truth or oracle_confusions raises ValueError without it.
-    Calls on one ann share its classic EM result, and calls given one
-    fits list share their fits (see _fit)."""
+def train_method(method: str, unit: Unit) -> MethodResult:
+    """Train one of METHODS on unit for the CLI or the sweep harness; a
+    method that needs the unit's truth or oracle_confusions raises
+    ValueError without it. Calls on one unit share its fits (see
+    Unit.fit) and its ann's classic EM result."""
     if method in HARD_METHODS:
-        return run_hard_baseline(features, ann, method, cfg, seed, truth=truth,
-                                 fits=fits)
+        return run_hard_baseline(unit, method)
     if method in WEIGHTED_METHODS:
-        return run_weighted_baseline(features, ann, method, cfg, seed,
-                                     oracle_confusions=oracle_confusions,
-                                     fits=fits)
+        return run_weighted_baseline(unit, method)
     if method == "mbem":
-        return run_mbem(features, ann, cfg, seed, fits)
+        return run_mbem(unit)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

@@ -55,7 +55,7 @@ def test_simulate_and_sweep_share_the_default_feature_dimension(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     features = mbio.read_features(tmp_path / "features.csv")
     spec = spec_from_dict({**MINIMAL_SWEEP, "classes": 5})
-    X = _cell_data(spec, 1, 0)[0]
+    X = _cell_data(spec, 1, 0)[0].features
     assert features.shape[1] == X.shape[1] == 10
 
 
@@ -74,7 +74,9 @@ def test_simulate_writes_the_training_data_of_a_sweep_unit(tmp_path, r,
                                                            seed):
     spec = spec_from_dict({**MINIMAL_SWEEP, **SCENARIO_KEYS, "budget": 60})
     assert spec.scenario != Scenario()
-    X, y, ann, confusions = _cell_data(spec, r, seed)[:4]
+    unit = _cell_data(spec, r, seed)[0]
+    X, y, ann, confusions = (unit.features, unit.truth, unit.ann,
+                             unit.oracle_confusions)
     assert main(["simulate", "--n", str(60 // r), "--r", str(r), "--seed",
                  str(seed), *SCENARIO_FLAGS, "--out-dir", str(tmp_path)]) == 0
     assert_array_equal(mbio.read_features(tmp_path / "features.csv"), X,

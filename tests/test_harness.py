@@ -13,6 +13,7 @@ from mbem import core, harness, methods
 from mbem import io as mbio
 from mbem.cli import main
 from mbem.learn import LearnerConfig
+from mbem.seeding import RngSeed
 from mbem.simulate import WorkerSkillModel
 
 from conftest import sweep_rows
@@ -402,6 +403,17 @@ def test_spec_from_dict_rejects_an_unknown_learner_key():
             tiny_spec(learner={key: 0.3})
 
 
+@pytest.mark.parametrize("learner", [
+    {"learner_kind": "one_hidden_layer_mlp"},
+    {"kind": "multinomial_logistic", "learner_kind": "one_hidden_layer_mlp"},
+], ids=["alone", "next-to-kind"])
+def test_spec_from_dict_takes_the_learner_kind_as_kind_only(learner):
+    message = ("unknown learner key learner.learner_kind; "
+               "the learner's kind is learner.kind")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_spec(learner=learner)
+
+
 @pytest.mark.parametrize("key,values,repeat", [
     ("seeds", [0, 1, 0], "0"),
     ("redundancies", [1, 2, 2], "2"),
@@ -481,6 +493,9 @@ def test_spec_from_dict_reads_a_null_block_as_absent(key, block, message):
      "learner.epochs: cannot read True as int"),
     ({"seeds": [""]}, "seeds: cannot read '' as int"),
     ({"redundancies": [""]}, "redundancies: cannot read '' as int"),
+    ({"budget": float("inf")}, "budget: cannot read inf as int"),
+    ({"learner": {"epochs": float("-inf")}},
+     "learner.epochs: cannot read -inf as int"),
 ])
 def test_spec_from_dict_names_a_value_it_cannot_coerce(edit, message):
     # An integer key takes an integral value only; 100.7 is not read as 100.
@@ -529,8 +544,9 @@ def test_a_sweep_of_mbem_alone_writes_the_mbem_rows_of_a_full_sweep(tmp_path):
 
 @pytest.mark.parametrize("mode", ["synthetic", "file"])
 def test_shared_fits_change_no_record(monkeypatch, tmp_path, mode):
-    # A unit shares its fits across methods; each method fitting alone
-    # must give the same records, with more fits.
+    # A unit shares its fits across methods; each method fitting alone,
+    # on a fresh Unit of the same data, must give the same records, with
+    # more fits.
     if mode == "synthetic":
         spec = tiny_spec(methods=list(methods.METHODS))
     else:
@@ -548,10 +564,12 @@ def test_shared_fits_change_no_record(monkeypatch, tmp_path, mode):
                 shared = harness._run_unit(spec, r, seed)
                 counts["shared"] += len(calls)
                 calls.clear()
-                data = harness._cell_data(spec, r, seed)
-                alone = [harness._run_cell(spec, method, r, seed, data, None,
-                                           {})
-                         for method in spec.methods]
+                unit, X_test, y_test = harness._cell_data(spec, r, seed)
+                # replace copies the fields and starts an empty memo.
+                alone = [harness._run_cell(
+                    spec, method, r, seed,
+                    (dataclasses.replace(unit), X_test, y_test), {})
+                    for method in spec.methods]
                 counts["alone"] += len(calls)
                 calls.clear()
                 assert all(rec.error is None for rec in shared)
@@ -562,6 +580,20 @@ def test_shared_fits_change_no_record(monkeypatch, tmp_path, mode):
     finally:
         harness._file_inputs.cache_clear()
     assert counts["shared"] < counts["alone"]
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "file"])
+def test_every_fit_of_a_unit_draws_from_its_fit_stream(tmp_path, mode):
+    spec = tiny_spec() if mode == "synthetic" else file_spec(tmp_path)[0]
+    try:
+        for r in spec.redundancies:
+            for seed in spec.seeds:
+                unit = harness._cell_data(spec, r, seed)[0]
+                assert unit.seed == RngSeed(seed).child("fit", r)
+                assert unit.cfg == spec.learner
+                assert (unit.oracle_confusions is None) == (mode == "file")
+    finally:
+        harness._file_inputs.cache_clear()
 
 
 @pytest.mark.parametrize("r", [1, 2])

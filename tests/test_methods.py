@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from mbem import methods
 from mbem.core import (
     classic_em,
     estimate_confusions_and_prior,
@@ -16,6 +17,7 @@ from mbem.learn import LearnerConfig, fit, predict_proba, weighted_loss, \
 from mbem.methods import (
     MBEM_ROUNDS,
     MBEM_SMOOTHING,
+    Unit,
     correctly_labeled_mask,
     one_hot,
     run_hard_baseline,
@@ -53,10 +55,18 @@ def hammers_and_spammers(n_hammers, n_spammers, K):
     return np.concatenate([eye, flat])
 
 
+def count_fits(monkeypatch):
+    """A list that gains one entry per learn.fit call methods makes."""
+    calls, real = [], methods.fit
+    monkeypatch.setattr(methods, "fit",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 class TestRunMbem:
     def test_identity_workers_recover_identity_confusions(self):
         X, y, ann, _ = make_cell(n=2000, K=3, d=6, m=5, gamma=1.0, r=1, seed=0)
-        result = run_mbem(X, ann, FAST, seed=1)
+        result = run_mbem(Unit(X, ann, FAST, 1))
         error = np.abs(result.confusions - np.eye(3)).max()
         assert error <= 0.02
 
@@ -65,7 +75,7 @@ class TestRunMbem:
         conf_true = hammers_and_spammers(10, 10, K)
         X, y, ann, _ = make_cell(n=10000, K=K, d=10, m=m, gamma=0.5, r=1,
                                  seed=2, confusions=conf_true)
-        result = run_mbem(X, ann, FAST, seed=3)
+        result = run_mbem(Unit(X, ann, FAST, 3))
         diags = result.confusions[:, np.arange(K), np.arange(K)].mean(axis=1)
         assert diags[:10].min() >= 0.9            # hammers
         assert diags[10:].max() <= 1.0 / K + 0.1  # spammers
@@ -78,7 +88,7 @@ class TestRunMbem:
             X, y, ann, _ = make_cell(n=6000, K=5, d=10, m=20, gamma=0.2, r=1,
                                      seed=100 + seed)
             for method in risks:
-                model = train_method(method, X, ann, FAST, seed).model
+                model = train_method(method, Unit(X, ann, FAST, seed)).model
                 risks[method].append(zero_one_risk(model, X_test, y_test))
         assert (np.median(risks["mbem"])
                 <= np.median(risks["weighted-mv"]) + 0.005)
@@ -100,7 +110,7 @@ class TestRunMbem:
     def test_rounds_equal_manual_composition(self):
         X, y, ann, _ = make_cell(n=300, K=2, d=4, m=4, gamma=0.5, r=2, seed=4)
         seed = RngSeed(5)
-        result = run_mbem(X, ann, FAST, seed)
+        result = run_mbem(Unit(X, ann, FAST, seed))
         model, conf, soft, _ = self.manual_rounds(X, ann, seed)
         assert_array_equal(result.model.parameters, model.parameters)
         assert_array_equal(result.confusions, conf)
@@ -108,20 +118,20 @@ class TestRunMbem:
 
     def test_round_risk_is_the_weighted_loss_on_the_training_labels(self):
         X, y, ann, _ = make_cell(n=300, K=2, d=4, m=4, gamma=0.5, r=2, seed=4)
-        result = run_mbem(X, ann, FAST, seed=5)
+        result = run_mbem(Unit(X, ann, FAST, 5))
         assert (result.per_round_train_risk
                 == self.manual_rounds(X, ann, RngSeed(5))[3])
 
     def test_soft_labels_stay_on_simplex(self):
         X, y, ann, _ = make_cell(n=200, K=3, d=5, m=6, gamma=0.3, r=2, seed=6)
-        result = run_mbem(X, ann, FAST, seed=7)
+        result = run_mbem(Unit(X, ann, FAST, 7))
         assert result.soft.min() >= 0
         assert_allclose(result.soft.sum(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.5, r=1, seed=8)
-        a = run_mbem(X, ann, FAST, seed=9)
-        b = run_mbem(X, ann, FAST, seed=9)
+        a = run_mbem(Unit(X, ann, FAST, 9))
+        b = run_mbem(Unit(X, ann, FAST, 9))
         assert_array_equal(a.model.parameters, b.model.parameters)
         assert_array_equal(a.confusions, b.confusions)
         assert_array_equal(a.soft, b.soft)
@@ -132,14 +142,15 @@ class TestRunMbem:
         bad = LearnerConfig(learning_rate=1e12, epochs=60)
         with np.errstate(all="ignore"), pytest.raises(
                 RuntimeError, match="^non-finite training gradient"):
-            run_mbem(1e6 * X, ann, bad, seed=11)
+            run_mbem(Unit(1e6 * X, ann, bad, 11))
 
 
 class TestWeightedBaselines:
     def test_weighted_mv_at_r1_is_raw_onehot_training(self):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=1, seed=20)
         seed = RngSeed(21)
-        model = run_weighted_baseline(X, ann, "weighted-mv", FAST, seed).model
+        model = run_weighted_baseline(Unit(X, ann, FAST, seed),
+                                      "weighted-mv").model
         raw = one_hot(ann.labels[np.argsort(ann.example_ids)], 3)
         reference = fit(X, raw, FAST, seed)
         assert_array_equal(model.parameters, reference.parameters)
@@ -148,8 +159,8 @@ class TestWeightedBaselines:
         X, y, ann, conf = make_cell(n=300, K=2, d=4, m=4, gamma=1.0, r=2,
                                     seed=22)
         seed = RngSeed(23)
-        model = run_weighted_baseline(X, ann, "oracle-weighted-em", FAST, seed,
-                                      oracle_confusions=conf).model
+        unit = Unit(X, ann, FAST, seed, oracle_confusions=conf)
+        model = run_weighted_baseline(unit, "oracle-weighted-em").model
         reference = fit(X, one_hot(y, 2), FAST, seed)
         # the 1e-6 confusion clamp perturbs the targets, not the argmax
         assert_allclose(model.parameters, reference.parameters, atol=1e-3)
@@ -159,19 +170,19 @@ class TestWeightedBaselines:
 
     def test_weighted_em_uses_classic_em_posterior_bitwise(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.3, r=3, seed=25)
-        soft = train_method("weighted-em", X, ann, FAST, RngSeed(25)).soft
+        soft = train_method("weighted-em", Unit(X, ann, FAST, RngSeed(25))).soft
         reference, _ = classic_em(ann)
         assert_array_equal(soft, reference)
 
     def test_oracle_mode_requires_confusions(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=26)
         with pytest.raises(ValueError, match="true confusion"):
-            run_weighted_baseline(X, ann, "oracle-weighted-em", FAST, seed=27)
+            run_weighted_baseline(Unit(X, ann, FAST, 27), "oracle-weighted-em")
 
     def test_unknown_mode_rejected(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=28)
         with pytest.raises(ValueError, match="mode"):
-            run_weighted_baseline(X, ann, "bogus", FAST, seed=29)
+            run_weighted_baseline(Unit(X, ann, FAST, 29), "bogus")
 
 
 class TestHardBaselines:
@@ -179,9 +190,9 @@ class TestHardBaselines:
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=1.0, r=3, seed=30)
         seed = RngSeed(31)
         reference = fit(X, one_hot(y, 3), FAST, seed)
-        for mode, kwargs in (("mv", {}), ("em", {}),
-                             ("oracle-correct", {"truth": y})):
-            model = run_hard_baseline(X, ann, mode, FAST, seed, **kwargs).model
+        for mode in ("mv", "em", "oracle-correct"):
+            unit = Unit(X, ann, FAST, seed, truth=y)
+            model = run_hard_baseline(unit, mode).model
             assert_array_equal(model.parameters, reference.parameters)
 
     def test_all_spammers_keep_about_half_binary(self):
@@ -195,28 +206,29 @@ class TestHardBaselines:
     def test_oracle_correct_requires_truth_and_survivors(self):
         X, y, ann, _ = make_cell(n=100, K=2, d=4, m=3, gamma=0.5, r=1, seed=33)
         with pytest.raises(ValueError, match="true labels"):
-            run_hard_baseline(X, ann, "oracle-correct", FAST, seed=34)
+            run_hard_baseline(Unit(X, ann, FAST, 34), "oracle-correct")
         wrong = 1 - ann.labels  # every annotation disagrees with this "truth"
         ann_wrong_truth = wrong[np.argsort(ann.example_ids)]
         with pytest.raises(ValueError, match="no example"):
-            run_hard_baseline(X, ann, "oracle-correct", FAST, seed=35,
-                              truth=ann_wrong_truth)
+            run_hard_baseline(Unit(X, ann, FAST, 35, truth=ann_wrong_truth),
+                              "oracle-correct")
 
-    def test_oracle_correct_trains_on_its_rows_alone(self):
+    def test_oracle_correct_trains_on_its_rows_alone(self, monkeypatch):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.3, r=1, seed=36)
         rows = correctly_labeled_mask(ann, y)
         assert 0 < rows.sum() < rows.size
         seed = RngSeed(37)
         reference = fit(X[rows], one_hot(y[rows], 3), FAST, seed)
-        fits = []
-        for given in (None, fits):
-            model = train_method("oracle-correct", X, ann, FAST, seed, truth=y,
-                                 fits=given).model
+        fits = count_fits(monkeypatch)
+        unit = Unit(X, ann, FAST, seed, truth=y)
+        for _ in range(2):
+            model = train_method("oracle-correct", unit).model
             assert_array_equal(model.parameters, reference.parameters)
-        # truth trains on every row, so it cannot take oracle-correct's fit.
-        truth = train_method("truth", X, ann, FAST, seed, truth=y,
-                             fits=fits).model
-        assert len(fits) == 2 and truth is not fits[0].model
+        # Its fit bypasses the unit's memo, so truth, which trains on
+        # every row, cannot take it.
+        truth = train_method("truth", unit).model
+        assert len(fits) == 3 and truth is not model
+        monkeypatch.undo()
         assert_array_equal(truth.parameters,
                            fit(X, one_hot(y, 3), FAST, seed).parameters)
 
@@ -228,7 +240,7 @@ class TestHardBaselines:
         X, y = make_synthetic_dataset(n, K, 6, 6.0, root.child("data"))
         assignment = np.tile([0, 1, 2], (n, 1))
         ann = corrupt_labels(y, assignment, conf, root.child("corrupt"))
-        aggregated = hard_labels(train_method("mv", X, ann, FAST, root).soft)
+        aggregated = hard_labels(train_method("mv", Unit(X, ann, FAST, root)).soft)
         spammer_labels = ann.labels[ann.worker_ids == 2]
         spammer_error = (spammer_labels != y).mean()
         assert (aggregated != y).mean() <= spammer_error
@@ -237,36 +249,46 @@ class TestHardBaselines:
 
 
 class TestSharedFits:
-    def test_weighted_mv_fits_mbem_round_0(self):
+    def test_weighted_mv_fits_mbem_round_0(self, monkeypatch):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=2, seed=40)
         seed = RngSeed(41)
-        fits = []
-        weighted = train_method("weighted-mv", X, ann, FAST, seed,
-                                fits=fits).model
-        shared = run_mbem(X, ann, FAST, seed, fits).model
+        fits = count_fits(monkeypatch)
+        unit = Unit(X, ann, FAST, seed)
+        weighted = train_method("weighted-mv", unit).model
+        shared = run_mbem(unit).model
         # Round 0 took weighted-mv's fit, and each later round added one.
-        assert fits[0].model is weighted and len(fits) == MBEM_ROUNDS
-        assert shared is fits[-1].model
-        assert_array_equal(run_mbem(X, ann, FAST, seed).model.parameters,
+        assert len(fits) == MBEM_ROUNDS
+        assert unit.fit(majority_vote_init(ann)) is weighted
+        assert_array_equal(run_mbem(Unit(X, ann, FAST, seed)).model.parameters,
                            shared.parameters)
 
-    def test_at_r1_mv_em_and_weighted_mv_fit_one_model(self):
+    def test_at_r1_mv_em_and_weighted_mv_fit_one_model(self, monkeypatch):
         X, y, ann, _ = make_cell(n=300, K=3, d=5, m=5, gamma=0.4, r=1, seed=42)
         seed = RngSeed(43)
-        fits = []
-        shared = [train_method(method, X, ann, FAST, seed, fits=fits).model
+        fits = count_fits(monkeypatch)
+        unit = Unit(X, ann, FAST, seed)
+        shared = [train_method(method, unit).model
                   for method in ("mv", "em", "weighted-mv")]
         assert shared[1] is shared[0] and shared[2] is shared[0]
         assert len(fits) == 1
         for method in ("em", "weighted-mv"):
-            alone = train_method(method, X, ann, FAST, seed).model
+            alone = train_method(method, Unit(X, ann, FAST, seed)).model
             assert_array_equal(alone.parameters, shared[0].parameters)
+
+    def test_a_fit_is_shared_for_equal_targets_only(self):
+        X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.5, r=1, seed=44)
+        unit = Unit(X, ann, FAST, RngSeed(45))
+        targets = one_hot(y, 2)
+        model = unit.fit(targets)
+        assert unit.fit(targets.copy()) is model
+        other = targets.copy()
+        other[0] = other[0, ::-1]
+        assert unit.fit(other) is not model
 
     def test_shared_arrays_are_read_only(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.5, r=2, seed=46)
         # weighted-mv's posterior is the targets of its fit.
-        result = train_method("weighted-mv", X, ann, FAST, RngSeed(47),
-                              fits=[])
+        result = train_method("weighted-mv", Unit(X, ann, FAST, RngSeed(47)))
         for arr in (result.model.parameters, result.soft, *ann.classic_em):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0

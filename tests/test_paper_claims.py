@@ -26,7 +26,6 @@ import yaml
 from mbem import harness
 from mbem.core import estimate_confusions_and_prior
 from mbem.methods import MBEM_SMOOTHING, run_mbem
-from mbem.seeding import RngSeed
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -91,11 +90,12 @@ def test_mbem_estimates_worker_quality_from_one_label_per_example():
         spec = harness.spec_from_dict({**cfg, "budget": budget})
         per_seed = []
         for seed in (0, 1, 2):
-            X, y, ann, confusions, _, _ = harness._cell_data(spec, 1, seed)
-            fitted = run_mbem(X, ann, spec.learner, RngSeed(seed).child("fit", 1))
+            unit = harness._cell_data(spec, 1, seed)[0]
+            ann, y = unit.ann, unit.truth
             per_seed.append([
-                tv_error(estimates, confusions, ann, y) for estimates in (
-                    fitted.confusions,
+                tv_error(estimates, unit.oracle_confusions, ann, y)
+                for estimates in (
+                    run_mbem(unit).confusions,
                     estimate_confusions_and_prior(ann, y, MBEM_SMOOTHING)[0],
                     ann.classic_em[1])])
         errors.append(np.mean(per_seed, axis=0))
