@@ -25,8 +25,8 @@ LEARNER_FLAGS = {"logistic": "multinomial_logistic", "mlp": "one_hidden_layer_ml
 def _config(args) -> LearnerConfig:
     """LearnerConfig from the learner flags given on the command line."""
     given = dict(vars(args))
-    if "learner_kind" in given:
-        given["learner_kind"] = LEARNER_FLAGS[given["learner_kind"]]
+    if "kind" in given:
+        given["kind"] = LEARNER_FLAGS[given["kind"]]
     return LearnerConfig(**{f.name: given[f.name]
                             for f in fields(LearnerConfig) if f.name in given})
 
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-confusions", default=None, help="true confusion CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--learner", dest="learner_kind", choices=LEARNER_FLAGS)
+    p.add_argument("--learner", dest="kind", choices=LEARNER_FLAGS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--batch-size", type=int, help="0 means full batch")

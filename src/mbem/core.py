@@ -46,7 +46,6 @@ import numpy as np
 __all__ = [
     "AnnotationSet",
     "check_confusions",
-    "check_prior",
     "majority_vote_init",
     "posterior",
     "estimate_confusions_and_prior",
@@ -162,8 +161,8 @@ class AnnotationSet:
         return result
 
 
-# The bounds in check_confusions and check_prior are negated >=/<= tests,
-# so that a NaN fails them.
+# The bounds in check_confusions are negated >=/<= tests, so that a NaN
+# fails them.
 def check_confusions(confusions: np.ndarray) -> np.ndarray:
     """Validate an (m, K, K) stack of row-stochastic matrices."""
     conf = np.asarray(confusions, dtype=np.float64)
@@ -174,16 +173,6 @@ def check_confusions(confusions: np.ndarray) -> np.ndarray:
     if not np.abs(conf.sum(axis=2) - 1.0).max() <= ROW_SUM_TOL:
         raise ValueError("confusion rows must sum to 1")
     return conf
-
-
-def check_prior(prior: np.ndarray) -> np.ndarray:
-    """Validate a class prior: nonnegative entries that sum to 1."""
-    prior = np.asarray(prior, dtype=np.float64)
-    if prior.ndim != 1:
-        raise ValueError("class prior must be a vector")
-    if not (prior.min() >= 0.0 and abs(prior.sum() - 1.0) <= ROW_SUM_TOL):
-        raise ValueError("class prior must be a probability vector")
-    return prior
 
 
 def majority_vote_init(ann: AnnotationSet) -> np.ndarray:

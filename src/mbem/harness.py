@@ -88,8 +88,8 @@ class SweepSpec:
     redundancies: tuple[int, ...]
     methods: tuple[str, ...]
     scenario: Scenario
-    n_test: int
     seeds: tuple[int, ...]
+    n_test: int = 4000
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     # the five file-mode paths in FILE_KEYS order; None: synthetic data
     input_files: tuple[str, ...] | None = None
@@ -361,7 +361,7 @@ def _coerce(kind, value, key: str):
     return out
 
 
-def _config_from(cls, values: Mapping, block: str = "", **given):
+def _config_from(cls, values: Mapping, block: str, **given):
     """A config dataclass from values, coerced to the fields' types, and
     the fields in given, which values may not set; omitted fields default.
     A value that cannot take its field's type raises a ValueError naming
@@ -400,7 +400,7 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     Required keys: budget, redundancies, methods (from methods.METHODS),
     seeds; each list holds distinct values. Optional keys: classes, m,
     feature_dim, margin and worker_model {kind, gamma}, which make up
-    the simulate.Scenario; n_test (4000); learner {kind, learning_rate,
+    the simulate.Scenario; n_test; learner {kind, learning_rate,
     epochs, batch_size, hidden_units} for LearnerConfig; and for file
     mode annotations_file, features_file, truth_file, test_features_file
     and test_truth_file. File mode checks the scenario keys and n_test
@@ -409,10 +409,12 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     (learn.L2_PENALTY), and MBEM's smoothing (methods.MBEM_SMOOTHING),
     rounds (methods.MBEM_ROUNDS) and uniform class prior.
     A null value, such as an empty YAML block, counts as absent.
-    The scenario defaults are those of `mbem simulate` too: classes,
-    kind and gamma come from WorkerSkillModel, and m, margin and
-    feature_dim (2 * classes) from Scenario. Values are coerced to their
-    fields' types, an integer only from an integral value. A key outside
+    Every default comes from a dataclass. The scenario's are those of
+    `mbem simulate` too: classes, kind and gamma come from
+    WorkerSkillModel, and m, margin and feature_dim (2 * classes) from
+    Scenario. n_test's comes from SweepSpec and the learner's from
+    LearnerConfig. Values are coerced to their fields' types, an
+    integer only from an integral value. A key outside
     CONFIG_KEYS, a missing required key, an unknown worker_model or
     learner key, a block that is not a mapping and a value that cannot
     take its type each raise ValueError naming it, and so do a margin
@@ -437,13 +439,7 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
     skill = _config_from(WorkerSkillModel, _block(cfg, "worker_model"),
                          "worker_model.",
                         K=scalar(int, "classes", WorkerSkillModel.K))
-    learner = _block(cfg, "learner")
-    if "learner_kind" in learner:
-        raise ValueError("unknown learner key learner.learner_kind; "
-                         "the learner's kind is learner.kind")
-    if "kind" in learner:
-        learner["learner_kind"] = learner.pop("kind")
-    learner = _config_from(LearnerConfig, learner, "learner.")
+    learner = _config_from(LearnerConfig, _block(cfg, "learner"), "learner.")
     scenario = Scenario(skill=skill, d=scalar(int, "feature_dim", Scenario.d),
                         margin=scalar(float, "margin", Scenario.margin),
                         m=scalar(int, "m", Scenario.m))
@@ -452,7 +448,7 @@ def spec_from_dict(cfg: dict) -> SweepSpec:
         redundancies=_listed(cfg, "redundancies", int),
         methods=_listed(cfg, "methods", str),
         scenario=scenario,
-        n_test=scalar(int, "n_test", 4000),
+        n_test=scalar(int, "n_test", SweepSpec.n_test),
         seeds=_listed(cfg, "seeds", int),
         learner=learner,
         input_files=None if absent else tuple(cfg[key] for key in FILE_KEYS),

@@ -207,7 +207,7 @@ def save_model(out_dir, model: TrainedModel) -> None:
     with open(out / "model_params.csv", "w") as fh:
         for v in model.parameters:
             fh.write(f"{v:.17g}\n")
-    meta = {"kind": model.learner_kind, "K": model.K, "d": model.d,
+    meta = {"kind": model.kind, "K": model.K, "d": model.d,
             "hidden_units": model.hidden_units}
     with open(out / "model_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -219,6 +219,6 @@ def load_model(out_dir) -> TrainedModel:
     params = np.loadtxt(out / "model_params.csv", ndmin=1)
     with open(out / "model_meta.json") as fh:
         meta = json.load(fh)
-    return TrainedModel(parameters=params, learner_kind=meta["kind"],
+    return TrainedModel(parameters=params, kind=meta["kind"],
                         K=meta["K"], d=meta["d"],
                         hidden_units=meta["hidden_units"])

@@ -37,6 +37,7 @@ gradient_check convert, and predict_proba still returns the usual
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,24 +64,24 @@ L2_PENALTY = 1e-4
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    learner_kind: str = "multinomial_logistic"
+    kind: str = "multinomial_logistic"
     learning_rate: float = 0.1
     epochs: int = 300
     batch_size: int = 0          # 0 means full batch
     hidden_units: int = 32       # MLP only
 
     def __post_init__(self):
-        if self.learner_kind not in LEARNER_KINDS:
-            raise ValueError(f"learner_kind must be one of {LEARNER_KINDS}")
+        if self.kind not in LEARNER_KINDS:
+            raise ValueError(f"kind must be one of {LEARNER_KINDS}")
         # Each bound is a negated test, so that NaN fails it too.
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not self.epochs >= 1:
             raise ValueError("epochs must be at least 1")
         if not self.batch_size >= 0:
             raise ValueError("batch_size must be nonnegative "
                              "(0 means full batch)")
-        if (self.learner_kind == "one_hidden_layer_mlp"
+        if (self.kind == "one_hidden_layer_mlp"
                 and not self.hidden_units >= 1):
             raise ValueError("hidden_units must be at least 1")
 
@@ -88,7 +89,7 @@ class LearnerConfig:
 @dataclass(eq=False)
 class TrainedModel:
     parameters: np.ndarray
-    learner_kind: str
+    kind: str
     K: int
     d: int
     hidden_units: int = 0
@@ -109,7 +110,7 @@ def _size(shapes):
 
 
 def param_count(cfg: LearnerConfig, d: int, K: int) -> int:
-    return _size(_shapes(cfg.learner_kind, d, K, cfg.hidden_units))
+    return _size(_shapes(cfg.kind, d, K, cfg.hidden_units))
 
 
 def _layers(params, kind, d, K, H):
@@ -224,11 +225,11 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
         raise ValueError("need at least one example to fit")
     n, d = X.shape
     K = S.shape[1]
-    H = cfg.hidden_units if cfg.learner_kind == "one_hidden_layer_mlp" else 0
+    H = cfg.hidden_units if cfg.kind == "one_hidden_layer_mlp" else 0
     XA, ST = _with_ones(X), np.ascontiguousarray(S.T)
     seed = as_seed(seed)
     layers = _layers(_init_params(cfg, d, K, seed.child("init").generator()),
-                     cfg.learner_kind, d, K, H)
+                     cfg.kind, d, K, H)
     shuffle_rng = seed.child("shuffle").generator()
 
     batch = cfg.batch_size if 0 < cfg.batch_size < n else n
@@ -249,7 +250,7 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
                     )
                 W -= cfg.learning_rate * grad
 
-    return TrainedModel(parameters=_flat(layers), learner_kind=cfg.learner_kind,
+    return TrainedModel(parameters=_flat(layers), kind=cfg.kind,
                         K=K, d=d, hidden_units=H)
 
 
@@ -260,7 +261,7 @@ def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"features must be (n, {model.d}) for this model, got {X.shape}"
         )
-    layers = _layers(model.parameters, model.learner_kind, model.d, model.K,
+    layers = _layers(model.parameters, model.kind, model.d, model.K,
                      model.hidden_units)
     # Taking [0] frees the layer inputs, among them the (d + 1, n) copy
     # of the features, before the (n, K) result is allocated.
@@ -296,9 +297,9 @@ def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
     H, l2 = cfg.hidden_units, L2_PENALTY
 
     def objective(point):
-        return _objective(_layers(point, cfg.learner_kind, d, K, H), XA, ST, l2)
+        return _objective(_layers(point, cfg.kind, d, K, H), XA, ST, l2)
 
-    analytic = _flat(_gradient(_layers(params, cfg.learner_kind, d, K, H),
+    analytic = _flat(_gradient(_layers(params, cfg.kind, d, K, H),
                                XA, ST, l2))
     numeric = np.empty_like(analytic)
     for i in range(params.size):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_confusions, check_prior
+from .core import check_confusions
 from .seeding import as_seed
 
 __all__ = [
@@ -92,14 +92,15 @@ def _binary_patterns(r: int) -> np.ndarray:
     return (codes[:, None] >> np.arange(r)) & 1
 
 
-def _beta_for_tuples(tuples, conf_true, conf_est, prior, patterns):
-    """Per-tuple beta contribution max_y sum_Z rho_hat(-y, Z) tau(y, Z)."""
+def _beta_for_tuples(tuples, conf_true, conf_est, patterns):
+    """Per-tuple beta contribution max_y sum_Z rho_hat(-y, Z) tau(y, Z),
+    with rho_hat the posterior under the uniform class prior that
+    core.posterior uses; its equal factors cancel in num / den, so num
+    starts at ones."""
     c, r = tuples.shape
     P = patterns.shape[0]
     tau = np.ones((2, c, P))
-    num = np.empty((2, c, P))
-    num[0].fill(prior[0])
-    num[1].fill(prior[1])
+    num = np.ones((2, c, P))
     for j in range(r):
         w = tuples[:, j]
         z = patterns[:, j]
@@ -115,24 +116,24 @@ def _beta_for_tuples(tuples, conf_true, conf_est, prior, patterns):
 
 
 def beta_general_binary(confusions: np.ndarray, confusion_estimates: np.ndarray,
-                        prior: np.ndarray, r: int, seed=0,
+                        r: int, seed=0,
                         mc_tuples: int = MC_TUPLES) -> BetaEstimate:
     """Binary beta for arbitrary worker pools.
 
     Averages, over length-r worker tuples drawn uniformly with
     replacement, the worst-case posterior mass that the estimated
     matrices place on the wrong label under the true annotation
-    distribution. Tuples are enumerated exactly while m^r stays within
-    1e6; beyond that a seeded Monte-Carlo sample of mc_tuples tuples is
-    used and the estimate carries its standard error. Confusion
+    distribution; the posterior takes the uniform class prior that
+    core.posterior uses. Tuples are enumerated exactly while m^r stays
+    within 1e6; beyond that a seeded Monte-Carlo sample of mc_tuples
+    tuples is used and the estimate carries its standard error. Confusion
     estimates are used as given (no clamping); annotation patterns with
     zero estimated mass contribute nothing.
     """
     conf_true = check_confusions(confusions)
     conf_est = check_confusions(confusion_estimates)
-    prior = check_prior(prior)
     m, K, _ = conf_true.shape
-    if K != 2 or conf_est.shape != conf_true.shape or prior.size != 2:
+    if K != 2 or conf_est.shape != conf_true.shape:
         raise ValueError("general beta is defined for binary classification only")
     if not 1 <= r <= 12:
         raise ValueError("redundancy must lie in [1, 12]")
@@ -150,7 +151,7 @@ def beta_general_binary(confusions: np.ndarray, confusion_estimates: np.ndarray,
         else:
             tuples = rng.integers(0, m, size=(c, r))
         values[start:start + c] = _beta_for_tuples(tuples, conf_true, conf_est,
-                                                   prior, patterns)
+                                                   patterns)
     stderr = None if exact else float(values.std(ddof=1) / math.sqrt(count))
     return BetaEstimate(float(values.mean()), stderr)
 

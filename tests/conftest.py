@@ -208,9 +208,9 @@ def gradient_oracle(params, X, soft, cfg, K):
     term, weighted by learn.L2_PENALTY as read at call time."""
     n, d = X.shape
     H = cfg.hidden_units
-    probs, hidden = forward_oracle(params, X, cfg.learner_kind, K, H)
+    probs, hidden = forward_oracle(params, X, cfg.kind, K, H)
     G = (probs - soft) / n
-    if cfg.learner_kind == "multinomial_logistic":
+    if cfg.kind == "multinomial_logistic":
         grad = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
     else:
         W2 = params[H * d + H: H * d + H + K * H].reshape(K, H)

@@ -260,7 +260,7 @@ TRAIN_REQUIRED = ["train", "--annotations", "a.csv", "--features", "f.csv",
 # Each config flag of mbem train with a value other than its default, and
 # the LearnerConfig field and value that it should give.
 CONFIG_FLAGS = [
-    ("--learner", "mlp", "learner_kind", "one_hidden_layer_mlp"),
+    ("--learner", "mlp", "kind", "one_hidden_layer_mlp"),
     ("--epochs", "7", "epochs", 7),
     ("--learning-rate", "0.05", "learning_rate", 0.05),
     ("--batch-size", "16", "batch_size", 16),
@@ -323,7 +323,7 @@ def test_learner_flags_name_the_learner_kinds():
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     learner = next(action for action in sub.choices["train"]._actions
-                   if action.dest == "learner_kind")
+                   if action.dest == "kind")
     assert tuple(learner.choices) == tuple(LEARNER_FLAGS)
     assert tuple(LEARNER_FLAGS.values()) == LEARNER_KINDS
 

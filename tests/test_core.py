@@ -7,7 +7,6 @@ from mbem import core
 from mbem.core import (
     AnnotationSet,
     check_confusions,
-    check_prior,
     classic_em,
     estimate_confusions_and_prior,
     hard_labels,
@@ -389,13 +388,6 @@ class TestClassicEm:
         for a, b in zip(first, classic_em(ann)):
             assert_array_equal(a, b, strict=True)
 
-
-@pytest.mark.parametrize("values", [[np.nan, np.nan], [0.5, np.nan],
-                                    [-1e-12, 1 + 1e-12], [0.5, 0.6]],
-                         ids=["all-nan", "one-nan", "negative", "sum"])
-def test_check_prior_rejects_non_probability_vectors(values):
-    with pytest.raises(ValueError, match="probability vector"):
-        check_prior(np.array(values))
 
 
 def test_check_confusions_rejects_nan():

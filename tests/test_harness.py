@@ -14,7 +14,7 @@ from mbem import io as mbio
 from mbem.cli import main
 from mbem.learn import LearnerConfig
 from mbem.seeding import RngSeed
-from mbem.simulate import WorkerSkillModel
+from mbem.simulate import Scenario, WorkerSkillModel
 
 from conftest import sweep_rows
 
@@ -367,6 +367,8 @@ def test_spec_from_dict_takes_config_defaults_from_the_dataclasses():
     spec = harness.spec_from_dict({"budget": 100, "redundancies": [1],
                                    "methods": ["mv"], "seeds": [0]})
     assert spec.learner == LearnerConfig()
+    assert spec.scenario == Scenario()
+    assert spec.n_test == harness.SweepSpec.n_test
 
 
 # MBEM's round count and class prior are fixed (methods.MBEM_ROUNDS, and
@@ -380,10 +382,12 @@ def test_spec_from_dict_rejects_a_removed_mbem_key(key, value):
 
 def test_spec_from_dict_coerces_yaml_strings():
     # YAML reads 5e-2, which has no dot, as a string.
-    spec = tiny_spec(learner=yaml.safe_load("learning_rate: 5e-2\nepochs: 7"),
+    spec = tiny_spec(learner=yaml.safe_load("kind: one_hidden_layer_mlp\n"
+                                            "learning_rate: 5e-2\nepochs: 7"),
                      margin="2.5", worker_model={"gamma": "0.9"},
                      seeds=["0", "1"])
-    assert spec.learner == LearnerConfig(learning_rate=0.05, epochs=7)
+    assert spec.learner == LearnerConfig(kind="one_hidden_layer_mlp",
+                                         learning_rate=0.05, epochs=7)
     assert spec.scenario.margin == 2.5
     assert spec.scenario.skill == WorkerSkillModel(gamma=0.9)
     assert spec.seeds == (0, 1)
@@ -408,8 +412,8 @@ def test_spec_from_dict_rejects_an_unknown_learner_key():
     {"kind": "multinomial_logistic", "learner_kind": "one_hidden_layer_mlp"},
 ], ids=["alone", "next-to-kind"])
 def test_spec_from_dict_takes_the_learner_kind_as_kind_only(learner):
-    message = ("unknown learner key learner.learner_kind; "
-               "the learner's kind is learner.kind")
+    # The learner's kind is learner.kind; learner_kind is an unknown field.
+    message = "LearnerConfig cannot take field(s) ['learner_kind']"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tiny_spec(learner=learner)
 

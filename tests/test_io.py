@@ -109,13 +109,13 @@ def test_writers_match_the_csv_writer_reference(tmp_path, writer, oracle,
 def test_model_checkpoint_round_trip(tmp_path):
     X, y = make_synthetic_dataset(60, 2, 4, margin=3.0, seed=1)
     for cfg in (LearnerConfig(epochs=30),
-                LearnerConfig(learner_kind="one_hidden_layer_mlp",
+                LearnerConfig(kind="one_hidden_layer_mlp",
                               hidden_units=5, epochs=30)):
         model = fit(X, one_hot(y, 2), cfg, seed=2)
-        out = tmp_path / cfg.learner_kind
+        out = tmp_path / cfg.kind
         mbio.save_model(out, model)
         loaded = mbio.load_model(out)
-        assert loaded.learner_kind == model.learner_kind
+        assert loaded.kind == model.kind
         assert (loaded.K, loaded.d, loaded.hidden_units) == \
             (model.K, model.d, model.hidden_units)
         assert_array_equal(loaded.parameters, model.parameters)
@@ -123,7 +123,7 @@ def test_model_checkpoint_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("cfg", [LearnerConfig(epochs=30),
-                                 LearnerConfig(learner_kind="one_hidden_layer_mlp",
+                                 LearnerConfig(kind="one_hidden_layer_mlp",
                                                hidden_units=5, epochs=30)],
                          ids=["logistic", "mlp"])
 def test_model_params_file_holds_each_layers_weights_then_its_bias(tmp_path,
@@ -137,7 +137,7 @@ def test_model_params_file_holds_each_layers_weights_then_its_bias(tmp_path,
     oracle = fit_oracle(X, soft, cfg, seed=2)
     assert_allclose(written, oracle, rtol=0, atol=1e-12)
     probs = predict_proba(mbio.load_model(tmp_path), X)
-    expected, _ = forward_oracle(written, X, cfg.learner_kind, 3,
+    expected, _ = forward_oracle(written, X, cfg.kind, 3,
                                  cfg.hidden_units)
     assert_allclose(probs, expected, rtol=0, atol=1e-14)
 

@@ -25,7 +25,7 @@ from mbem.simulate import make_synthetic_dataset
 
 from conftest import fit_oracle, forward_oracle, gradient_oracle
 
-MLP = LearnerConfig(learner_kind="one_hidden_layer_mlp", hidden_units=6)
+MLP = LearnerConfig(kind="one_hidden_layer_mlp", hidden_units=6)
 
 
 class TestWeightedLoss:
@@ -105,7 +105,7 @@ class TestFit:
             # t-th iterate of the one run.
             losses = [_objective(_layers(fit(X, soft, replace(cfg, epochs=t),
                                              seed=10).parameters,
-                                         cfg.learner_kind, 5, 3,
+                                         cfg.kind, 5, 3,
                                          cfg.hidden_units),
                                  _with_ones(X), soft.T, learn.L2_PENALTY)
                       for t in range(1, cfg.epochs + 1)]
@@ -154,7 +154,7 @@ class TestClassMajorLayout:
         soft = rng.dirichlet(np.ones(4), size=40)
         params = rng.standard_normal(param_count(cfg, 5, 4))
         idx = rng.permutation(40)[:13]
-        layers = _layers(params, cfg.learner_kind, 5, 4, cfg.hidden_units)
+        layers = _layers(params, cfg.kind, 5, 4, cfg.hidden_units)
         XA, ST = _with_ones(X), np.ascontiguousarray(soft.T)
         grads = _gradient(layers, XA[:, idx], ST[:, idx], learn.L2_PENALTY)
         assert [g.shape for g in grads] == [W.shape for W in layers]
@@ -183,7 +183,7 @@ class TestPredictProba:
     def test_zero_parameters_give_uniform(self):
         cfg = LearnerConfig()
         model = TrainedModel(parameters=np.zeros(param_count(cfg, 4, 3)),
-                             learner_kind=cfg.learner_kind, K=3, d=4)
+                             kind=cfg.kind, K=3, d=4)
         assert_allclose(predict_proba(model, np.ones((5, 4))), 1 / 3,
                         atol=1e-15)
 
@@ -191,7 +191,7 @@ class TestPredictProba:
         # W = [[1, -1], [0, 2]], b = [0.5, -0.5], x = [1, 2]
         params = np.array([1.0, -1.0, 0.0, 2.0, 0.5, -0.5])
         model = TrainedModel(parameters=params,
-                             learner_kind="multinomial_logistic", K=2, d=2)
+                             kind="multinomial_logistic", K=2, d=2)
         probs = predict_proba(model, np.array([[1.0, 2.0]]))
         p0 = 1.0 / (1.0 + math.exp(4.0))   # scores (-0.5, 3.5)
         assert_allclose(probs, [[p0, 1.0 - p0]], atol=1e-15)
@@ -199,7 +199,7 @@ class TestPredictProba:
     def test_rows_on_simplex_random_models(self, rng):
         for kind, cfg in (("logistic", LearnerConfig()), ("mlp", MLP)):
             params = rng.standard_normal(param_count(cfg, 5, 4))
-            model = TrainedModel(parameters=params, learner_kind=cfg.learner_kind,
+            model = TrainedModel(parameters=params, kind=cfg.kind,
                                  K=4, d=5, hidden_units=cfg.hidden_units)
             probs = predict_proba(model, rng.standard_normal((30, 5)))
             assert probs.shape == (30, 4)
@@ -210,7 +210,7 @@ class TestPredictProba:
     def test_dimension_mismatch(self):
         cfg = LearnerConfig()
         model = TrainedModel(parameters=np.zeros(param_count(cfg, 4, 2)),
-                             learner_kind=cfg.learner_kind, K=2, d=4)
+                             kind=cfg.kind, K=2, d=4)
         with pytest.raises(ValueError, match=r"\(n, 4\)"):
             predict_proba(model, np.ones((3, 5)))
 
@@ -219,7 +219,7 @@ class TestPredictProba:
         cfg = LearnerConfig()
         model = TrainedModel(
             parameters=np.zeros(param_count(cfg, 4, 2) + extra),
-            learner_kind=cfg.learner_kind, K=2, d=4)
+            kind=cfg.kind, K=2, d=4)
         with pytest.raises(ValueError, match="this model has 10 parameters"):
             predict_proba(model, np.ones((3, 4)))
 
@@ -244,7 +244,7 @@ class TestGradientCheck:
         X = np.ones((8, 3))
         soft = np.full((8, 2), 0.5)
         params = np.zeros(param_count(cfg, 3, 2))
-        grads = _gradient(_layers(params, cfg.learner_kind, 3, 2, 0),
+        grads = _gradient(_layers(params, cfg.kind, 3, 2, 0),
                           _with_ones(X), soft.T, 0.0)
         assert_array_equal(grads[0][:, -1], 0.0)  # bias vanishes by symmetry
 
@@ -261,7 +261,7 @@ class TestZeroOneRisk:
         cfg = LearnerConfig()
         params = np.zeros(param_count(cfg, 3, 2))
         params[-2] = 10.0   # always predicts class 0
-        model = TrainedModel(parameters=params, learner_kind=cfg.learner_kind,
+        model = TrainedModel(parameters=params, kind=cfg.kind,
                              K=2, d=3)
         X = np.zeros((100, 3))
         y = np.tile([0, 1], 50)

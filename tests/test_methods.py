@@ -298,18 +298,20 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("cls,value,message", [
-    (LearnerConfig, {"learner_kind": "svm"}, "learner_kind must be one of"),
+    (LearnerConfig, {"kind": "svm"}, "kind must be one of"),
     (LearnerConfig, {"learning_rate": 0.0}, "learning_rate must be positive"),
     (LearnerConfig, {"learning_rate": NAN}, "learning_rate must be positive"),
     (LearnerConfig, {"epochs": 0}, "epochs must be at least 1"),
     (LearnerConfig, {"learning_rate": -0.1}, "learning_rate must be positive"),
-    (LearnerConfig, {"learner_kind": "one_hidden_layer_mlp",
+    (LearnerConfig, {"kind": "one_hidden_layer_mlp",
                      "hidden_units": NAN}, "hidden_units must be at least 1"),
     (LearnerConfig, {"batch_size": -5}, "batch_size must be nonnegative"),
-    (LearnerConfig, {"learner_kind": "one_hidden_layer_mlp",
+    (LearnerConfig, {"kind": "one_hidden_layer_mlp",
                      "hidden_units": 0}, "hidden_units must be at least 1"),
     (LearnerConfig, {"epochs": NAN}, "epochs must be at least 1"),
     (LearnerConfig, {"batch_size": NAN}, "batch_size must be nonnegative"),
+    (LearnerConfig, {"learning_rate": float("inf")},
+     "learning_rate must be positive and finite"),
 ])
 def test_each_config_bound_rejects_a_value_outside_it(cls, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

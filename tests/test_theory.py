@@ -14,8 +14,6 @@ from mbem.theory import (
     optimal_redundancy,
 )
 
-UNIFORM2 = np.array([0.5, 0.5])
-
 
 def symmetric_pool(rho, m):
     """m identical binary workers with flip probability rho."""
@@ -127,31 +125,30 @@ class TestOptimalRedundancy:
 
 class TestBetaGeneral:
     def test_matches_closed_form_identical_workers(self):
-        prior = UNIFORM2
         for rho in (0.05, 0.2, 0.35):
             for m in (2, 5, 10):
                 for r in (1, 2, 3):
                     pool = symmetric_pool(rho, m)
-                    est = beta_general_binary(pool, pool, prior, r)
+                    est = beta_general_binary(pool, pool, r)
                     assert est.stderr is None
                     assert abs(est.value
                                - beta_eps_closed_form(rho, 0.0, r)) <= 1e-10
 
     def test_identity_confusions_give_zero(self):
         pool = symmetric_pool(0.0, 3)
-        est = beta_general_binary(pool, pool, UNIFORM2, 2)
+        est = beta_general_binary(pool, pool, 2)
         assert est.value == 0.0
 
     def test_uninformative_estimates_give_half(self):
         true_pool = symmetric_pool(0.2, 4)
         flat = np.full((4, 2, 2), 0.5)
-        est = beta_general_binary(true_pool, flat, UNIFORM2, 3)
+        est = beta_general_binary(true_pool, flat, 3)
         assert_allclose(est.value, 0.5, atol=1e-12)
 
     def test_monte_carlo_regime_agrees_with_closed_form(self):
         rho, m, r = 0.25, 12, 7   # 12^7 ~ 3.6e7 forces sampling
         pool = symmetric_pool(rho, m)
-        est = beta_general_binary(pool, pool, UNIFORM2, r, seed=5,
+        est = beta_general_binary(pool, pool, r, seed=5,
                                   mc_tuples=20000)
         assert est.stderr is not None
         want = beta_eps_closed_form(rho, 0.0, r)
@@ -172,7 +169,7 @@ class TestBetaGeneral:
         assert int((pool[:, 0, 0] == 1.0).sum()) == hammers
         got = {}
         for r, beta, factor in zip((1, 3), betas, factors):
-            est = beta_general_binary(pool, pool, UNIFORM2, r)
+            est = beta_general_binary(pool, pool, r)
             assert est.stderr is None
             assert est.value == pytest.approx(beta, rel=1e-12, abs=0)
             assert est.value == pytest.approx(0.5 * (1 - hammers / 100) ** r,
@@ -184,9 +181,9 @@ class TestBetaGeneral:
     def test_rejects_multiclass(self):
         pool = np.tile(np.eye(3), (2, 1, 1))
         with pytest.raises(ValueError, match="binary"):
-            beta_general_binary(pool, pool, np.full(3, 1 / 3), 2)
+            beta_general_binary(pool, pool, 2)
 
     def test_rejects_large_r(self):
         pool = symmetric_pool(0.1, 2)
         with pytest.raises(ValueError, match="redundancy"):
-            beta_general_binary(pool, pool, UNIFORM2, 13)
+            beta_general_binary(pool, pool, 13)
