@@ -9,10 +9,11 @@ maximum-likelihood confusion/prior estimator against a set of hard
 labels, and the classic (model-free) EM aggregator built from those two
 updates. dawid_skene_update chains the two, and both classic_em and
 MBEM's relabel step run through it.
-classic_em has no settings, so its result is a function of the
-AnnotationSet alone: the set computes it on first use and keeps it
-(AnnotationSet.classic_em), and every method that needs it shares one
-run.
+The majority vote and classic_em have no settings, so each is a
+function of the AnnotationSet alone: the set computes each on first use
+and keeps it, read-only (AnnotationSet.majority_vote and
+AnnotationSet.classic_em). Classic EM's start and every method that
+needs one of them share that one result.
 
 All operations are pure functions of their inputs and safe to call
 concurrently. Confusion matrices for m workers travel as one (m, K, K)
@@ -32,7 +33,11 @@ over a flat index.
 posterior clips every confusion entry to [CONFUSION_CLAMP,
 1 - CONFUSION_CLAMP] and renormalises each row before taking logs, so
 no exact 0 from an estimated matrix can zero out a class: every
-log-likelihood term is finite, and so is every posterior row.
+log-likelihood term is finite, and so is every posterior row. Before
+that, posterior runs check_confusions on the stack it is given, unless
+the caller passes check=False: dawid_skene_update alone does, for the
+estimate it has just made, whose rows are row-stochastic by
+construction.
 """
 
 from __future__ import annotations
@@ -78,9 +83,10 @@ class AnnotationSet:
 
     The first posterior call builds and caches a record index grouped by
     each record's rank within its example (see the module docstring),
-    and the first read of classic_em caches the classic EM result. Both
-    are derived from example_ids, worker_ids and labels, so those arrays
-    must not be reassigned or modified once the set is in use.
+    and the first reads of majority_vote and classic_em cache the
+    majority vote and the classic EM result. All three are derived from
+    example_ids, worker_ids and labels, so those arrays must not be
+    reassigned or modified once the set is in use.
     """
 
     n: int
@@ -152,6 +158,13 @@ class AnnotationSet:
         return layers
 
     @cached_property
+    def majority_vote(self) -> np.ndarray:
+        """majority_vote_init(self), computed once; read-only."""
+        soft = majority_vote_init(self)
+        soft.flags.writeable = False
+        return soft
+
+    @cached_property
     def classic_em(self) -> tuple[np.ndarray, np.ndarray]:
         """classic_em(self): (soft_labels, confusions), run once.
         Every reader gets the same arrays, which are read-only."""
@@ -189,7 +202,8 @@ def majority_vote_init(ann: AnnotationSet) -> np.ndarray:
     return counts / counts.sum(axis=1)[:, None]
 
 
-def posterior(ann: AnnotationSet, confusions: np.ndarray) -> np.ndarray:
+def posterior(ann: AnnotationSet, confusions: np.ndarray, *,
+              check: bool = True) -> np.ndarray:
     """Posterior distribution of each true label given its annotations,
     under a uniform class prior.
 
@@ -199,15 +213,25 @@ def posterior(ann: AnnotationSet, confusions: np.ndarray) -> np.ndarray:
     annotation lists cannot underflow. Confusion entries are first
     clipped to [CONFUSION_CLAMP, 1 - CONFUSION_CLAMP] and each row
     renormalised, so every row of the result is finite.
+
+    The stack goes through check_confusions first. check=False skips
+    that, for a float64 (m, K, K) stack the caller built row-stochastic
+    itself; dawid_skene_update is the one caller that passes it. A
+    keyword, rather than a private unchecked body that
+    dawid_skene_update would call, keeps every posterior call on this
+    public name, which is where the benchmark tracer (perfbench/spans.py)
+    counts classic EM's iterations and the posterior's records.
     """
-    conf = np.clip(check_confusions(confusions), CONFUSION_CLAMP,
-                   1.0 - CONFUSION_CLAMP)
-    conf = conf / conf.sum(axis=-1, keepdims=True)
+    conf = check_confusions(confusions) if check else confusions
     if conf.shape[0] < ann.m or conf.shape[1] != ann.K:
         raise ValueError("confusion stack does not cover this annotation set")
+    # np.clip returns a fresh array, so renormalising and logging it in
+    # place leaves the caller's stack alone.
+    conf = np.clip(conf, CONFUSION_CLAMP, 1.0 - CONFUSION_CLAMP)
+    conf /= conf.sum(axis=-1, keepdims=True)
 
     # Row w * K + z of the table is log conf[w, :, z].
-    table = np.log(conf).transpose(0, 2, 1).reshape(-1, ann.K)
+    table = np.log(conf, out=conf).transpose(0, 2, 1).reshape(-1, ann.K)
     rows = np.full((ann.n, ann.K), np.log(1.0 / ann.K))
     for ex, wz in ann._layers:
         rows[ex] += np.take(table, wz, axis=0)
@@ -240,9 +264,13 @@ def estimate_confusions_and_prior(ann: AnnotationSet, t: np.ndarray,
         raise ValueError("smoothing must be nonnegative")
 
     K = ann.K
-    num = np.bincount((ann.worker_ids * K + t[ann.example_ids]) * K + ann.labels,
+    # Flat (worker, true class) row of each record; its counts are the
+    # row totals of num, exactly, as integers.
+    rows = ann.worker_ids * K + t[ann.example_ids]
+    num = np.bincount(rows * K + ann.labels,
                       minlength=ann.m * K * K).reshape(ann.m, K, K).astype(np.float64)
-    den = num.sum(axis=2) + K * smoothing
+    den = (np.bincount(rows, minlength=ann.m * K).reshape(ann.m, K)
+           + K * smoothing)
     num += smoothing
     with np.errstate(invalid="ignore"):
         conf = num / den[:, :, None]
@@ -267,16 +295,18 @@ def hard_labels(soft: np.ndarray) -> np.ndarray:
 def dawid_skene_update(ann: AnnotationSet, t: np.ndarray, smoothing: float):
     """One Dawid-Skene update against hard labels t: estimate the
     confusions, then recompute the label posterior with a uniform class
-    prior. Returns (posterior, confusions)."""
+    prior. Returns (posterior, confusions). The estimate is row-stochastic
+    by construction, so the posterior skips check_confusions on it."""
     conf, _ = estimate_confusions_and_prior(ann, t, smoothing=smoothing)
-    return posterior(ann, conf), conf
+    return posterior(ann, conf, check=False), conf
 
 
 def classic_em(ann: AnnotationSet):
     """Model-free Dawid-Skene EM over the annotations alone.
 
-    Starts from the majority vote, then repeats dawid_skene_update on
-    the current argmax labels, unsmoothed and with a uniform prior. An
+    Starts from the majority vote, ann.majority_vote, then repeats
+    dawid_skene_update on the current argmax labels, unsmoothed and with
+    a uniform prior. An
     update depends on the labels alone, so once a round's argmax labels
     equal the labels that produced it, every later round would repeat it
     bit for bit: the loop stops there, or after EM_MAX_ITERS rounds.
@@ -287,7 +317,7 @@ def classic_em(ann: AnnotationSet):
     worker's visited confusion rows come out exactly diagonal, i.e. the
     procedure believes all workers are perfect.
     """
-    t = hard_labels(majority_vote_init(ann))
+    t = hard_labels(ann.majority_vote)
     for _ in range(EM_MAX_ITERS):
         soft, conf = dawid_skene_update(ann, t, EM_SMOOTHING)
         new_t = hard_labels(soft)

@@ -13,15 +13,20 @@ _cell_data builds the pair's data into one methods.Unit, whose every
 fit, whatever its method or MBEM round, draws from the one substream
 ("fit", r) of seed. Two methods that train on the same targets
 therefore get the same model, and Unit.fit returns the earlier model
-instead of training it again. Results do not depend on execution order,
-on which methods the spec lists or on the number of worker processes. A
-ValueError (bad data) or RuntimeError (a diverging learner) fails its
-cells and the sweep goes on; any other exception aborts it. A row of
-timing.csv covers that method's training and evaluation only (and
-classic EM for the first of em and weighted-em). A fit the unit already
-made costs its later method nothing: after weighted-mv, the mbem row
-excludes round 0. Nor is a model evaluated twice, so at r=1, where em
-and weighted-mv get mv's model, their rows exclude its evaluation too.
+instead of training it again. _cell_data also builds the learner's
+class-major copy (learn.class_major) of the test features, once, and
+the unit builds that of its training features, once (Unit.columns):
+every fit, prediction and risk of the unit reads these two copies,
+which are freed with the unit. Results do not depend on execution
+order, on which methods the spec lists or on the number of worker
+processes. A ValueError (bad data) or RuntimeError (a diverging
+learner) fails its cells and the sweep goes on; any other exception
+aborts it. A row of timing.csv covers that method's training and
+evaluation only (and classic EM for the first of em and weighted-em). A
+fit the unit already made costs its later method nothing: after
+weighted-mv, the mbem row excludes round 0. Nor is a model evaluated
+twice, so at r=1, where em and weighted-mv get mv's model, their rows
+exclude its evaluation too.
 
 Instead of synthesizing data, a sweep can run against pre-collected
 annotation/feature/truth files, which read_inputs reads and checks for
@@ -53,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as mbio
-from .learn import LearnerConfig, zero_one_risk
+from .learn import LearnerConfig, class_major, zero_one_risk
 from .methods import METHODS, Unit, train_method
 from .seeding import RngSeed
 from .simulate import Scenario, WorkerSkillModel, make_synthetic_dataset, \
@@ -192,8 +197,9 @@ def _file_inputs(annotations, features, truth, test_features, test_truth):
 
 
 def _cell_data(spec: SweepSpec, r: int, seed: int):
-    """(unit, X_test, y_test) for one (r, seed) unit, whose every fit
-    draws from the substream ("fit", r) of seed."""
+    """(unit, test_columns, y_test) for one (r, seed) unit, whose every
+    fit draws from the substream ("fit", r) of seed; test_columns is the
+    learner's ClassMajor copy of the test features."""
     n_train = spec.budget // r
     root = RngSeed(seed)
     if spec.input_files is not None:
@@ -218,7 +224,7 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
             root.child("test-data"))
     unit = Unit(X, ann, spec.learner, root.child("fit", r), truth=y,
                 oracle_confusions=conf_true)
-    return unit, X_test, y_test
+    return unit, class_major(X_test), y_test
 
 
 def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
@@ -231,19 +237,19 @@ def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
 def _run_cell(spec: SweepSpec, method: str, r: int, seed: int,
               data, risks: dict) -> CellRecord:
     """Train and evaluate one method on data, _cell_data's (unit,
-    X_test, y_test). The methods of a unit share its fits (see
+    test_columns, y_test). The methods of a unit share its fits (see
     methods.Unit.fit), and risks maps each model the unit evaluated to
     its (test_risk, train_risk). Bad data and a diverging learner
     (ValueError, RuntimeError) give an error record."""
-    unit, X_test, y_test = data
+    unit, test_columns, y_test = data
     start = time.perf_counter()
     try:
         model = train_method(method, unit).model
         # TrainedModel compares by identity, so a shared model is
         # evaluated once.
         if model not in risks:
-            risks[model] = (zero_one_risk(model, X_test, y_test),
-                            zero_one_risk(model, unit.features, unit.truth))
+            risks[model] = (zero_one_risk(model, test_columns, y_test),
+                            zero_one_risk(model, unit.columns, unit.truth))
         test_risk, train_risk = risks[model]
         return CellRecord(method=method, r=r, n_train=spec.budget // r, seed=seed,
                           test_risk=test_risk, train_risk=train_risk,

@@ -16,8 +16,12 @@ at least 2 for features and soft labels), and the readers of truth,
 soft label and feature files require example_id to hold each of 0..n-1
 exactly once. A confusion file needs one row per entry of the (m, K, K)
 table that its largest worker_id, k and s span. Every feature value must
-be finite. Model checkpoints are a parameter CSV (one value per line,
-full precision) plus a JSON sidecar with ``kind, K, d, hidden_units``.
+be finite. Every soft label must be finite and in [0, 1], and each soft
+label row must sum to 1 within core.ROW_SUM_TOL (1e-9), as a confusion
+row must: at 12 significant digits each written entry is off by at most
+5e-12 of itself, so a written row's sum is off by at most 5e-12. Model
+checkpoints are a parameter CSV (one value per line, full precision)
+plus a JSON sidecar with ``kind, K, d, hidden_units``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AnnotationSet, check_confusions
+from .core import ROW_SUM_TOL, AnnotationSet, check_confusions
 from .learn import TrainedModel
 
 __all__ = [
@@ -126,8 +130,21 @@ def write_soft_labels(path, soft: np.ndarray) -> None:
 
 
 def read_soft_labels(path) -> np.ndarray:
+    """Soft labels in example_id order; ValueError, naming the file and
+    the first example_id at fault, on a value that is not finite, a value
+    outside [0, 1] or a row that does not sum to 1 within ROW_SUM_TOL."""
     data = _read_rows(path)
-    return data[_id_order(path, data[:, 0]), 1:]
+    soft = data[_id_order(path, data[:, 0]), 1:]
+    for ok, fault in (
+            (np.isfinite(soft).all(axis=1), "a value that is not finite"),
+            (((soft >= 0) & (soft <= 1)).all(axis=1),
+             "a value outside [0, 1]"),
+            (np.abs(soft.sum(axis=1) - 1.0) <= ROW_SUM_TOL,
+             "values that do not sum to 1")):
+        if not ok.all():
+            raise ValueError(f"{path}: example_id {ok.argmin()} holds "
+                             f"{fault}")
+    return soft
 
 
 def write_confusions(path, confusions: np.ndarray) -> None:

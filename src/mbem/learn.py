@@ -16,15 +16,16 @@ With one-hot soft labels the objective reduces to the ordinary
 cross-entropy, so every baseline that aggregates to hard labels trains
 through the same code path.
 
-The kernel is class-major: fit transposes the features and soft labels
-once, to (d + 1, n) and (K, n), with a row of ones appended to the
-features, and every forward pass computes the scores as W @ XA with
-shape (K, n), one column per example. The softmax then reduces over
-axis 0, in place, which adds K long contiguous rows instead of reducing
-n short rows of K entries each; with few classes that row-wise max/sum,
-not the matmul, took most of a step. Each layer is one (out, in + 1)
-matrix whose last column is its bias, which meets the ones row, so a
-layer is one matmul with no bias add. The MLP writes tanh into the
+The kernel is class-major: it reads the features as a (d + 1, n)
+ClassMajor copy XA, one column per example with a row of ones appended,
+and fit transposes the soft labels once, to (K, n). Every forward pass
+computes the scores as W @ XA with shape (K, n), one column per
+example. The softmax then reduces over axis 0, in place, which adds K
+long contiguous rows instead of reducing n short rows of K entries
+each; with few classes that row-wise max/sum, not the matmul, took most
+of a step. Each layer is one (out, in + 1) matrix whose last column is
+its bias, which meets the ones row, so a layer is one matmul with no
+bias add. The MLP writes tanh into the
 first H rows of an (H + 1, n) hidden layer whose last row is ones, the
 next layer's input. A layer's gradient, weights and bias together, is
 its (out, n) residual times the transpose of its input, and the 1/n of
@@ -33,6 +34,17 @@ residual. A mini-batch gathers columns. TrainedModel keeps the flat
 [W, b] or [W1, b1, W2, b2] parameters, which fit, predict_proba and
 gradient_check convert, and predict_proba still returns the usual
 (n, K) rows.
+
+class_major builds the read-only ClassMajor copy of an (n, d) feature
+array, and ClassMajor.subset gathers some of its columns. fit,
+predict_proba and zero_one_risk take either the array or the copy, with
+the same result to the bit; given the (n, d) array, each builds a copy
+for that call alone. Every caller in the package passes a copy it
+keeps: methods.Unit builds one of its training features
+(Unit.columns), which every fit and prediction of the unit reads, and
+oracle-correct's row subset is gathered from it; the sweep harness
+builds one of each unit's test features. The (n, d) form is the one
+for tests and interactive use.
 """
 
 from __future__ import annotations
@@ -47,6 +59,8 @@ from .seeding import as_seed
 __all__ = [
     "LearnerConfig",
     "TrainedModel",
+    "ClassMajor",
+    "class_major",
     "weighted_loss",
     "fit",
     "predict_proba",
@@ -137,13 +151,48 @@ def _flat(layers):
                            for part in (W[:, :-1].ravel(), W[:, -1])])
 
 
-def _with_ones(X):
-    """The (d + 1, n) columns of the examples in the rows of X (n, d),
-    each ending in a 1 that multiplies the first layer's bias."""
+@dataclass(frozen=True, eq=False)
+class ClassMajor:
+    """n examples as the kernel reads them: XA is (d + 1, n), one column
+    per example, each ending in a 1 that multiplies the first layer's
+    bias. Its length is n. Build it with class_major."""
+    XA: np.ndarray
+
+    def __len__(self):
+        return self.XA.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.XA.shape[0] - 1
+
+    def subset(self, rows) -> "ClassMajor":
+        """The read-only ClassMajor copy of the examples at the indices
+        rows, gathered from these columns. np.take keeps the copy
+        C-ordered, as class_major's are; XA[:, rows] would be F-ordered,
+        which the matmuls may sum in another order."""
+        XA = np.take(self.XA, rows, axis=1)
+        XA.flags.writeable = False
+        return ClassMajor(XA)
+
+
+def class_major(features: np.ndarray) -> ClassMajor:
+    """The read-only ClassMajor copy of the examples in the rows of
+    features (n, d)."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"features must be an (n, d) array, got shape "
+                         f"{X.shape}")
     XA = np.empty((X.shape[1] + 1, X.shape[0]))
     XA[:-1] = X.T
     XA[-1] = 1.0
-    return XA
+    XA.flags.writeable = False
+    return ClassMajor(XA)
+
+
+def _columns(features) -> ClassMajor:
+    """features if it is a ClassMajor copy, else class_major(features)."""
+    return (features if isinstance(features, ClassMajor)
+            else class_major(features))
 
 
 def _forward(layers, XA):
@@ -205,9 +254,12 @@ def weighted_loss(predicted_probs: np.ndarray, weights: np.ndarray) -> float:
     return float(-(w * np.log(p)).sum(axis=-1).mean())
 
 
-def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
-        seed) -> TrainedModel:
+def fit(features: np.ndarray | ClassMajor, soft: np.ndarray,
+        cfg: LearnerConfig, seed) -> TrainedModel:
     """Train a model on soft labels by mini-batch gradient descent.
+
+    features is the (n, d) array or its ClassMajor copy; the two give
+    the same model bit for bit.
 
     Deterministic given (inputs, seed): initialization draws INIT_SCALE
     times standard normals from the seed's "init" substream, and
@@ -217,16 +269,16 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
     Raises ValueError if there is no example to fit, and RuntimeError if
     the gradient turns non-finite mid-training.
     """
-    X = np.asarray(features, dtype=np.float64)
+    examples = _columns(features)
     S = np.asarray(soft, dtype=np.float64)
-    if X.ndim != 2 or S.ndim != 2 or X.shape[0] != S.shape[0]:
+    if S.ndim != 2 or len(examples) != S.shape[0]:
         raise ValueError("features and soft labels must align on examples")
-    if not len(X):
+    if not len(examples):
         raise ValueError("need at least one example to fit")
-    n, d = X.shape
+    n, d = len(examples), examples.d
     K = S.shape[1]
     H = cfg.hidden_units if cfg.kind == "one_hidden_layer_mlp" else 0
-    XA, ST = _with_ones(X), np.ascontiguousarray(S.T)
+    XA, ST = examples.XA, np.ascontiguousarray(S.T)
     seed = as_seed(seed)
     layers = _layers(_init_params(cfg, d, K, seed.child("init").generator()),
                      cfg.kind, d, K, H)
@@ -254,26 +306,34 @@ def fit(features: np.ndarray, soft: np.ndarray, cfg: LearnerConfig,
                         K=K, d=d, hidden_units=H)
 
 
-def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """Row-stochastic (n, K) class probabilities, C-contiguous."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
-        raise ValueError(
-            f"features must be (n, {model.d}) for this model, got {X.shape}"
-        )
+def _class_probs(model: TrainedModel, features) -> np.ndarray:
+    """The (K, n) class probabilities of the examples in features, an
+    (n, d) array or its ClassMajor copy."""
+    examples = _columns(features)
+    if examples.d != model.d:
+        raise ValueError(f"features must be (n, {model.d}) for this model, "
+                         f"got {(len(examples), examples.d)}")
     layers = _layers(model.parameters, model.kind, model.d, model.K,
                      model.hidden_units)
-    # Taking [0] frees the layer inputs, among them the (d + 1, n) copy
-    # of the features, before the (n, K) result is allocated.
-    probs = _forward(layers, _with_ones(X))[0]
-    return np.ascontiguousarray(probs.T)
+    # Taking [0] frees the layer inputs; a (d + 1, n) copy made for this
+    # call goes on return, before the caller's result is allocated.
+    return _forward(layers, examples.XA)[0]
 
 
-def zero_one_risk(model: TrainedModel, features: np.ndarray,
+def predict_proba(model: TrainedModel,
+                  features: np.ndarray | ClassMajor) -> np.ndarray:
+    """Row-stochastic (n, K) class probabilities, C-contiguous, of the
+    (n, d) features or their ClassMajor copy."""
+    return np.ascontiguousarray(_class_probs(model, features).T)
+
+
+def zero_one_risk(model: TrainedModel, features: np.ndarray | ClassMajor,
                   truth: np.ndarray) -> float:
-    """Fraction of argmax predictions that disagree with the true labels."""
+    """Fraction of argmax predictions that disagree with the true labels;
+    a tie goes to the lowest class. features is the (n, d) array or its
+    ClassMajor copy."""
     truth = np.asarray(truth, dtype=np.int64)
-    preds = np.argmax(predict_proba(model, features), axis=1)
+    preds = np.argmax(_class_probs(model, features), axis=0)
     return float(np.mean(preds != truth))
 
 
@@ -287,10 +347,10 @@ def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
     Intended for small instances (the finite-difference sweep is one
     objective pair per parameter).
     """
-    X = np.asarray(features, dtype=np.float64)
+    examples = class_major(features)
     S = np.asarray(soft, dtype=np.float64)
-    d, K = X.shape[1], S.shape[1]
-    XA, ST = _with_ones(X), S.T
+    d, K = examples.d, S.shape[1]
+    XA, ST = examples.XA, S.T
     rng = as_seed(seed).child("gradient-check").generator()
     params = _init_params(cfg, d, K, rng) + 0.1 * rng.standard_normal(
         param_count(cfg, d, K))

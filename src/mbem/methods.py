@@ -21,23 +21,34 @@ Unit.fit, which returns the unit's earlier model for equal targets
 instead of training it again, so the methods of one unit share their
 fits: weighted-mv's model is MBEM's round-0 model, and at r=1 mv, em and
 weighted-mv share it too. oracle-correct alone trains on a row subset
-and calls fit directly.
+and calls fit directly, on columns gathered from the unit's copy.
+
+What a unit's methods would otherwise each redo, the unit and its
+AnnotationSet hold for as long as the unit lives: the unit's fits; the
+learner's ClassMajor copy of its features (Unit.columns), which every
+Unit.fit and MBEM's predict_proba read and from which oracle-correct
+gathers its rows; and the set's majority vote and classic EM result,
+which mv, weighted-mv, em, weighted-em and MBEM's start read. No copy
+outlives its unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    AnnotationSet,
-    dawid_skene_update,
-    hard_labels,
-    majority_vote_init,
-    posterior,
+from .core import AnnotationSet, dawid_skene_update, hard_labels, posterior
+from .learn import (
+    ClassMajor,
+    LearnerConfig,
+    TrainedModel,
+    class_major,
+    fit,
+    predict_proba,
+    weighted_loss,
 )
-from .learn import LearnerConfig, TrainedModel, fit, predict_proba, weighted_loss
 from .seeding import RngSeed
 
 __all__ = [
@@ -85,7 +96,11 @@ def one_hot(labels: np.ndarray, K: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Unit:
     """One dataset that methods train on. Every fit draws from seed;
-    truth and oracle_confusions are None when unknown."""
+    truth and oracle_confusions are None when unknown.
+
+    A unit keeps, for its own life, its fits (see fit) and the ClassMajor
+    copy of its features (columns). features, ann and truth must not be
+    modified once the unit is in use."""
     features: np.ndarray
     ann: AnnotationSet
     cfg: LearnerConfig
@@ -95,6 +110,12 @@ class Unit:
     # (targets, model) of each fit so far
     _memo: list = field(default_factory=list, init=False, repr=False)
 
+    @cached_property
+    def columns(self) -> ClassMajor:
+        """The learner's ClassMajor copy of features, built on first use
+        and read by every fit and prediction on the unit's examples."""
+        return class_major(self.features)
+
     def fit(self, targets: np.ndarray) -> TrainedModel:
         """fit on the unit's features, or the model of an earlier fit on
         targets equal in shape and every value. A new model's parameters
@@ -103,7 +124,7 @@ class Unit:
         for done, model in self._memo:
             if np.array_equal(done, targets):
                 return model
-        model = fit(self.features, targets, self.cfg, self.seed)
+        model = fit(self.columns, targets, self.cfg, self.seed)
         model.parameters.flags.writeable = False
         targets.flags.writeable = False
         self._memo.append((targets, model))
@@ -114,22 +135,22 @@ def run_mbem(unit: Unit) -> MbemResult:
     """Alternate posterior-weighted training with model-based confusion
     re-estimation for MBEM_ROUNDS rounds.
 
-    The posterior starts at the per-example label frequencies. Each
-    round then: (1) retrains the learner from scratch on the current
-    soft labels, through unit.fit, so round 0 fits weighted-mv's model;
-    (2) takes the model's argmax predictions on the training examples as
-    provisional truth; (3) re-estimates all confusion matrices against
-    them, with MBEM_SMOOTHING added to every count, and recomputes the
-    label posterior with a uniform class prior, in one
-    dawid_skene_update. Artifacts of the final round are returned,
-    together with each round's weighted_loss of the model on the soft
-    labels it was trained on.
+    The posterior starts at the per-example label frequencies,
+    unit.ann.majority_vote. Each round then: (1) retrains the learner
+    from scratch on the current soft labels, through unit.fit, so round 0
+    fits weighted-mv's model; (2) takes the model's argmax predictions on
+    the training examples as provisional truth; (3) re-estimates all
+    confusion matrices against them, with MBEM_SMOOTHING added to every
+    count, and recomputes the label posterior with a uniform class
+    prior, in one dawid_skene_update. Artifacts of the final round are
+    returned, together with each round's weighted_loss of the model on
+    the soft labels it was trained on.
     """
-    soft = majority_vote_init(unit.ann)
+    soft = unit.ann.majority_vote
     risks = []
     for _ in range(MBEM_ROUNDS):
         model = unit.fit(soft)
-        probs = predict_proba(model, unit.features)
+        probs = predict_proba(model, unit.columns)
         risks.append(weighted_loss(probs, soft))
         soft, conf = dawid_skene_update(unit.ann, hard_labels(probs),
                                         MBEM_SMOOTHING)
@@ -138,13 +159,13 @@ def run_mbem(unit: Unit) -> MbemResult:
 
 
 def _label_posterior(unit: Unit, method: str, modes: tuple[str, ...]):
-    """(soft, confusions or None) by majority vote, classic EM (cached on
-    unit.ann) or the unit's true confusion matrices; method must be one
-    of modes."""
+    """(soft, confusions or None) by majority vote or classic EM (both
+    cached on unit.ann) or the unit's true confusion matrices; method
+    must be one of modes."""
     if method not in modes:
         raise ValueError(f"mode must be one of {modes}, got {method!r}")
     if method in ("mv", "weighted-mv"):
-        return majority_vote_init(unit.ann), None
+        return unit.ann.majority_vote, None
     if method in ("em", "weighted-em"):
         return unit.ann.classic_em
     if unit.oracle_confusions is None:
@@ -177,8 +198,9 @@ def run_hard_baseline(unit: Unit, mode: str) -> MethodResult:
     on the resulting one-hot targets. truth trains on the true labels;
     oracle-correct does too, restricted to examples where at least one
     annotation matches the truth, and fails if no example survives.
-    Both require the unit's truth. oracle-correct fits its rows with the
-    unit's cfg and seed directly; the others fit through unit.fit.
+    Both require the unit's truth. oracle-correct fits its rows, gathered
+    from unit.columns, with the unit's cfg and seed directly; the others
+    fit through unit.fit.
     """
     soft = conf = None
     if mode in ("oracle-correct", "truth"):
@@ -190,9 +212,8 @@ def run_hard_baseline(unit: Unit, mode: str) -> MethodResult:
             if not rows.any():
                 raise ValueError("no example has a correct annotation; "
                                  "nothing to train on")
-            features = np.asarray(unit.features, dtype=np.float64)[rows]
-            model = fit(features, one_hot(labels[rows], unit.ann.K), unit.cfg,
-                        unit.seed)
+            model = fit(unit.columns.subset(np.flatnonzero(rows)),
+                        one_hot(labels[rows], unit.ann.K), unit.cfg, unit.seed)
             return MethodResult(model=model, soft=None, confusions=None)
     else:
         soft, conf = _label_posterior(unit, mode, HARD_METHODS)

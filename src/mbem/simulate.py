@@ -123,7 +123,11 @@ def assign_workers(n: int, r: int, m: int, seed) -> np.ndarray:
 
 def corrupt_labels(truth: np.ndarray, assignment: np.ndarray,
                    confusions: np.ndarray, seed) -> AnnotationSet:
-    """Draw each annotation from row truth[i] of its worker's confusion matrix."""
+    """Draw each annotation from row truth[i] of its worker's confusion matrix.
+
+    Record (i, j) draws one uniform u from the seed's "corrupt" stream, in
+    record order, and takes label min(#{s : u > cdf[s]}, K - 1), where cdf
+    is the cumulative sum of that row."""
     truth = np.asarray(truth, dtype=np.int64)
     assignment = np.asarray(assignment, dtype=np.int64)
     conf = check_confusions(confusions)
@@ -140,9 +144,15 @@ def corrupt_labels(truth: np.ndarray, assignment: np.ndarray,
                          f"[0, {K})")
 
     rng = as_seed(seed).child("corrupt").generator()
-    cdf = np.cumsum(conf, axis=2)[assignment, truth[:, None]]   # (n, r, K)
-    u = rng.random((n, r, 1))
-    labels = np.minimum((u > cdf).sum(axis=2), K - 1)
+    u = rng.random((n, r))
+    # cdf[s] holds entry s of every (worker, true class) row, and rows
+    # picks each record's row: one pass over the records per class.
+    cdf = np.cumsum(conf, axis=2).reshape(m * K, K).T.copy()
+    rows = assignment * K + truth[:, None]
+    labels = np.zeros((n, r), dtype=np.int64)
+    for cutoff in cdf:
+        labels += u > cutoff[rows]
+    np.minimum(labels, K - 1, out=labels)
     return AnnotationSet.from_tables(assignment, labels, m=m, K=K)
 
 

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import warnings
 
 import numpy as np
@@ -140,6 +141,25 @@ def classic_em_tol_oracle(ann, tol=1e-8):
         if delta < tol:
             break
     return soft, conf
+
+
+def corrupt_labels_oracle(truth, assignment, confusions, seed):
+    """simulate.corrupt_labels' (n, r) label table, one record at a time:
+    record (i, j), in record order, draws the next uniform u of the
+    seed's "corrupt" stream and counts the running sums of its worker's
+    row truth[i] that u exceeds, capped at K - 1."""
+    conf = np.asarray(confusions, dtype=np.float64).tolist()
+    K = len(conf[0])
+    rng = as_seed(seed).child("corrupt").generator()
+    labels = []
+    for i, workers in enumerate(np.asarray(assignment).tolist()):
+        row = []
+        for w in workers:
+            u = rng.random()
+            cdf = itertools.accumulate(conf[w][int(truth[i])])
+            row.append(min(sum(u > c for c in cdf), K - 1))
+        labels.append(row)
+    return np.array(labels, dtype=np.int64)
 
 
 def _write_rows_oracle(path, header, rows):

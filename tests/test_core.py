@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,8 +70,55 @@ class TestMajorityVote:
         ann = AnnotationSet.from_records([(0, 0, 0), (0, 1, 1)], n=1, m=2, K=2)
         assert_array_equal(majority_vote_init(ann), [[0.5, 0.5]])
 
+    def test_annotation_set_votes_once_read_only(self, rng, monkeypatch):
+        ann = random_instance(rng, 12, 3, 2, 3)
+        calls = []
+
+        def counted(ann):
+            calls.append(ann)
+            return majority_vote_init(ann)
+
+        monkeypatch.setattr(core, "majority_vote_init", counted)
+        first = ann.majority_vote
+        classic_em(ann)     # starts from ann.majority_vote
+        assert ann.majority_vote is first
+        assert calls == [ann]
+        assert_array_equal(first, majority_vote_init(ann), strict=True)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+
 
 class TestPosterior:
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", "confusion entries must lie in [0, 1]"),
+        ("row-sum", "confusion rows must sum to 1"),
+    ])
+    def test_rejects_a_stack_that_is_not_row_stochastic(self, fault,
+                                                         message):
+        ann = AnnotationSet.from_records([(0, 0, 0), (0, 1, 1)], n=1, m=2,
+                                         K=2)
+        conf = np.tile(np.eye(2), (2, 1, 1))
+        conf[1, 0] = [np.nan, 1.0] if fault == "nan" else [0.5, 0.4]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            posterior(ann, conf)
+
+    def test_checks_a_given_stack_but_not_an_update_s_own_estimate(
+            self, rng, monkeypatch):
+        # dawid_skene_update hands its fresh estimate, row-stochastic by
+        # construction, straight to the posterior.
+        ann = random_instance(rng, 12, 3, 2, 3)
+        checked = []
+
+        def counted(confusions):
+            checked.append(confusions)
+            return check_confusions(confusions)
+
+        monkeypatch.setattr(core, "check_confusions", counted)
+        soft, conf = classic_em(ann)
+        assert checked == []
+        assert_array_equal(posterior(ann, conf), soft, strict=True)
+        assert len(checked) == 1
+
     def test_perfect_worker_forces_delta(self):
         ann = AnnotationSet.from_records([(0, 0, 0)], n=1, m=1, K=2)
         # the fixed confusion clamp leaves exactly its 1e-6 leak

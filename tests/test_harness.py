@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mbem import core, harness, methods
+from mbem import core, harness, learn, methods
 from mbem import io as mbio
 from mbem.cli import main
 from mbem.learn import LearnerConfig
@@ -78,6 +78,22 @@ def test_cell_data_runs_once_per_r_and_seed(monkeypatch):
     monkeypatch.setattr(harness, "_cell_data", counted)
     harness.run_sweep(tiny_spec(), jobs=1)
     assert sorted(calls) == [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_unit_builds_each_class_major_copy_once(monkeypatch, r):
+    # oracle-correct's row subset is gathered from the unit's copy.
+    spec = tiny_spec(methods=list(methods.METHODS))
+    copies, class_major = [], learn.class_major
+
+    def counted(features):
+        copies.append(np.shape(features))
+        return class_major(features)
+
+    for module in (learn, methods, harness):
+        monkeypatch.setattr(module, "class_major", counted)
+    assert all(rec.error is None for rec in harness._run_unit(spec, r, 0))
+    assert sorted(copies) == sorted([(spec.budget // r, 4), (spec.n_test, 4)])
 
 
 @pytest.mark.parametrize("exc", [TypeError, RuntimeError])
@@ -568,11 +584,12 @@ def test_shared_fits_change_no_record(monkeypatch, tmp_path, mode):
                 shared = harness._run_unit(spec, r, seed)
                 counts["shared"] += len(calls)
                 calls.clear()
-                unit, X_test, y_test = harness._cell_data(spec, r, seed)
+                unit, test_columns, y_test = harness._cell_data(spec, r,
+                                                                seed)
                 # replace copies the fields and starts an empty memo.
                 alone = [harness._run_cell(
                     spec, method, r, seed,
-                    (dataclasses.replace(unit), X_test, y_test), {})
+                    (dataclasses.replace(unit), test_columns, y_test), {})
                     for method in spec.methods]
                 counts["alone"] += len(calls)
                 calls.clear()

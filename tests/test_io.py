@@ -288,3 +288,29 @@ def test_read_truth_rejects_a_negative_label(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}: negative label -1")):
         mbio.read_truth(path)
+
+
+@pytest.mark.parametrize("row, fault", [
+    ("nan,0.5", "a value that is not finite"),
+    ("inf,0", "a value that is not finite"),
+    ("-0.5,1.5", "a value outside [0, 1]"),
+    ("0.9,0.9", "values that do not sum to 1"),
+    ("0.5,0.4999999", "values that do not sum to 1"),
+], ids=["nan", "inf", "negative", "sum-above", "sum-below"])
+def test_read_soft_labels_names_the_file_and_example_of_a_bad_value(
+        tmp_path, row, fault):
+    path = tmp_path / "soft.csv"
+    path.write_text(f"example_id,p0,p1\n0,0.25,0.75\n1,{row}\n")
+    message = f"{path}: example_id 1 holds {fault}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mbio.read_soft_labels(path)
+
+
+def test_read_soft_labels_reads_back_rows_of_many_small_entries(tmp_path,
+                                                                rng):
+    # Each entry is written at 12 significant digits; their sum stays
+    # within ROW_SUM_TOL of 1 however many classes share the row.
+    soft = rng.dirichlet(np.full(5000, 0.1), size=3)
+    path = tmp_path / "soft.csv"
+    mbio.write_soft_labels(path, soft)
+    assert_allclose(mbio.read_soft_labels(path), soft, rtol=5e-12, atol=0)

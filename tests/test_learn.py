@@ -12,7 +12,7 @@ from mbem.learn import (
     _gradient,
     _layers,
     _objective,
-    _with_ones,
+    class_major,
     fit,
     gradient_check,
     param_count,
@@ -107,7 +107,7 @@ class TestFit:
                                              seed=10).parameters,
                                          cfg.kind, 5, 3,
                                          cfg.hidden_units),
-                                 _with_ones(X), soft.T, learn.L2_PENALTY)
+                                 class_major(X).XA, soft.T, learn.L2_PENALTY)
                       for t in range(1, cfg.epochs + 1)]
             assert np.diff(losses).max() <= 1e-9
 
@@ -155,12 +155,50 @@ class TestClassMajorLayout:
         params = rng.standard_normal(param_count(cfg, 5, 4))
         idx = rng.permutation(40)[:13]
         layers = _layers(params, cfg.kind, 5, 4, cfg.hidden_units)
-        XA, ST = _with_ones(X), np.ascontiguousarray(soft.T)
+        XA, ST = class_major(X).XA, np.ascontiguousarray(soft.T)
         grads = _gradient(layers, XA[:, idx], ST[:, idx], learn.L2_PENALTY)
         assert [g.shape for g in grads] == [W.shape for W in layers]
         assert_allclose(_flat(grads),
                         gradient_oracle(params, X[idx], soft[idx], cfg, 4),
                         rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [LearnerConfig(), MLP],
+                             ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("batch_size", [0, 16], ids=["full", "batch16"])
+    def test_a_class_major_copy_gives_the_array_results_bit_for_bit(
+            self, rng, cfg, batch_size):
+        from dataclasses import replace
+        cfg = replace(cfg, epochs=20, batch_size=batch_size)
+        X, X_test = rng.standard_normal((50, 5)), rng.standard_normal((30, 5))
+        soft = rng.dirichlet(np.ones(3), size=50)
+        y, y_test = soft.argmax(axis=1), rng.integers(0, 3, size=30)
+        model = fit(class_major(X), soft, cfg, seed=22)
+        assert_array_equal(model.parameters,
+                           fit(X, soft, cfg, seed=22).parameters, strict=True)
+        for features, truth in ((X, y), (X_test, y_test)):
+            probs = predict_proba(model, features)
+            assert_array_equal(predict_proba(model, class_major(features)),
+                               probs, strict=True)
+            risk = float(np.mean(np.argmax(probs, axis=1) != truth))
+            assert zero_one_risk(model, class_major(features), truth) == risk
+            assert zero_one_risk(model, features, truth) == risk
+
+    def test_a_class_major_copy_is_read_only_and_ends_in_ones(self):
+        columns = class_major(np.arange(6.0).reshape(3, 2))
+        assert (len(columns), columns.d) == (3, 2)
+        assert_array_equal(columns.XA, [[0, 2, 4], [1, 3, 5], [1, 1, 1]])
+        with pytest.raises(ValueError, match="read-only"):
+            columns.XA[0, 0] = 1.0
+
+    @pytest.mark.parametrize("rows", [[0, 2, 3], [3, 0]],
+                             ids=["ascending", "reordered"])
+    def test_a_subset_is_the_copy_of_the_selected_rows(self, rows):
+        X = np.arange(12.0).reshape(4, 3)
+        subset = class_major(X).subset(rows)
+        assert_array_equal(subset.XA, class_major(X[rows]).XA, strict=True)
+        assert subset.XA.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            subset.XA[0, 0] = 1.0
 
     # The workloads' shapes: the paper's scenario (K=4, d=8, 300
     # full-batch epochs) and label-heavy's short fits (K=10, d=20, 5
@@ -245,7 +283,7 @@ class TestGradientCheck:
         soft = np.full((8, 2), 0.5)
         params = np.zeros(param_count(cfg, 3, 2))
         grads = _gradient(_layers(params, cfg.kind, 3, 2, 0),
-                          _with_ones(X), soft.T, 0.0)
+                          class_major(X).XA, soft.T, 0.0)
         assert_array_equal(grads[0][:, -1], 0.0)  # bias vanishes by symmetry
 
 
@@ -256,6 +294,23 @@ class TestZeroOneRisk:
         Xt, yt = make_synthetic_dataset(400, 2, 4, margin=6.0, seed=17)
         assert zero_one_risk(model, X, y) == 0.0
         assert zero_one_risk(model, Xt, yt) <= 0.02
+
+    def test_a_tie_goes_to_the_lowest_class(self):
+        # Zero weights leave the biases as the scores: (0, 1, 1) ties
+        # classes 1 and 2, and all-zero parameters tie all three.
+        cfg, K, d = LearnerConfig(), 3, 2
+        params = np.zeros(param_count(cfg, d, K))
+        flat = TrainedModel(parameters=params, kind=cfg.kind, K=K, d=d)
+        params = params.copy()
+        params[-2:] = 1.0
+        tied = TrainedModel(parameters=params, kind=cfg.kind, K=K, d=d)
+        X = np.random.default_rng(0).standard_normal((4, d))
+        probs = predict_proba(tied, X)
+        assert_array_equal(probs[:, 1], probs[:, 2])
+        for features in (X, class_major(X)):
+            assert zero_one_risk(tied, features, [1, 1, 1, 1]) == 0.0
+            assert zero_one_risk(tied, features, [2, 2, 2, 2]) == 1.0
+            assert zero_one_risk(flat, features, [0, 1, 2, 0]) == 0.5
 
     def test_constant_model_on_balanced_labels(self):
         cfg = LearnerConfig()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mbem import methods
+from mbem import core, methods
 from mbem.core import (
     classic_em,
     estimate_confusions_and_prior,
@@ -94,12 +94,13 @@ class TestRunMbem:
                 <= np.median(risks["weighted-mv"]) + 0.005)
 
     @staticmethod
-    def manual_rounds(X, ann, seed):
+    def manual_rounds(X, ann, seed, cfg=FAST):
         """MBEM_ROUNDS rounds of fit, relabel and update, composed from
-        their parts: (model, confusions, soft, per-round risks)."""
+        their parts on the (n, d) features: (model, confusions, soft,
+        per-round risks)."""
         soft, risks = majority_vote_init(ann), []
         for _ in range(MBEM_ROUNDS):
-            model = fit(X, soft, FAST, seed)
+            model = fit(X, soft, cfg, seed)
             probs = predict_proba(model, X)
             risks.append(weighted_loss(probs, soft))
             conf, _ = estimate_confusions_and_prior(ann, hard_labels(probs),
@@ -107,14 +108,24 @@ class TestRunMbem:
             soft = posterior(ann, conf)
         return model, conf, soft, risks
 
-    def test_rounds_equal_manual_composition(self):
+    def assert_rounds_equal_manual_composition(self, cfg):
+        # run_mbem reads the unit's class-major copy of the features; the
+        # composition reads the (n, d) array.
         X, y, ann, _ = make_cell(n=300, K=2, d=4, m=4, gamma=0.5, r=2, seed=4)
         seed = RngSeed(5)
-        result = run_mbem(Unit(X, ann, FAST, seed))
-        model, conf, soft, _ = self.manual_rounds(X, ann, seed)
+        result = run_mbem(Unit(X, ann, cfg, seed))
+        model, conf, soft, _ = self.manual_rounds(X, ann, seed, cfg)
         assert_array_equal(result.model.parameters, model.parameters)
         assert_array_equal(result.confusions, conf)
         assert_array_equal(result.soft, soft)
+
+    def test_rounds_equal_manual_composition(self):
+        self.assert_rounds_equal_manual_composition(FAST)
+
+    def test_mini_batch_mlp_rounds_equal_manual_composition(self):
+        self.assert_rounds_equal_manual_composition(LearnerConfig(
+            kind="one_hidden_layer_mlp", hidden_units=5, batch_size=64,
+            epochs=20))
 
     def test_round_risk_is_the_weighted_loss_on_the_training_labels(self):
         X, y, ann, _ = make_cell(n=300, K=2, d=4, m=4, gamma=0.5, r=2, seed=4)
@@ -284,6 +295,16 @@ class TestSharedFits:
         other = targets.copy()
         other[0] = other[0, ::-1]
         assert unit.fit(other) is not model
+
+    def test_a_unit_votes_once(self, monkeypatch):
+        X, y, ann, _ = make_cell(n=200, K=3, d=5, m=5, gamma=0.4, r=2, seed=48)
+        calls, real = [], core.majority_vote_init
+        monkeypatch.setattr(core, "majority_vote_init",
+                            lambda ann: calls.append(ann) or real(ann))
+        unit = Unit(X, ann, LearnerConfig(epochs=5), RngSeed(49))
+        for method in ("mv", "weighted-mv", "em", "weighted-em", "mbem"):
+            train_method(method, unit)
+        assert calls == [ann]
 
     def test_shared_arrays_are_read_only(self):
         X, y, ann, _ = make_cell(n=200, K=2, d=4, m=4, gamma=0.5, r=2, seed=46)

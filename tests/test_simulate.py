@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mbem.core import AnnotationSet
+from mbem.core import ROW_SUM_TOL, AnnotationSet
 from mbem.learn import LearnerConfig, fit, zero_one_risk
 from mbem.methods import one_hot
-from mbem.seeding import RngSeed
+from mbem.seeding import RngSeed, as_seed
 from mbem.simulate import (
     WorkerSkillModel,
     assign_workers,
@@ -17,7 +17,7 @@ from mbem.simulate import (
     subsample_redundancy,
 )
 
-from conftest import records
+from conftest import corrupt_labels_oracle, random_confusions, records
 
 
 def hs_model(gamma, K=2):
@@ -120,6 +120,50 @@ class TestCorruption:
         np.add.at(empirical, (truth[ann.example_ids], ann.labels), 1.0)
         empirical /= empirical.sum(axis=1, keepdims=True)
         assert np.abs(empirical - conf[0]).max() <= 3 * np.sqrt(0.25 / per_class)
+
+    @pytest.mark.parametrize("stack", ["random", "hammer-spammer", "signed"])
+    def test_labels_match_the_per_record_oracle(self, rng, stack):
+        K, m, n, r = 4, 6, 300, 3
+        if stack == "random":
+            conf = random_confusions(rng, m, K)
+        elif stack == "hammer-spammer":
+            model = WorkerSkillModel(kind="classwise_hammer_spammer",
+                                     gamma=0.5, K=K)
+            conf = sample_worker_pool(model, m, seed=5)
+        else:
+            # Identity rows moved by ROW_SUM_TOL, the most check_confusions
+            # allows: the true class's entry is 1 + tol, the next one's -tol.
+            conf = np.tile(np.eye(K), (m, 1, 1))
+            k = np.arange(K)
+            conf[:, k, k] += ROW_SUM_TOL
+            conf[:, k, (k + 1) % K] -= ROW_SUM_TOL
+        truth = rng.integers(0, K, size=n)
+        assignment = assign_workers(n, r, m, seed=6)
+        ann = corrupt_labels(truth, assignment, conf, seed=7)
+        assert_array_equal(ann.labels.reshape(n, r),
+                           corrupt_labels_oracle(truth, assignment, conf, 7))
+
+    def test_a_draw_on_a_running_sum_or_past_a_dip_counts_as_the_oracle(self):
+        # One worker per example, each row built around its record's own
+        # uniform u. Even records: the first running sum is u itself, which
+        # u does not exceed, so label 0. Odd records: the first sum is just
+        # above u and the second dips below it through a negative entry
+        # that check_confusions accepts, so label 1, where a search over
+        # a monotone cdf would give 0.
+        n, K, seed = 40, 3, 8
+        u = as_seed(seed).child("corrupt").generator().random(n)
+        conf = np.full((n, K, K), 1.0 / K)
+        tie, dip = u[0::2], u[1::2]
+        eps = ROW_SUM_TOL / 4
+        conf[0::2, 0] = np.stack([tie, 1 - tie, np.zeros_like(tie)], axis=1)
+        conf[1::2, 0] = np.stack([dip + eps, np.full_like(dip, -2 * eps),
+                                  1 - dip + eps], axis=1)
+        truth = np.zeros(n, dtype=np.int64)
+        assignment = np.arange(n)[:, None]
+        ann = corrupt_labels(truth, assignment, conf, seed)
+        assert_array_equal(ann.labels, np.tile([0, 1], n // 2))
+        oracle = corrupt_labels_oracle(truth, assignment, conf, seed)
+        assert_array_equal(ann.labels[:, None], oracle)
 
     def test_bit_reproducible(self):
         truth = np.arange(20) % 2
