@@ -54,8 +54,8 @@ def cmd_train(args) -> int:
         raise ValueError("--worker-confusions is read by oracle-weighted-em "
                          "only")
     out = Path(args.out_dir)
-    ann, features, truth = read_inputs(args.annotations, args.features,
-                                       args.truth)
+    ann, columns, truth = read_inputs(args.annotations, args.features,
+                                      args.truth)
     oracle = None
     if args.worker_confusions:
         oracle = mbio.read_confusions(args.worker_confusions)
@@ -64,7 +64,7 @@ def cmd_train(args) -> int:
             raise ValueError(f"{args.worker_confusions} has {m} workers and "
                              f"{K} classes, but {args.annotations} has "
                              f"{ann.m} workers and {ann.K} classes")
-    unit = Unit(features, ann, _config(args), RngSeed(args.seed), truth=truth,
+    unit = Unit(columns, ann, _config(args), RngSeed(args.seed), truth=truth,
                 oracle_confusions=oracle)
     result = train_method(args.method, unit)
     mbio.save_model(out, result.model)

@@ -232,6 +232,7 @@ def posterior(ann: AnnotationSet, confusions: np.ndarray, *,
 
     # Row w * K + z of the table is log conf[w, :, z].
     table = np.log(conf, out=conf).transpose(0, 2, 1).reshape(-1, ann.K)
+    del conf   # free the clipped stack: for K > 1, table is a copy
     rows = np.full((ann.n, ann.K), np.log(1.0 / ann.K))
     for ex, wz in ann._layers:
         rows[ex] += np.take(table, wz, axis=0)
@@ -319,6 +320,7 @@ def classic_em(ann: AnnotationSet):
     """
     t = hard_labels(ann.majority_vote)
     for _ in range(EM_MAX_ITERS):
+        soft = conf = None   # free the previous round's result first
         soft, conf = dawid_skene_update(ann, t, EM_SMOOTHING)
         new_t = hard_labels(soft)
         if np.array_equal(new_t, t):

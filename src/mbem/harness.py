@@ -13,36 +13,37 @@ _cell_data builds the pair's data into one methods.Unit, whose every
 fit, whatever its method or MBEM round, draws from the one substream
 ("fit", r) of seed. Two methods that train on the same targets
 therefore get the same model, and Unit.fit returns the earlier model
-instead of training it again. _cell_data also builds the learner's
-class-major copy (learn.class_major) of the test features, once, and
-the unit builds that of its training features, once (Unit.columns):
-every fit, prediction and risk of the unit reads these two copies,
-which are freed with the unit. Results do not depend on execution
-order, on which methods the spec lists or on the number of worker
-processes. A ValueError (bad data) or RuntimeError (a diverging
-learner) fails its cells and the sweep goes on; any other exception
-aborts it. A row of timing.csv covers that method's training and
-evaluation only (and classic EM for the first of em and weighted-em). A
-fit the unit already made costs its later method nothing: after
-weighted-mv, the mbem row excludes round 0. Nor is a model evaluated
-twice, so at r=1, where em and weighted-mv get mv's model, their rows
-exclude its evaluation too.
+instead of training it again. _cell_data keeps the unit's training and
+test features only as the learner's class-major copies
+(learn.class_major), which every fit, prediction and risk of the unit
+reads; a synthetic unit's copies are freed with it. Results do not
+depend on execution order, on which methods the spec lists or on the
+number of worker processes. A ValueError (bad data) or RuntimeError (a
+diverging learner) fails its cells and the sweep goes on; any other
+exception aborts it. A row of timing.csv covers that method's training
+and evaluation only (and classic EM for the first of em and
+weighted-em). A fit the unit already made costs its later method
+nothing: after weighted-mv, the mbem row excludes round 0. Nor is a
+model evaluated twice, so at r=1, where em and weighted-mv get mv's
+model, their rows exclude its evaluation too.
 
 Instead of synthesizing data, a sweep can run against pre-collected
-annotation/feature/truth files, which read_inputs reads and checks for
-the sweep and `mbem train` alike. A file-mode spec holds the five paths
-as one input_files tuple, in FILE_KEYS order. Each process of a sweep
-reads them on the first unit it runs, checks that they agree, and keeps
-them for its later units in one cache, keyed by the five paths and
-cleared when run_sweep returns: run_sweep's own process at jobs=1, and
-each pool worker at jobs > 1, so the parent then reads nothing and a
-worker that gets no unit reads nothing. Each unit draws floor(N / r) of
-those examples, and simulate.subsample_redundancy, the unit's one cut,
-keeps r annotations of each. A read or check that fails does so in its
-unit by the rule above: a ValueError or RuntimeError fails the unit's
-cells, and the next unit reads the files again; any other error, such
-as a missing file, aborts the sweep (mbem sweep then exits with the
-error's message).
+annotation/feature/truth files, which read_inputs reads, checks and
+copies class-major for the sweep and `mbem train` alike. A file-mode
+spec holds the five paths as one input_files tuple, in FILE_KEYS order.
+Each process of a sweep reads them on the first unit it runs, checks
+that they agree, and keeps them, the features as class-major copies,
+for its later units in one cache, keyed by the five paths and cleared
+when run_sweep returns: run_sweep's own process at jobs=1, and each
+pool worker at jobs > 1, so the parent then reads nothing and a worker
+that gets no unit reads nothing. Each unit draws floor(N / r) of those
+examples, gathers their columns from the cached copy
+(ClassMajor.subset) and keeps r annotations of each with
+simulate.subsample_redundancy, its one cut; the units share the test
+copy. A read or check that fails does so in its unit by the rule above:
+a ValueError or RuntimeError fails the unit's cells, and the next unit
+reads the files again; any other error, such as a missing file, aborts
+the sweep (mbem sweep then exits with the error's message).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import csv
 import functools
 import time
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -166,8 +166,9 @@ def _in_classes(truth_file, y, annotations_file, K: int) -> None:
 
 
 def read_inputs(annotations, features, truth=None):
-    """(ann, X, y or None) from the annotation, feature and truth files;
-    ValueError, naming them, if their example counts or classes disagree."""
+    """(ann, columns, y or None) from the annotation, feature and truth
+    files, the features as the learner's ClassMajor copy; ValueError,
+    naming them, if their example counts or classes disagree."""
     ann = mbio.read_annotations(annotations)
     X = mbio.read_features(features)
     y = None if truth is None else mbio.read_truth(truth)
@@ -175,7 +176,7 @@ def read_inputs(annotations, features, truth=None):
         _same("example counts", features, len(X), truth, len(y))
         _in_classes(truth, y, annotations, ann.K)
     _same("example counts", features, len(X), annotations, ann.n)
-    return ann, X, y
+    return ann, class_major(X), y
 
 
 # Keyed by the five paths, not by the spec, which list fields would make
@@ -183,17 +184,17 @@ def read_inputs(annotations, features, truth=None):
 # the worker.
 @functools.cache
 def _file_inputs(annotations, features, truth, test_features, test_truth):
-    """(ann, X, y, X_test, y_test) from a spec's input_files, read and
-    checked."""
-    ann, X, y = read_inputs(annotations, features, truth)
+    """(ann, columns, y, test_columns, y_test) from a spec's input_files,
+    read and checked, with the features as ClassMajor copies."""
+    ann, columns, y = read_inputs(annotations, features, truth)
     X_test = mbio.read_features(test_features)
     y_test = mbio.read_truth(test_truth)
     _same("example counts", test_features, len(X_test), test_truth,
           len(y_test))
-    _same("feature dimensions", features, X.shape[1], test_features,
+    _same("feature dimensions", features, columns.d, test_features,
           X_test.shape[1])
     _in_classes(test_truth, y_test, annotations, ann.K)
-    return ann, X, y, X_test, y_test
+    return ann, columns, y, class_major(X_test), y_test
 
 
 def _cell_data(spec: SweepSpec, r: int, seed: int):
@@ -203,7 +204,7 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
     n_train = spec.budget // r
     root = RngSeed(seed)
     if spec.input_files is not None:
-        ann_all, X_all, y_all, X_test, y_test = _file_inputs(
+        ann_all, pool, y_all, test_columns, y_test = _file_inputs(
             *spec.input_files)
         if n_train > ann_all.n:
             raise ValueError(f"{spec.input_files[0]}: annotation file has "
@@ -215,16 +216,17 @@ def _cell_data(spec: SweepSpec, r: int, seed: int):
                                        root.child("labels", r))
         except ValueError as exc:
             raise ValueError(f"{spec.input_files[0]}: {exc}") from None
-        X, y, conf_true = X_all[keep], y_all[keep], None
+        columns, y, conf_true = pool.subset(keep), y_all[keep], None
     else:
         scenario = spec.scenario
         X, y, ann, conf_true = simulate_unit(scenario, n_train, r, root)
         X_test, y_test = make_synthetic_dataset(
             spec.n_test, scenario.skill.K, scenario.d, scenario.margin,
             root.child("test-data"))
-    unit = Unit(X, ann, spec.learner, root.child("fit", r), truth=y,
+        columns, test_columns = class_major(X), class_major(X_test)
+    unit = Unit(columns, ann, spec.learner, root.child("fit", r), truth=y,
                 oracle_confusions=conf_true)
-    return unit, class_major(X_test), y_test
+    return unit, test_columns, y_test
 
 
 def _failed(spec, method, r, seed, exc, wall_time) -> CellRecord:
@@ -290,6 +292,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         if jobs == 1:
             units = list(map(_run_unit, specs, rs, seeds))
         else:
+            # Not at module level: it loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(jobs, len(rs))) as pool:
                 units = list(pool.map(_run_unit, specs, rs, seeds))
     finally:

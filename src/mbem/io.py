@@ -10,9 +10,10 @@ with 12 significant digits. Confusion matrices travel in long format
 format each row with one format string and stream the lines to the
 file; none builds the whole file in memory.
 
-Every reader requires at least one row below the header and the file's
+Every reader requires at least one row below the header, the file's
 columns (exactly 3 for annotations, 2 for truth and 4 for confusions;
-at least 2 for features and soft labels), and the readers of truth,
+at least 2 for features and soft labels), then its writer's header for
+that many columns, ending in CRLF or LF; and the readers of truth,
 soft label and feature files require example_id to hold each of 0..n-1
 exactly once. A confusion file needs one row per entry of the (m, K, K)
 table that its largest worker_id, k and s span. Every feature value must
@@ -44,6 +45,11 @@ __all__ = [
     "save_model", "load_model",
 ]
 
+# The header of each file with fixed columns, as its writer writes it.
+_ANNOTATION_HEADER = ["example_id", "worker_id", "label"]
+_TRUTH_HEADER = ["example_id", "label"]
+_CONFUSION_HEADER = ["worker_id", "k", "s", "prob"]
+
 
 def _write_rows(path, header, row_format, rows):
     """Write the header and then each row, a tuple of Python values,
@@ -55,11 +61,17 @@ def _write_rows(path, header, row_format, rows):
         fh.writelines(line % row for row in rows)
 
 
-def _read_rows(path, columns=None, dtype=np.float64) -> np.ndarray:
+def _values_header(letter, count):
+    """example_id, then x0.. (features) or p0.. (soft labels) by letter."""
+    return ["example_id"] + [f"{letter}{j}" for j in range(count)]
+
+
+def _read_rows(path, header, dtype=np.float64) -> np.ndarray:
     """The rows below the header line as a 2-d array; ValueError, naming
     the file, if there are none, if a row is ragged or holds a value that
-    is not a number of dtype, or unless they have exactly `columns`
-    columns (at least 2 when columns is None)."""
+    is not a number of dtype, unless they have exactly header's columns
+    (at least 2 if header is a letter; see _values_header), or unless the
+    header line, ending in CRLF or LF, is the one header names."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
@@ -70,9 +82,16 @@ def _read_rows(path, columns=None, dtype=np.float64) -> np.ndarray:
     if not len(data):
         raise ValueError(f"{path}: no data rows below the header")
     found = data.shape[1]
+    columns = None if isinstance(header, str) else len(header)
     if found < 2 or columns not in (None, found):
         raise ValueError(f"{path}: expected {columns or 'at least 2'} "
                          f"columns, found {found}")
+    expected = ",".join(header if columns else
+                        _values_header(header, found - 1))
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        line = fh.readline().removesuffix("\n").removesuffix("\r")
+    if line != expected:
+        raise ValueError(f"{path}: header {line!r}, expected {expected!r}")
     return data
 
 
@@ -89,14 +108,14 @@ def _id_order(path, ids: np.ndarray) -> np.ndarray:
 def write_annotations(path, ann: AnnotationSet) -> None:
     rows = zip(ann.example_ids.tolist(), ann.worker_ids.tolist(),
                ann.labels.tolist())
-    _write_rows(path, ["example_id", "worker_id", "label"], "%d,%d,%d", rows)
+    _write_rows(path, _ANNOTATION_HEADER, "%d,%d,%d", rows)
 
 
 def read_annotations(path) -> AnnotationSet:
     """Load annotations; n, m and K are one more than the largest
     example_id, worker_id and label. ValueError, naming the file, on a
     negative value or an example_id below n with no annotations."""
-    data = _read_rows(path, 3, np.int64)
+    data = _read_rows(path, _ANNOTATION_HEADER, np.int64)
     e, w, z = data[:, 0], data[:, 1], data[:, 2]
     try:
         return AnnotationSet(n=int(e.max()) + 1, m=int(w.max()) + 1,
@@ -108,14 +127,13 @@ def read_annotations(path) -> AnnotationSet:
 
 def write_truth(path, truth: np.ndarray) -> None:
     truth = np.asarray(truth, dtype=np.int64)
-    _write_rows(path, ["example_id", "label"], "%d,%d",
-                enumerate(truth.tolist()))
+    _write_rows(path, _TRUTH_HEADER, "%d,%d", enumerate(truth.tolist()))
 
 
 def read_truth(path) -> np.ndarray:
     """True labels in example_id order; ValueError, naming the file, on
     a negative label."""
-    data = _read_rows(path, 2, np.int64)
+    data = _read_rows(path, _TRUTH_HEADER, np.int64)
     if data[:, 1].min() < 0:
         raise ValueError(f"{path}: negative label {data[:, 1].min()}")
     return data[_id_order(path, data[:, 0]), 1]
@@ -124,16 +142,15 @@ def read_truth(path) -> np.ndarray:
 def write_soft_labels(path, soft: np.ndarray) -> None:
     soft = np.asarray(soft, dtype=np.float64)
     K = soft.shape[1]
-    header = ["example_id"] + [f"p{k}" for k in range(K)]
     rows = ((i, *row) for i, row in enumerate(soft.tolist()))
-    _write_rows(path, header, "%d" + ",%.12g" * K, rows)
+    _write_rows(path, _values_header("p", K), "%d" + ",%.12g" * K, rows)
 
 
 def read_soft_labels(path) -> np.ndarray:
     """Soft labels in example_id order; ValueError, naming the file and
     the first example_id at fault, on a value that is not finite, a value
     outside [0, 1] or a row that does not sum to 1 within ROW_SUM_TOL."""
-    data = _read_rows(path)
+    data = _read_rows(path, "p")
     soft = data[_id_order(path, data[:, 0]), 1:]
     for ok, fault in (
             (np.isfinite(soft).all(axis=1), "a value that is not finite"),
@@ -152,7 +169,7 @@ def write_confusions(path, confusions: np.ndarray) -> None:
     conf = np.asarray(confusions, dtype=np.float64)
     a, k, s = (idx.ravel().tolist() for idx in np.indices(conf.shape))
     rows = zip(a, k, s, conf.ravel().tolist())
-    _write_rows(path, ["worker_id", "k", "s", "prob"], "%d,%d,%d,%.12g", rows)
+    _write_rows(path, _CONFUSION_HEADER, "%d,%d,%d,%.12g", rows)
 
 
 def read_confusions(path) -> np.ndarray:
@@ -160,7 +177,7 @@ def read_confusions(path) -> np.ndarray:
     worker_id and k or s; ValueError, naming the file, unless each of those
     is an integer that fits int64, the file has one row per (worker_id, k,
     s) below (m, K, K), so m * K * K rows, and every row sums to 1."""
-    data = _read_rows(path, 4)
+    data = _read_rows(path, _CONFUSION_HEADER)
     ids = data[:, :3]
     integral = np.isfinite(ids) & (ids == np.round(ids))
     # int64's bounds, -2**63 and 2**63, are exact in float64.
@@ -198,15 +215,14 @@ def read_confusions(path) -> np.ndarray:
 def write_features(path, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=np.float64)
     d = features.shape[1]
-    header = ["example_id"] + [f"x{j}" for j in range(d)]
     rows = ((i, *row) for i, row in enumerate(features.tolist()))
-    _write_rows(path, header, "%d" + ",%.17g" * d, rows)
+    _write_rows(path, _values_header("x", d), "%d" + ",%.17g" * d, rows)
 
 
 def read_features(path) -> np.ndarray:
     """Features in example_id order; ValueError, naming the file and the
     first example_id, on a value that is not finite."""
-    data = _read_rows(path)
+    data = _read_rows(path, "x")
     X = data[_id_order(path, data[:, 0]), 1:]
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():

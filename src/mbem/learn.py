@@ -37,14 +37,9 @@ gradient_check convert, and predict_proba still returns the usual
 
 class_major builds the read-only ClassMajor copy of an (n, d) feature
 array, and ClassMajor.subset gathers some of its columns. fit,
-predict_proba and zero_one_risk take either the array or the copy, with
-the same result to the bit; given the (n, d) array, each builds a copy
-for that call alone. Every caller in the package passes a copy it
-keeps: methods.Unit builds one of its training features
-(Unit.columns), which every fit and prediction of the unit reads, and
-oracle-correct's row subset is gathered from it; the sweep harness
-builds one of each unit's test features. The (n, d) form is the one
-for tests and interactive use.
+predict_proba, zero_one_risk and gradient_check take that copy and no
+other form of examples, so a caller builds it once for all its calls;
+an (n, d) array raises TypeError.
 """
 
 from __future__ import annotations
@@ -189,10 +184,12 @@ def class_major(features: np.ndarray) -> ClassMajor:
     return ClassMajor(XA)
 
 
-def _columns(features) -> ClassMajor:
-    """features if it is a ClassMajor copy, else class_major(features)."""
-    return (features if isinstance(features, ClassMajor)
-            else class_major(features))
+def _examples(features) -> ClassMajor:
+    """features, which must be a ClassMajor copy; TypeError otherwise."""
+    if not isinstance(features, ClassMajor):
+        raise TypeError(f"features must be a ClassMajor copy, built by "
+                        f"learn.class_major, got {type(features).__name__}")
+    return features
 
 
 def _forward(layers, XA):
@@ -254,12 +251,10 @@ def weighted_loss(predicted_probs: np.ndarray, weights: np.ndarray) -> float:
     return float(-(w * np.log(p)).sum(axis=-1).mean())
 
 
-def fit(features: np.ndarray | ClassMajor, soft: np.ndarray,
-        cfg: LearnerConfig, seed) -> TrainedModel:
-    """Train a model on soft labels by mini-batch gradient descent.
-
-    features is the (n, d) array or its ClassMajor copy; the two give
-    the same model bit for bit.
+def fit(features: ClassMajor, soft: np.ndarray, cfg: LearnerConfig,
+        seed) -> TrainedModel:
+    """Train a model on soft labels (n, K) by mini-batch gradient descent
+    over the n examples of features.
 
     Deterministic given (inputs, seed): initialization draws INIT_SCALE
     times standard normals from the seed's "init" substream, and
@@ -269,7 +264,7 @@ def fit(features: np.ndarray | ClassMajor, soft: np.ndarray,
     Raises ValueError if there is no example to fit, and RuntimeError if
     the gradient turns non-finite mid-training.
     """
-    examples = _columns(features)
+    examples = _examples(features)
     S = np.asarray(soft, dtype=np.float64)
     if S.ndim != 2 or len(examples) != S.shape[0]:
         raise ValueError("features and soft labels must align on examples")
@@ -306,38 +301,34 @@ def fit(features: np.ndarray | ClassMajor, soft: np.ndarray,
                         K=K, d=d, hidden_units=H)
 
 
-def _class_probs(model: TrainedModel, features) -> np.ndarray:
-    """The (K, n) class probabilities of the examples in features, an
-    (n, d) array or its ClassMajor copy."""
-    examples = _columns(features)
+def _class_probs(model: TrainedModel, features: ClassMajor) -> np.ndarray:
+    """The (K, n) class probabilities of the examples in features."""
+    examples = _examples(features)
     if examples.d != model.d:
         raise ValueError(f"features must be (n, {model.d}) for this model, "
                          f"got {(len(examples), examples.d)}")
     layers = _layers(model.parameters, model.kind, model.d, model.K,
                      model.hidden_units)
-    # Taking [0] frees the layer inputs; a (d + 1, n) copy made for this
-    # call goes on return, before the caller's result is allocated.
+    # Taking [0] frees the layer inputs.
     return _forward(layers, examples.XA)[0]
 
 
-def predict_proba(model: TrainedModel,
-                  features: np.ndarray | ClassMajor) -> np.ndarray:
+def predict_proba(model: TrainedModel, features: ClassMajor) -> np.ndarray:
     """Row-stochastic (n, K) class probabilities, C-contiguous, of the
-    (n, d) features or their ClassMajor copy."""
+    examples in features."""
     return np.ascontiguousarray(_class_probs(model, features).T)
 
 
-def zero_one_risk(model: TrainedModel, features: np.ndarray | ClassMajor,
+def zero_one_risk(model: TrainedModel, features: ClassMajor,
                   truth: np.ndarray) -> float:
-    """Fraction of argmax predictions that disagree with the true labels;
-    a tie goes to the lowest class. features is the (n, d) array or its
-    ClassMajor copy."""
+    """Fraction of argmax predictions on the examples in features that
+    disagree with the true labels; a tie goes to the lowest class."""
     truth = np.asarray(truth, dtype=np.int64)
     preds = np.argmax(_class_probs(model, features), axis=0)
     return float(np.mean(preds != truth))
 
 
-def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
+def gradient_check(cfg: LearnerConfig, features: ClassMajor, soft: np.ndarray,
                    seed, h: float = 1e-5) -> float:
     """Max deviation between analytic and central-difference gradients.
 
@@ -347,7 +338,7 @@ def gradient_check(cfg: LearnerConfig, features: np.ndarray, soft: np.ndarray,
     Intended for small instances (the finite-difference sweep is one
     objective pair per parameter).
     """
-    examples = class_major(features)
+    examples = _examples(features)
     S = np.asarray(soft, dtype=np.float64)
     d, K = examples.d, S.shape[1]
     XA, ST = examples.XA, S.T

@@ -14,28 +14,22 @@ weights from majority vote or EM, and two oracles that see the true
 confusion matrices or the true labels. em and weighted-em read classic
 EM from the AnnotationSet, which runs it once and keeps the result.
 
-Every method takes one Unit: the features and annotations of a dataset,
-the learner config, the seed every fit draws from, and the true labels
-and worker confusions when they are known. A method fits through
-Unit.fit, which returns the unit's earlier model for equal targets
-instead of training it again, so the methods of one unit share their
-fits: weighted-mv's model is MBEM's round-0 model, and at r=1 mv, em and
-weighted-mv share it too. oracle-correct alone trains on a row subset
-and calls fit directly, on columns gathered from the unit's copy.
-
-What a unit's methods would otherwise each redo, the unit and its
-AnnotationSet hold for as long as the unit lives: the unit's fits; the
-learner's ClassMajor copy of its features (Unit.columns), which every
-Unit.fit and MBEM's predict_proba read and from which oracle-correct
-gathers its rows; and the set's majority vote and classic EM result,
-which mv, weighted-mv, em, weighted-em and MBEM's start read. No copy
-outlives its unit.
+Every method takes one Unit: the learner's ClassMajor copy of a
+dataset's examples (Unit.columns), which every fit and prediction on
+them reads, its annotations, the learner config, the seed every fit
+draws from, and the true labels and worker confusions when they are
+known. A method fits through Unit.fit, which returns the unit's earlier
+model for equal targets instead of training it again, so the methods of
+one unit share their fits: weighted-mv's model is MBEM's round-0 model,
+and at r=1 mv, em and weighted-mv share it too. oracle-correct alone
+trains on a row subset, gathered from Unit.columns, and calls fit
+directly. The unit's AnnotationSet keeps its majority vote and classic
+EM result, which mv, weighted-mv, em, weighted-em and MBEM's start read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +38,6 @@ from .learn import (
     ClassMajor,
     LearnerConfig,
     TrainedModel,
-    class_major,
     fit,
     predict_proba,
     weighted_loss,
@@ -95,13 +88,12 @@ def one_hot(labels: np.ndarray, K: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Unit:
-    """One dataset that methods train on. Every fit draws from seed;
-    truth and oracle_confusions are None when unknown.
-
-    A unit keeps, for its own life, its fits (see fit) and the ClassMajor
-    copy of its features (columns). features, ann and truth must not be
-    modified once the unit is in use."""
-    features: np.ndarray
+    """One dataset that methods train on, its examples as the learner's
+    ClassMajor copy (columns). Every fit draws from seed; truth and
+    oracle_confusions are None when unknown. A unit keeps its fits for
+    its own life (see fit); ann and truth must not be modified once the
+    unit is in use."""
+    columns: ClassMajor
     ann: AnnotationSet
     cfg: LearnerConfig
     seed: RngSeed | int
@@ -110,14 +102,8 @@ class Unit:
     # (targets, model) of each fit so far
     _memo: list = field(default_factory=list, init=False, repr=False)
 
-    @cached_property
-    def columns(self) -> ClassMajor:
-        """The learner's ClassMajor copy of features, built on first use
-        and read by every fit and prediction on the unit's examples."""
-        return class_major(self.features)
-
     def fit(self, targets: np.ndarray) -> TrainedModel:
-        """fit on the unit's features, or the model of an earlier fit on
+        """fit on the unit's columns, or the model of an earlier fit on
         targets equal in shape and every value. A new model's parameters
         and its targets become read-only, since other methods share
         them."""

@@ -13,7 +13,7 @@ from mbem import cli
 from mbem import io as mbio
 from mbem.cli import LEARNER_FLAGS, build_parser, main
 from mbem.harness import FILE_KEYS, _cell_data, spec_from_dict
-from mbem.learn import LEARNER_KINDS, LearnerConfig
+from mbem.learn import LEARNER_KINDS, LearnerConfig, class_major
 from mbem.methods import METHODS
 from mbem.simulate import SKILL_KINDS, Scenario
 
@@ -55,8 +55,8 @@ def test_simulate_and_sweep_share_the_default_feature_dimension(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     features = mbio.read_features(tmp_path / "features.csv")
     spec = spec_from_dict({**MINIMAL_SWEEP, "classes": 5})
-    X = _cell_data(spec, 1, 0)[0].features
-    assert features.shape[1] == X.shape[1] == 10
+    d = _cell_data(spec, 1, 0)[0].columns.d
+    assert features.shape[1] == d == 10
 
 
 # Every scenario flag differs from its default.
@@ -75,12 +75,13 @@ def test_simulate_writes_the_training_data_of_a_sweep_unit(tmp_path, r,
     spec = spec_from_dict({**MINIMAL_SWEEP, **SCENARIO_KEYS, "budget": 60})
     assert spec.scenario != Scenario()
     unit = _cell_data(spec, r, seed)[0]
-    X, y, ann, confusions = (unit.features, unit.truth, unit.ann,
-                             unit.oracle_confusions)
+    columns, y, ann, confusions = (unit.columns, unit.truth, unit.ann,
+                                   unit.oracle_confusions)
     assert main(["simulate", "--n", str(60 // r), "--r", str(r), "--seed",
                  str(seed), *SCENARIO_FLAGS, "--out-dir", str(tmp_path)]) == 0
-    assert_array_equal(mbio.read_features(tmp_path / "features.csv"), X,
-                       strict=True)
+    assert_array_equal(
+        class_major(mbio.read_features(tmp_path / "features.csv")).XA,
+        columns.XA, strict=True)
     assert_array_equal(mbio.read_truth(tmp_path / "truth.csv"), y,
                        strict=True)
     written = mbio.read_annotations(tmp_path / "annotations.csv")
@@ -255,6 +256,19 @@ def test_train_names_a_non_finite_feature(simulated, tmp_path):
                                 "example_id 5 holds a non-finite feature value")
 
 
+def test_train_rejects_a_truth_file_given_as_features(simulated, tmp_path):
+    # Read as features, a truth file would train a d=1 model on the labels.
+    truth = simulated / "truth.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--annotations", str(simulated / "annotations.csv"),
+              "--features", str(truth), "--method", "mv", "--out-dir",
+              str(tmp_path / "x")])
+    assert exit_.value.code == (f"mbem train --method mv: {truth}: header "
+                                "'example_id,label', expected "
+                                "'example_id,x0'")
+    assert not (tmp_path / "x").exists()
+
+
 TRAIN_REQUIRED = ["train", "--annotations", "a.csv", "--features", "f.csv",
                   "--method", "mv", "--out-dir", "out"]
 # Each config flag of mbem train with a value other than its default, and
@@ -382,10 +396,11 @@ def test_bound_grid_ends_at_the_last_step_not_above_rho(capsys, rho, step,
      "need 0 <= rho < 0.5 and epsilon >= 0"),
     (["bound", "--rho", "-0.1", "--grid-step", "0.1"],
      "need 0 <= rho < 0.5 and epsilon >= 0"),
-    # The training files read cleanly (truth.csv doubles as a one-column
-    # features file); the method then finds no --truth.
+    # The training files read cleanly (the test writes features.csv, one
+    # feature per example of the golden annotations); the method then
+    # finds no --truth.
     (["train", "--annotations", str(GOLDEN_FILES / "annotations.csv"),
-      "--features", str(GOLDEN_FILES / "truth.csv"), "--method", "truth"],
+      "--features", "features.csv", "--method", "truth"],
      "truth requires the true labels"),
     # A missing file exits with its message, not a traceback.
     (["train", "--annotations", "nope.csv", "--features", "nope.csv",
@@ -407,6 +422,8 @@ def test_a_subcommand_exits_with_a_message_naming_it(tmp_path, capsys,
     if argv[0] == "sweep" and "--config" not in argv:
         sweep_config("yaml", tmp_path / "sweep.yaml")
         argv = argv + ["--config", str(tmp_path / "sweep.yaml")]
+    if "features.csv" in argv:
+        mbio.write_features(tmp_path / "features.csv", np.zeros((600, 1)))
     where = f" --method {argv[argv.index('--method') + 1]}" if (
         argv[0] == "train") else ""
     with pytest.raises(SystemExit) as exit_:

@@ -1,8 +1,11 @@
+import concurrent.futures
 import dataclasses
 import functools
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -90,10 +93,39 @@ def test_a_unit_builds_each_class_major_copy_once(monkeypatch, r):
         copies.append(np.shape(features))
         return class_major(features)
 
-    for module in (learn, methods, harness):
+    for module in (learn, harness):
         monkeypatch.setattr(module, "class_major", counted)
     assert all(rec.error is None for rec in harness._run_unit(spec, r, 0))
     assert sorted(copies) == sorted([(spec.budget // r, 4), (spec.n_test, 4)])
+
+
+def test_a_file_mode_process_builds_two_class_major_copies(monkeypatch,
+                                                           tmp_path):
+    # One of the pool's features and one of the test features, whatever
+    # the number of units; each unit gathers its columns from the first.
+    spec, _ = file_spec(tmp_path)
+    spec = dataclasses.replace(spec, methods=("mv", "oracle-correct",
+                                              "mbem"))
+    copies, class_major = [], learn.class_major
+
+    def counted(features):
+        copies.append(np.shape(features))
+        return class_major(features)
+
+    for module in (learn, harness):
+        monkeypatch.setattr(module, "class_major", counted)
+    records = harness.run_sweep(spec, jobs=1).records
+    assert len(records) == 12 and all(rec.error is None for rec in records)
+    assert copies == [(120, 4), (120, 4)]
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    code = ("import sys, mbem.cli; print(sorted(name for name in sys.modules"
+            " if name.startswith(('multiprocessing', "
+            "'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("exc", [TypeError, RuntimeError])
@@ -219,6 +251,20 @@ def test_file_mode_names_a_non_finite_test_feature(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_file_mode_fails_every_cell_on_truth_files_given_as_features(
+        tmp_path, jobs):
+    spec, data = file_spec(tmp_path)
+    spec = dataclasses.replace(spec, input_files=(
+        str(data / "annotations.csv"), str(data / "truth.csv"),
+        str(data / "truth.csv"), str(data / "test_truth.csv"),
+        str(data / "test_truth.csv")))
+    want = (f"ValueError: {data / 'truth.csv'}: header 'example_id,label', "
+            "expected 'example_id,x0'")
+    records = harness.run_sweep(spec, jobs=jobs).records
+    assert [rec.error for rec in records] == [want] * 8
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_file_mode_aborts_on_a_missing_input_file(tmp_path, jobs):
     # At jobs=2 a pool worker raises it, and pool.map raises it again here.
     spec, data = file_spec(tmp_path)
@@ -269,8 +315,12 @@ def test_an_aborted_sweep_leaves_the_input_cache_empty(monkeypatch, tmp_path):
 def test_a_file_mode_sweep_under_spawn_does_not_depend_on_jobs(monkeypatch,
                                                                 tmp_path):
     # Spawned workers import mbem.harness afresh, with an empty cache.
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    # run_sweep imports the pool class from concurrent.futures when it
+    # starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor,
+                                          mp_context=multiprocessing
+                                          .get_context("spawn")))
     spec, _ = file_spec(tmp_path)
     first, second = sweep_csv_at_jobs_1_and_2(spec, tmp_path / "out")
     assert first == second

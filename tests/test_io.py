@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mbem import io as mbio
 from mbem.core import AnnotationSet
-from mbem.learn import LearnerConfig, fit, predict_proba
+from mbem.learn import LearnerConfig, class_major, fit, predict_proba
 from mbem.methods import one_hot
 from mbem.simulate import make_synthetic_dataset
 
@@ -111,7 +111,7 @@ def test_model_checkpoint_round_trip(tmp_path):
     for cfg in (LearnerConfig(epochs=30),
                 LearnerConfig(kind="one_hidden_layer_mlp",
                               hidden_units=5, epochs=30)):
-        model = fit(X, one_hot(y, 2), cfg, seed=2)
+        model = fit(class_major(X), one_hot(y, 2), cfg, seed=2)
         out = tmp_path / cfg.kind
         mbio.save_model(out, model)
         loaded = mbio.load_model(out)
@@ -119,7 +119,8 @@ def test_model_checkpoint_round_trip(tmp_path):
         assert (loaded.K, loaded.d, loaded.hidden_units) == \
             (model.K, model.d, model.hidden_units)
         assert_array_equal(loaded.parameters, model.parameters)
-        assert_array_equal(predict_proba(loaded, X), predict_proba(model, X))
+        assert_array_equal(predict_proba(loaded, class_major(X)),
+                           predict_proba(model, class_major(X)))
 
 
 @pytest.mark.parametrize("cfg", [LearnerConfig(epochs=30),
@@ -132,11 +133,11 @@ def test_model_params_file_holds_each_layers_weights_then_its_bias(tmp_path,
     # [W1, b1, W2, b2], the layout of model_params.csv.
     X, y = make_synthetic_dataset(60, 3, 4, margin=3.0, seed=1)
     soft = one_hot(y, 3)
-    mbio.save_model(tmp_path, fit(X, soft, cfg, seed=2))
+    mbio.save_model(tmp_path, fit(class_major(X), soft, cfg, seed=2))
     written = np.loadtxt(tmp_path / "model_params.csv")
     oracle = fit_oracle(X, soft, cfg, seed=2)
     assert_allclose(written, oracle, rtol=0, atol=1e-12)
-    probs = predict_proba(mbio.load_model(tmp_path), X)
+    probs = predict_proba(mbio.load_model(tmp_path), class_major(X))
     expected, _ = forward_oracle(written, X, cfg.kind, 3,
                                  cfg.hidden_units)
     assert_allclose(probs, expected, rtol=0, atol=1e-14)
@@ -144,21 +145,25 @@ def test_model_params_file_holds_each_layers_weights_then_its_bias(tmp_path,
 
 def test_a_model_params_file_with_an_extra_value_is_rejected(tmp_path):
     X, y = make_synthetic_dataset(60, 3, 4, margin=3.0, seed=1)
-    mbio.save_model(tmp_path, fit(X, one_hot(y, 3), LearnerConfig(epochs=5),
-                                  seed=2))
+    mbio.save_model(tmp_path, fit(class_major(X), one_hot(y, 3),
+                                  LearnerConfig(epochs=5), seed=2))
     with open(tmp_path / "model_params.csv", "a") as fh:
         fh.write("0.5\n")
     with pytest.raises(ValueError, match="this model has 15 parameters"):
-        predict_proba(mbio.load_model(tmp_path), X)
+        predict_proba(mbio.load_model(tmp_path), class_major(X))
 
 
 @pytest.mark.parametrize("reader", [mbio.read_truth, mbio.read_features,
                                     mbio.read_soft_labels])
 @pytest.mark.parametrize("ids", [[0, 0], [0, 2]], ids=["duplicate", "gap"])
 def test_readers_reject_malformed_example_ids(tmp_path, reader, ids):
+    header = {mbio.read_truth: "example_id,label",
+              mbio.read_features: "example_id,x0",
+              mbio.read_soft_labels: "example_id,p0"}[reader]
     path = tmp_path / "table.csv"
-    path.write_text("example_id,v\n" + "".join(f"{i},1\n" for i in ids))
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    path.write_text(header + "\n" + "".join(f"{i},1\n" for i in ids))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: example_id must hold each of 0..1 exactly once")):
         reader(path)
 
 
@@ -280,6 +285,38 @@ def test_readers_name_the_file_on_a_ragged_or_text_row(tmp_path, reader,
     path.write_text(f"{HEADERS[reader]}\n{row}\n{bad}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
         reader(path)
+
+
+# Each header has the right number of columns, but another name.
+WRONG_HEADERS = {
+    mbio.read_annotations: "example_id,worker,label",
+    mbio.read_truth: "example_id,x0",
+    mbio.read_features: "example_id,p0",
+    mbio.read_soft_labels: "example_id,p1,p0",
+    mbio.read_confusions: "worker_id,s,k,prob",
+}
+
+
+@pytest.mark.parametrize("reader", WRONG_HEADERS,
+                         ids=lambda reader: reader.__name__)
+def test_readers_name_the_file_and_both_headers_on_a_wrong_header(tmp_path,
+                                                                  reader):
+    path = tmp_path / "table.csv"
+    path.write_text(f"{WRONG_HEADERS[reader]}\n{ROWS[reader]}\n")
+    message = (f"{path}: header {WRONG_HEADERS[reader]!r}, expected "
+               f"{HEADERS[reader]!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", HEADERS, ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+def test_readers_take_their_header_with_either_line_ending(tmp_path, reader,
+                                                           newline):
+    path = tmp_path / "table.csv"
+    path.write_bytes(f"{HEADERS[reader]}{newline}{ROWS[reader]}{newline}"
+                     .encode())
+    reader(path)
 
 
 def test_read_truth_rejects_a_negative_label(tmp_path):

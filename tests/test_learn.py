@@ -64,8 +64,8 @@ class TestWeightedLoss:
 class TestFit:
     def test_separable_data_reaches_low_train_error(self):
         X, y = make_synthetic_dataset(1000, 3, 6, margin=6.0, seed=0)
-        model = fit(X, one_hot(y, 3), LearnerConfig(), seed=1)
-        assert zero_one_risk(model, X, y) <= 0.01
+        model = fit(class_major(X), one_hot(y, 3), LearnerConfig(), seed=1)
+        assert zero_one_risk(model, class_major(X), y) <= 0.01
 
     def test_uniform_soft_labels_shrink_to_uniform_predictions(self,
                                                                monkeypatch):
@@ -74,9 +74,9 @@ class TestFit:
         soft = np.full((500, 2), 0.5)
         # Ten times the fixed weight, so that 400 epochs shrink the model.
         monkeypatch.setattr(learn, "L2_PENALTY", 1e-3)
-        model = fit(X, soft, LearnerConfig(epochs=400), seed=4)
+        model = fit(class_major(X), soft, LearnerConfig(epochs=400), seed=4)
         assert np.abs(model.parameters).max() < 0.05
-        assert predict_proba(model, Xt).max() <= 0.5 + 0.05
+        assert predict_proba(model, class_major(Xt)).max() <= 0.5 + 0.05
 
     def test_duplicated_examples_with_split_weights_match_uniform(self):
         X, _ = make_synthetic_dataset(80, 2, 4, margin=1.0, seed=5)
@@ -84,15 +84,15 @@ class TestFit:
         X2 = np.repeat(X, 2, axis=0)
         split = one_hot(np.tile([0, 1], 80), 2)
         cfg = LearnerConfig(epochs=60)
-        a = fit(X, uniform, cfg, seed=6)
-        b = fit(X2, split, cfg, seed=6)
+        a = fit(class_major(X), uniform, cfg, seed=6)
+        b = fit(class_major(X2), split, cfg, seed=6)
         assert_allclose(a.parameters, b.parameters, atol=1e-9)
 
     def test_deterministic_given_seed(self):
         X, y = make_synthetic_dataset(100, 2, 4, margin=2.0, seed=7)
         cfg = LearnerConfig(epochs=20, batch_size=16)
-        a = fit(X, one_hot(y, 2), cfg, seed=8)
-        b = fit(X, one_hot(y, 2), cfg, seed=8)
+        a = fit(class_major(X), one_hot(y, 2), cfg, seed=8)
+        b = fit(class_major(X), one_hot(y, 2), cfg, seed=8)
         assert_array_equal(a.parameters, b.parameters)
 
     def test_full_batch_objective_monotone_small_lr(self):
@@ -103,11 +103,13 @@ class TestFit:
                     replace(MLP, learning_rate=0.01, epochs=80)):
             # A full batch draws no shuffles, so fit(epochs=t) stops at the
             # t-th iterate of the one run.
-            losses = [_objective(_layers(fit(X, soft, replace(cfg, epochs=t),
+            columns = class_major(X)
+            losses = [_objective(_layers(fit(columns, soft,
+                                             replace(cfg, epochs=t),
                                              seed=10).parameters,
                                          cfg.kind, 5, 3,
                                          cfg.hidden_units),
-                                 class_major(X).XA, soft.T, learn.L2_PENALTY)
+                                 columns.XA, soft.T, learn.L2_PENALTY)
                       for t in range(1, cfg.epochs + 1)]
             assert np.diff(losses).max() <= 1e-9
 
@@ -116,18 +118,19 @@ class TestFit:
         cfg = LearnerConfig(learning_rate=1e12, epochs=50)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError,
                                                       match="non-finite"):
-            fit(1e6 * X, one_hot(y, 2), cfg, seed=12)
+            fit(class_major(1e6 * X), one_hot(y, 2), cfg, seed=12)
 
     def test_rejects_zero_examples(self):
         # The mean over no examples would be 0/0.
         with pytest.raises(ValueError, match="at least one example"):
-            fit(np.zeros((0, 3)), np.zeros((0, 2)), LearnerConfig(), seed=0)
+            fit(class_major(np.zeros((0, 3))), np.zeros((0, 2)),
+                LearnerConfig(), seed=0)
 
     def test_minibatch_path_trains(self):
         X, y = make_synthetic_dataset(300, 2, 4, margin=6.0, seed=13)
         cfg = LearnerConfig(epochs=40, batch_size=32, learning_rate=0.2)
-        model = fit(X, one_hot(y, 2), cfg, seed=14)
-        assert zero_one_risk(model, X, y) <= 0.02
+        model = fit(class_major(X), one_hot(y, 2), cfg, seed=14)
+        assert zero_one_risk(model, class_major(X), y) <= 0.02
 
 
 class TestClassMajorLayout:
@@ -142,7 +145,7 @@ class TestClassMajorLayout:
         cfg = replace(cfg, epochs=30, batch_size=batch_size)
         X = rng.standard_normal((50, 5))     # 16 does not divide 50
         soft = rng.dirichlet(np.ones(3), size=50)
-        model = fit(X, soft, cfg, seed=21)
+        model = fit(class_major(X), soft, cfg, seed=21)
         assert_allclose(model.parameters, fit_oracle(X, soft, cfg, seed=21),
                         rtol=0, atol=1e-12)
 
@@ -162,26 +165,18 @@ class TestClassMajorLayout:
                         gradient_oracle(params, X[idx], soft[idx], cfg, 4),
                         rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("cfg", [LearnerConfig(), MLP],
-                             ids=["logistic", "mlp"])
-    @pytest.mark.parametrize("batch_size", [0, 16], ids=["full", "batch16"])
-    def test_a_class_major_copy_gives_the_array_results_bit_for_bit(
-            self, rng, cfg, batch_size):
-        from dataclasses import replace
-        cfg = replace(cfg, epochs=20, batch_size=batch_size)
-        X, X_test = rng.standard_normal((50, 5)), rng.standard_normal((30, 5))
-        soft = rng.dirichlet(np.ones(3), size=50)
-        y, y_test = soft.argmax(axis=1), rng.integers(0, 3, size=30)
-        model = fit(class_major(X), soft, cfg, seed=22)
-        assert_array_equal(model.parameters,
-                           fit(X, soft, cfg, seed=22).parameters, strict=True)
-        for features, truth in ((X, y), (X_test, y_test)):
-            probs = predict_proba(model, features)
-            assert_array_equal(predict_proba(model, class_major(features)),
-                               probs, strict=True)
-            risk = float(np.mean(np.argmax(probs, axis=1) != truth))
-            assert zero_one_risk(model, class_major(features), truth) == risk
-            assert zero_one_risk(model, features, truth) == risk
+    @pytest.mark.parametrize("call", ["fit", "predict_proba",
+                                      "zero_one_risk", "gradient_check"])
+    def test_an_array_raises_a_type_error_that_names_class_major(self, call):
+        cfg, X, soft = LearnerConfig(), np.ones((3, 2)), np.full((3, 2), 0.5)
+        model = TrainedModel(parameters=np.zeros(param_count(cfg, 2, 2)),
+                             kind=cfg.kind, K=2, d=2)
+        args = {"fit": (X, soft, cfg, 0), "predict_proba": (model, X),
+                "zero_one_risk": (model, X, [0, 1, 0]),
+                "gradient_check": (cfg, X, soft, 0)}[call]
+        with pytest.raises(TypeError,
+                           match=r"built by learn\.class_major, got ndarray"):
+            getattr(learn, call)(*args)
 
     def test_a_class_major_copy_is_read_only_and_ends_in_ones(self):
         columns = class_major(np.arange(6.0).reshape(3, 2))
@@ -213,7 +208,7 @@ class TestClassMajorLayout:
         soft = (0.7 * one_hot(y, K)
                 + 0.3 * np.random.default_rng(2).dirichlet(np.ones(K), size=n))
         cfg = LearnerConfig(epochs=epochs)
-        assert_allclose(fit(X, soft, cfg, seed=5).parameters,
+        assert_allclose(fit(class_major(X), soft, cfg, seed=5).parameters,
                         fit_oracle(X, soft, cfg, seed=5), rtol=1e-11, atol=0)
 
 
@@ -222,15 +217,15 @@ class TestPredictProba:
         cfg = LearnerConfig()
         model = TrainedModel(parameters=np.zeros(param_count(cfg, 4, 3)),
                              kind=cfg.kind, K=3, d=4)
-        assert_allclose(predict_proba(model, np.ones((5, 4))), 1 / 3,
-                        atol=1e-15)
+        assert_allclose(predict_proba(model, class_major(np.ones((5, 4)))),
+                        1 / 3, atol=1e-15)
 
     def test_hand_softmax(self):
         # W = [[1, -1], [0, 2]], b = [0.5, -0.5], x = [1, 2]
         params = np.array([1.0, -1.0, 0.0, 2.0, 0.5, -0.5])
         model = TrainedModel(parameters=params,
                              kind="multinomial_logistic", K=2, d=2)
-        probs = predict_proba(model, np.array([[1.0, 2.0]]))
+        probs = predict_proba(model, class_major(np.array([[1.0, 2.0]])))
         p0 = 1.0 / (1.0 + math.exp(4.0))   # scores (-0.5, 3.5)
         assert_allclose(probs, [[p0, 1.0 - p0]], atol=1e-15)
 
@@ -239,7 +234,8 @@ class TestPredictProba:
             params = rng.standard_normal(param_count(cfg, 5, 4))
             model = TrainedModel(parameters=params, kind=cfg.kind,
                                  K=4, d=5, hidden_units=cfg.hidden_units)
-            probs = predict_proba(model, rng.standard_normal((30, 5)))
+            probs = predict_proba(model,
+                                  class_major(rng.standard_normal((30, 5))))
             assert probs.shape == (30, 4)
             assert probs.flags.c_contiguous and probs.flags.owndata
             assert probs.min() >= 0
@@ -250,7 +246,7 @@ class TestPredictProba:
         model = TrainedModel(parameters=np.zeros(param_count(cfg, 4, 2)),
                              kind=cfg.kind, K=2, d=4)
         with pytest.raises(ValueError, match=r"\(n, 4\)"):
-            predict_proba(model, np.ones((3, 5)))
+            predict_proba(model, class_major(np.ones((3, 5))))
 
     @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
     def test_rejects_a_parameter_vector_of_the_wrong_length(self, extra):
@@ -259,7 +255,7 @@ class TestPredictProba:
             parameters=np.zeros(param_count(cfg, 4, 2) + extra),
             kind=cfg.kind, K=2, d=4)
         with pytest.raises(ValueError, match="this model has 10 parameters"):
-            predict_proba(model, np.ones((3, 4)))
+            predict_proba(model, class_major(np.ones((3, 4))))
 
 
 class TestGradientCheck:
@@ -267,14 +263,15 @@ class TestGradientCheck:
         for trial in range(5):
             X = rng.standard_normal((16, 5))
             soft = rng.dirichlet(np.ones(3), size=16)
-            err = gradient_check(LearnerConfig(), X, soft, seed=trial)
+            err = gradient_check(LearnerConfig(), class_major(X), soft,
+                                 seed=trial)
             assert err <= 1e-5
 
     def test_mlp_matches_finite_differences(self, rng):
         for trial in range(5):
             X = rng.standard_normal((12, 4))
             soft = rng.dirichlet(np.ones(2), size=12)
-            err = gradient_check(MLP, X, soft, seed=trial)
+            err = gradient_check(MLP, class_major(X), soft, seed=trial)
             assert err <= 1e-4
 
     def test_zero_point_uniform_labels_zero_gradient(self):
@@ -290,10 +287,10 @@ class TestGradientCheck:
 class TestZeroOneRisk:
     def test_exact_predictor(self):
         X, y = make_synthetic_dataset(400, 2, 4, margin=6.0, seed=15)
-        model = fit(X, one_hot(y, 2), LearnerConfig(), seed=16)
+        model = fit(class_major(X), one_hot(y, 2), LearnerConfig(), seed=16)
         Xt, yt = make_synthetic_dataset(400, 2, 4, margin=6.0, seed=17)
-        assert zero_one_risk(model, X, y) == 0.0
-        assert zero_one_risk(model, Xt, yt) <= 0.02
+        assert zero_one_risk(model, class_major(X), y) == 0.0
+        assert zero_one_risk(model, class_major(Xt), yt) <= 0.02
 
     def test_a_tie_goes_to_the_lowest_class(self):
         # Zero weights leave the biases as the scores: (0, 1, 1) ties
@@ -304,13 +301,27 @@ class TestZeroOneRisk:
         params = params.copy()
         params[-2:] = 1.0
         tied = TrainedModel(parameters=params, kind=cfg.kind, K=K, d=d)
-        X = np.random.default_rng(0).standard_normal((4, d))
+        X = class_major(np.random.default_rng(0).standard_normal((4, d)))
         probs = predict_proba(tied, X)
         assert_array_equal(probs[:, 1], probs[:, 2])
-        for features in (X, class_major(X)):
-            assert zero_one_risk(tied, features, [1, 1, 1, 1]) == 0.0
-            assert zero_one_risk(tied, features, [2, 2, 2, 2]) == 1.0
-            assert zero_one_risk(flat, features, [0, 1, 2, 0]) == 0.5
+        assert zero_one_risk(tied, X, [1, 1, 1, 1]) == 0.0
+        assert zero_one_risk(tied, X, [2, 2, 2, 2]) == 1.0
+        assert zero_one_risk(flat, X, [0, 1, 2, 0]) == 0.5
+
+    @pytest.mark.parametrize("cfg", [LearnerConfig(), MLP],
+                             ids=["logistic", "mlp"])
+    def test_the_risk_is_that_of_the_argmax_of_predict_proba(self, rng, cfg):
+        from dataclasses import replace
+        cfg = replace(cfg, epochs=20)
+        X = class_major(rng.standard_normal((50, 5)))
+        X_test = class_major(rng.standard_normal((30, 5)))
+        soft = rng.dirichlet(np.ones(3), size=50)
+        y, y_test = soft.argmax(axis=1), rng.integers(0, 3, size=30)
+        model = fit(X, soft, cfg, seed=22)
+        for features, truth in ((X, y), (X_test, y_test)):
+            probs = predict_proba(model, features)
+            risk = float(np.mean(np.argmax(probs, axis=1) != truth))
+            assert zero_one_risk(model, features, truth) == risk
 
     def test_constant_model_on_balanced_labels(self):
         cfg = LearnerConfig()
@@ -320,4 +331,4 @@ class TestZeroOneRisk:
                              K=2, d=3)
         X = np.zeros((100, 3))
         y = np.tile([0, 1], 50)
-        assert zero_one_risk(model, X, y) == 0.5
+        assert zero_one_risk(model, class_major(X), y) == 0.5
